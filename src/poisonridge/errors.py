@@ -5,6 +5,10 @@ class PoisonRidgeError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidShape(PoisonRidgeError, ValueError):
+    """Aspect ratio or matrix size out of range (c must be positive and finite, p and n >= 1)."""
+
+
 # --- Marchenko-Pastur transforms ---
 
 class NonNegativeZ(PoisonRidgeError):

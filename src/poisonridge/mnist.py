@@ -199,10 +199,6 @@ def run_mnist_experiment(
             simulator.solve_ridge(X_tilde, w_tilde, lam, x_bar, w_bar), trigger.v
         )
         eta_mc = simulator.empirical_efficacy(sol, trigger.v, m_test, rng)
-        sigma_emp = float(np.sqrt(sol.sigma_sq_emp))
-        eta_plugin = (
-            1.0 - theory.normal_cdf(-sol.mu_emp / sigma_emp) if sigma_emp > 0 else 0.5
-        )
         records.append(SweepRecord(
             grid_index=grid_index,
             trial_index=ti,
@@ -217,7 +213,7 @@ def run_mnist_experiment(
             mu_emp=sol.mu_emp,
             sigma2_emp=sol.sigma_sq_emp,
             eta_emp_mc=eta_mc,
-            eta_emp_plugin=eta_plugin,
+            eta_emp_plugin=theory.efficacy(sol.mu_emp, sol.sigma_sq_emp),
             mu_theory=pred.mu,
             sigma2_theory=pred.sigma_sq,
             eta_theory=pred.eta,

@@ -4,22 +4,25 @@ A rank-one spiked Gaussian matrix Z = X + tau*sqrt(n)*a b^T has feature and
 Gram resolvents whose quadratic forms converge to explicit functions of
 (c, tau, z).  This module builds the random objects, evaluates the predicted
 coefficients, and exposes the low-rank (Woodbury) update used to reconstruct
-the spiked resolvent from the unspiked one.
+the spiked resolvent from the unspiked one.  The Monte Carlo checks read each
+quadratic form from one residual-guarded Cholesky solve of the p x p feature
+system; the dense resolvents remain as reference oracles.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import blas, cho_factor, cho_solve
 
 from . import mp
-from .errors import InnerSingular, NonNegativeZ, SolveFailure
+from .errors import InnerSingular, InvalidShape, NonNegativeZ, SolveFailure
 
-# dense O(p^3) inversions only; larger sizes are a usage error
+# dense O(dim^3) inverses, kept as test oracles; the checks use solves
 MAX_DENSE_DIM = 800
 
 _UNIT_NORM_TOL = 1e-12
@@ -216,34 +219,73 @@ def reconstruct_spiked_resolvent(
     return woodbury_update(apply_Q0, U, V)
 
 
+def _check_residual(resid: np.ndarray, rhs: np.ndarray, z: float) -> None:
+    err = float(np.max(np.abs(resid)))
+    bound = _RESOLVENT_RESIDUAL_TOL * (1.0 + float(np.max(np.abs(rhs))))
+    if not err <= bound:
+        raise SolveFailure(f"resolvent residual {err:.3e} exceeds {bound:.3e} at z={z}")
+
+
+def _feature_solve(Z: np.ndarray, z: float, rhs: np.ndarray) -> np.ndarray:
+    """Q1(z) rhs by one Cholesky solve of the p x p feature system.
+
+    Only the upper triangle of A = (1/n) Z Z^T - z I is formed (syrk), and
+    the factorization and the residual read only that triangle.  The Gram
+    product runs in scipy's BLAS, like the factorization: numpy links a
+    separate OpenBLAS whose threads keep spinning after a call, and
+    alternating the two libraries made the checks about 2x slower on a
+    2-core machine.
+    """
+    n = Z.shape[1]
+    A = blas.dsyrk(1.0 / n, Z.T, trans=1)  # Z.T of a C-ordered Z is Fortran-ordered: no copy
+    A[np.diag_indices_from(A)] -= z
+    try:
+        x = cho_solve(cho_factor(A, lower=False), rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SolveFailure(f"resolvent factorization failed at z={z}") from exc
+    _check_residual(blas.dsymv(1.0, A, x) - rhs, rhs, z)
+    return x
+
+
+def _gram_apply(Z: np.ndarray, z: float, b: np.ndarray) -> np.ndarray:
+    """Qtilde1(z) b through the p x p system, never forming an n x n matrix.
+
+    Push-through: Z Qtilde1 = Q1 Z, so Qtilde1 b = -(1/z)(b - Z^T Q1 (Z b) / n).
+    """
+    n = Z.shape[1]
+    y = -(b - Z.T @ _feature_solve(Z, z, Z @ b) / n) / z
+    _check_residual(Z.T @ (Z @ y) / n - z * y - b, b, z)
+    return y
+
+
 def quadratic_form_check(
     check_name: str, c: float, tau: float, z: float, p: int, seed: int
 ) -> dict:
     """One Monte Carlo draw of a spike-direction quadratic form vs its limit.
 
+    With w = Q u for the spike direction u (a on the feature side, b on the
+    Gram side), the observed form is u.w, or w.w for the squared resolvent.
     Returns a row dict (check_name, p, n, seed, observed, predicted, abs_error).
     """
+    if check_name == "feature":
+        coeff = det_equiv_feature(c, tau, z)
+    elif check_name == "feature_sq":
+        coeff = det_equiv_feature_squared(c, tau, z)
+    elif check_name == "gram":
+        coeff = det_equiv_gram(c, tau, z)
+    elif check_name == "gram_sq":
+        coeff = det_equiv_gram_squared(c, tau, z)
+    else:
+        raise ValueError(f"unknown check {check_name!r}")
     n = max(1, round(p / c))
     exp = make_experiment(p, n, tau, z, seed)
     Z = build_spiked(exp)
-    if check_name == "feature":
-        Q = feature_resolvent(Z, z)
-        observed = float(exp.a @ Q @ exp.a)
-        predicted = det_equiv_feature(c, tau, z).quadratic_form()
-    elif check_name == "feature_sq":
-        Q = feature_resolvent(Z, z)
-        observed = float(exp.a @ (Q @ Q) @ exp.a)
-        predicted = det_equiv_feature_squared(c, tau, z).quadratic_form()
-    elif check_name == "gram":
-        Q = gram_resolvent(Z, z)
-        observed = float(exp.b @ Q @ exp.b)
-        predicted = det_equiv_gram(c, tau, z).quadratic_form()
-    elif check_name == "gram_sq":
-        Q = gram_resolvent(Z, z)
-        observed = float(exp.b @ (Q @ Q) @ exp.b)
-        predicted = det_equiv_gram_squared(c, tau, z).quadratic_form()
+    if coeff.direction is Side.FEATURE_AAT:
+        u, w = exp.a, _feature_solve(Z, z, exp.a)
     else:
-        raise ValueError(f"unknown check {check_name!r}")
+        u, w = exp.b, _gram_apply(Z, z, exp.b)
+    observed = float(w @ w) if check_name.endswith("_sq") else float(u @ w)
+    predicted = coeff.quadratic_form()
     return {
         "check_name": check_name,
         "p": p,
@@ -262,6 +304,10 @@ def convergence_table(
     c: float, tau: float, z: float, sizes, n_seeds: int, master_seed: int = 0
 ) -> list[dict]:
     """Quadratic-form error rows for every check over a grid of sizes and seeds."""
+    if not (c > 0.0 and math.isfinite(c)):
+        raise InvalidShape(f"c must be positive and finite, got {c}")
+    if any(p < 1 for p in sizes):
+        raise InvalidShape(f"every size p must be >= 1, got {list(sizes)}")
     rows = []
     for check_idx, check in enumerate(ALL_CHECKS):
         for p in sizes:

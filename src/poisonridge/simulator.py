@@ -8,7 +8,6 @@ regardless of execution order or worker count.
 from __future__ import annotations
 
 import enum
-import math
 import time
 from dataclasses import dataclass
 
@@ -16,7 +15,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from . import theory
-from .errors import NonPositiveLambda, SolveFailure, ThetaOutOfRange
+from .errors import InvalidShape, NonPositiveLambda, SolveFailure, ThetaOutOfRange
 from .records import SweepRecord
 from .theory import ModelParams
 
@@ -36,7 +35,7 @@ class SimShape:
 
     def __post_init__(self) -> None:
         if self.p < 1 or self.n < 1:
-            raise ValueError(f"p and n must be >= 1, got p={self.p}, n={self.n}")
+            raise InvalidShape(f"p and n must be >= 1, got p={self.p}, n={self.n}")
 
     @property
     def c_effective(self) -> float:
@@ -236,10 +235,6 @@ def run_trial(
         solve_ridge(X_tilde, w_tilde, params.lam, x_bar, w_bar), v
     )
     eta_mc = empirical_efficacy(solution, v, m_test, rng, include_intercept)
-    sigma_emp = math.sqrt(solution.sigma_sq_emp)
-    eta_plugin = (
-        1.0 - theory.normal_cdf(-solution.mu_emp / sigma_emp) if sigma_emp > 0 else 0.5
-    )
     pred = theory.predict(params)
     wall_ms = (time.perf_counter() - t0) * 1e3
     return SweepRecord(
@@ -256,7 +251,7 @@ def run_trial(
         mu_emp=solution.mu_emp,
         sigma2_emp=solution.sigma_sq_emp,
         eta_emp_mc=eta_mc,
-        eta_emp_plugin=eta_plugin,
+        eta_emp_plugin=theory.efficacy(solution.mu_emp, solution.sigma_sq_emp),
         mu_theory=pred.mu,
         sigma2_theory=pred.sigma_sq,
         eta_theory=pred.eta,

@@ -13,7 +13,9 @@ import warnings
 from dataclasses import dataclass
 
 from . import mp
-from .errors import InterpolationThreshold, InvalidLambda, NegativeVariance, ThetaOutOfRange
+from .errors import (
+    InterpolationThreshold, InvalidLambda, InvalidShape, NegativeVariance, ThetaOutOfRange,
+)
 
 # sigma^2 slightly below zero from cancellation is clamped; anything worse
 # signals a formula bug.
@@ -31,7 +33,7 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         if not (self.c > 0.0 and math.isfinite(self.c)):
-            raise ValueError(f"c must be positive and finite, got {self.c}")
+            raise InvalidShape(f"c must be positive and finite, got {self.c}")
         if not (0.0 <= self.theta <= 1.0):
             raise ThetaOutOfRange(f"theta must be in [0, 1], got {self.theta}")
         if self.v_norm < 0.0:
@@ -126,10 +128,14 @@ def alignment_coefficient(params: ModelParams) -> float:
     return theta * (1.0 - theta) * m / denom
 
 
-def _efficacy(mu: float, sigma_sq: float) -> float:
+def efficacy(mu: float, sigma_sq: float) -> float:
+    """P(score > 0) for a score ~ N(mu, sigma_sq).
+
+    At sigma_sq = 0 the score is the constant mu, and a tie at zero counts as
+    not attacked, matching the strict inequality of the Monte Carlo estimator.
+    """
     if sigma_sq == 0.0:
-        # degenerate Gaussian limits
-        return 1.0 if mu > 0.0 else 0.5
+        return 1.0 if mu > 0.0 else 0.0
     return 1.0 - normal_cdf(-mu / math.sqrt(sigma_sq))
 
 
@@ -140,7 +146,7 @@ def _finalize(mu: float, sigma_sq: float, v_norm: float) -> TheoryPrediction:
         warnings.warn(f"clamping tiny negative variance {sigma_sq} to 0", stacklevel=3)
         sigma_sq = 0.0
     C = mu / v_norm ** 2 if v_norm > 0.0 else 0.0
-    return TheoryPrediction(mu=mu, sigma_sq=sigma_sq, eta=_efficacy(mu, sigma_sq), C_align=C)
+    return TheoryPrediction(mu=mu, sigma_sq=sigma_sq, eta=efficacy(mu, sigma_sq), C_align=C)
 
 
 def predict(params: ModelParams) -> TheoryPrediction:

@@ -90,6 +90,30 @@ def test_resolvent_check_csv(tmp_path, capsys):
     assert len(lines) == 1 + 4 * 2 * 2
 
 
+def test_resolvent_check_beyond_dense_cap(tmp_path, capsys):
+    # n = 1600 exceeds the dense-resolvent cap; the solve-based checks have none
+    out = tmp_path / "r"
+    assert run_cli("resolvent-check", "--p", "800", "--seeds", "1",
+                   "--out", str(out)) == 0
+    capsys.readouterr()
+    lines = (out / "resolvent_checks.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == 4
+    assert all(r[1] == "800" and r[2] == "1600" for r in rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ("resolvent-check", "--c", "0", "--p", "10", "--seeds", "1"),
+    ("resolvent-check", "--p", "0", "--seeds", "1"),
+    ("simulate", "--c", "0", "--p", "10", "--trials", "1", "--m-test", "10"),
+    ("simulate", "--p", "0", "--trials", "1", "--m-test", "10"),
+])
+def test_bad_shapes_exit_2(tmp_path, capsys, argv):
+    assert run_cli(*argv, "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "InvalidShape" in err
+
+
 def test_report_from_sweep(tmp_path, capsys):
     out = tmp_path / "s"
     assert run_cli("sweep", "--p", "20", "--trials", "2", "--m-test", "50",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from poisonridge import mp, resolvent, theory
-from poisonridge.errors import InnerSingular, NonNegativeZ
+from poisonridge.errors import InnerSingular, InvalidShape, NonNegativeZ, SolveFailure
 from poisonridge.resolvent import Side
 from poisonridge.theory import ModelParams
 
@@ -90,6 +90,45 @@ def test_quadratic_forms_concentrate():
         scale = max(1.0, abs(row["predicted"]))
         assert row["abs_error"] < 0.3 * scale
         assert row["n"] == 600
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0])
+def test_quadratic_form_check_matches_dense_inverse(c):
+    # the solve-based observed value equals a.Q.a / a.Q^2.a from the dense oracle
+    tau, z = 1.0, -0.5
+    for p in (30, 60):
+        n = round(p / c)
+        for seed in (0, 5, 11):
+            exp = resolvent.make_experiment(p, n, tau, z, seed)
+            Z = resolvent.build_spiked(exp)
+            Q1 = resolvent.feature_resolvent(Z, z)
+            Qt = resolvent.gram_resolvent(Z, z)
+            dense = {
+                "feature": exp.a @ Q1 @ exp.a,
+                "feature_sq": exp.a @ (Q1 @ Q1) @ exp.a,
+                "gram": exp.b @ Qt @ exp.b,
+                "gram_sq": exp.b @ (Qt @ Qt) @ exp.b,
+            }
+            for check in resolvent.ALL_CHECKS:
+                row = resolvent.quadratic_form_check(check, c, tau, z, p, seed)
+                assert row["n"] == n
+                assert row["observed"] == pytest.approx(dense[check], rel=1e-12)
+
+
+def test_quadratic_form_check_residual_guard(monkeypatch):
+    # every solve is checked; a residual above the tolerance is a SolveFailure
+    monkeypatch.setattr(resolvent, "_RESOLVENT_RESIDUAL_TOL", 0.0)
+    for check in resolvent.ALL_CHECKS:
+        with pytest.raises(SolveFailure):
+            resolvent.quadratic_form_check(check, 0.5, 1.0, -0.5, 20, 0)
+
+
+def test_convergence_table_rejects_bad_shapes():
+    for c in (0.0, -0.5, math.inf, math.nan):
+        with pytest.raises(InvalidShape):
+            resolvent.convergence_table(c=c, tau=1.0, z=-0.5, sizes=[10], n_seeds=1)
+    with pytest.raises(InvalidShape):
+        resolvent.convergence_table(c=0.5, tau=1.0, z=-0.5, sizes=[10, 0], n_seeds=1)
 
 
 def test_quadratic_form_check_unknown_name():

@@ -167,6 +167,15 @@ def test_empirical_efficacy_zero_beta():
         simulator.empirical_efficacy(sol, np.ones(4), 0, seed=1)
 
 
+def test_run_trial_all_poisoned_efficacies_agree():
+    # theta = 1 flips every label, so beta = 0 and the score is exactly zero:
+    # theory, plug-in and Monte Carlo efficacy must all read 0
+    params = ModelParams(c=0.5, lam=0.1, theta=1.0, v_norm=1.0)
+    rec = simulator.run_trial(params, SimShape(p=20, n=40, seed=3), m_test=100)
+    assert rec.sigma2_emp == 0.0
+    assert rec.eta_emp_mc == rec.eta_emp_plugin == rec.eta_theory == 0.0
+
+
 def test_run_trial_deterministic():
     params = ModelParams(c=0.5, lam=0.1, theta=0.1, v_norm=1.0)
     shape = SimShape(p=50, n=100, seed=77)

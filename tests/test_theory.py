@@ -206,3 +206,12 @@ def test_parameter_validation():
         ModelParams(c=0.1, lam=0.1, theta=0.1, v_norm=-1.0)
     with pytest.raises(InvalidLambda):
         theory.predict(ModelParams(c=0.1, lam=0.0, theta=0.1, v_norm=1.0))
+
+
+def test_efficacy_degenerate_variance():
+    # a constant score: attacked only when strictly positive, as in the MC estimator
+    assert theory.efficacy(-0.3, 0.0) == 0.0
+    assert theory.efficacy(0.0, 0.0) == 0.0
+    assert theory.efficacy(0.3, 0.0) == 1.0
+    assert theory.efficacy(0.0, 1.0) == 0.5
+    assert theory.efficacy(1.0, 4.0) == pytest.approx(theory.normal_cdf(0.5), abs=1e-15)
