@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import sys
@@ -39,10 +38,7 @@ def _write_output(outdir: str, name: str, records, fmt: str) -> str:
         path = os.path.join(outdir, f"{name}.jsonl")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for r in records:
-                row = dataclasses.asdict(r)
-                row["lambda"] = row.pop("lam")
-                row.pop("wall_time_ms")  # diagnostic, not reproducible
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+                fh.write(json.dumps(r.to_row(), sort_keys=True) + "\n")
     else:
         path = os.path.join(outdir, f"{name}.csv")
         sweep_mod.write_records(path, records)
@@ -81,8 +77,7 @@ def cmd_simulate(args) -> int:
     params = ModelParams(c=args.c, lam=args.lam, theta=args.theta, v_norm=args.vnorm)
     records = []
     for ti in range(args.trials):
-        seed = sweep_mod.trial_seed(args.seed, 0, ti)
-        shape = simulator.SimShape(p=args.p, n=max(1, round(args.p / args.c)), seed=seed)
+        shape = simulator.shape_for(args.p, args.c, simulator.trial_seed(args.seed, 0, ti))
         records.append(simulator.run_trial(
             params, shape, trial_index=ti, m_test=args.m_test,
             centering=simulator.Centering(args.centering),
@@ -170,6 +165,7 @@ def cmd_rerun(args) -> int:
     command = manifest["command"]
     stored = dict(manifest["args"])
     stored.pop("func", None)
+    stored.pop("builtin", None)  # older sweep manifests carry the removed --builtin
     argv = [command]
     for key, value in stored.items():
         # argparse dest "lam" corresponds to the --lambda flag
@@ -221,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_simulate)
 
     s = subs.add_parser("sweep", help="run the built-in parameter grid")
-    s.add_argument("--builtin", choices=("default",), default="default")
     s.add_argument("--p", type=int, default=500)
     s.add_argument("--trials", type=int, default=100)
     s.add_argument("--seed", type=int, default=0)
@@ -283,7 +278,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PoisonRidgeError as exc:
+    except (PoisonRidgeError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

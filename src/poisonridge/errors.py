@@ -41,6 +41,10 @@ class ThetaOutOfRange(PoisonRidgeError):
     """Poison fraction must lie in [0, 1]."""
 
 
+class InvalidTriggerNorm(PoisonRidgeError, ValueError):
+    """Trigger norm must be nonnegative."""
+
+
 # --- simulator ---
 
 class NonPositiveLambda(PoisonRidgeError):
@@ -49,6 +53,10 @@ class NonPositiveLambda(PoisonRidgeError):
 
 class SolveFailure(PoisonRidgeError):
     """Symmetric factorization failed or the solution residual is too large."""
+
+
+class InvalidTestCount(PoisonRidgeError, ValueError):
+    """The Monte Carlo efficacy needs at least one test point (m_test >= 1)."""
 
 
 # --- low-rank updates ---

@@ -170,6 +170,8 @@ def run_mnist_experiment(
     Each trial subsamples without replacement, poisons the negative class at
     rate theta (the positive class with swap_classes), solves the ridge
     problem and joins with the closed-form prediction at c = p/subsample_n.
+    Trial ti draws everything from the stream of its per-trial seed
+    simulator.trial_seed(seed, grid_index, ti), which its row stores.
     """
     if not (0.0 <= theta <= 1.0):
         raise ThetaOutOfRange(f"theta must be in [0, 1], got {theta}")
@@ -182,43 +184,22 @@ def run_mnist_experiment(
         v_norm=float(np.linalg.norm(trigger.v)),
     )
     pred = theory.predict(params)
+    centering = simulator.Centering.EMPIRICAL
     records = []
     for ti in range(trials):
         t0 = time.perf_counter()
+        shape = simulator.SimShape(
+            p=p, n=subsample_n, seed=simulator.trial_seed(seed, grid_index, ti)
+        )
         rng = simulator.trial_rng(seed, grid_index, ti)
         idx = rng.choice(n_avail, size=subsample_n, replace=False)
         X = task.X[:, idx]
         y = task.y[idx].copy()
         if swap_classes:
             y = -y
-        dataset = simulator.apply_poison(
-            X, y, theta, trigger.v, rng, centering=simulator.Centering.EMPIRICAL
-        )
-        X_tilde, w_tilde, x_bar, w_bar = simulator.center(dataset, theta)
-        sol = simulator.score_statistics(
-            simulator.solve_ridge(X_tilde, w_tilde, lam, x_bar, w_bar), trigger.v
-        )
-        eta_mc = simulator.empirical_efficacy(sol, trigger.v, m_test, rng)
-        records.append(SweepRecord(
-            grid_index=grid_index,
-            trial_index=ti,
-            c_target=params.c,
-            c_effective=p / subsample_n,
-            lam=lam,
-            theta=theta,
-            v_norm=params.v_norm,
-            p=p,
-            n=subsample_n,
-            seed=seed,
-            mu_emp=sol.mu_emp,
-            sigma2_emp=sol.sigma_sq_emp,
-            eta_emp_mc=eta_mc,
-            eta_emp_plugin=theory.efficacy(sol.mu_emp, sol.sigma_sq_emp),
-            mu_theory=pred.mu,
-            sigma2_theory=pred.sigma_sq,
-            eta_theory=pred.eta,
-            C_theory=pred.C_align,
-            centering_mode=simulator.Centering.EMPIRICAL.value,
-            wall_time_ms=(time.perf_counter() - t0) * 1e3,
+        sol, eta_mc = simulator.fit_poisoned(X, y, params, trigger.v, rng, centering, m_test)
+        wall_ms = (time.perf_counter() - t0) * 1e3
+        records.append(simulator.make_record(
+            params, shape, pred, centering, grid_index, ti, sol, eta_mc, wall_ms
         ))
     return records

@@ -38,14 +38,28 @@ class SweepRecord:
     def is_error(self) -> bool:
         return math.isnan(self.mu_emp)
 
+    def to_row(self) -> dict:
+        """The persisted columns, keyed and ordered as FIELD_NAMES."""
+        return {col: getattr(self, f.name) for col, f in _COLUMNS.items()}
 
-# CSV header; "lam" is serialized as "lambda".  wall_time_ms is an in-memory
-# diagnostic only: persisted files must be byte-reproducible from the seeds,
-# and wall-clock time is not.
-FIELD_NAMES = [
-    "lambda" if f.name == "lam" else f.name
+    @classmethod
+    def from_row(cls, values) -> "SweepRecord":
+        """A record from persisted column strings in FIELD_NAMES order."""
+        kwargs = {f.name: _PARSERS[f.type](v) for f, v in zip(_COLUMNS.values(), values)}
+        return cls(**kwargs, wall_time_ms=0.0)  # wall time is not persisted
+
+
+# Persisted column -> field.  "lam" is serialized as "lambda".  wall_time_ms
+# is an in-memory diagnostic only: persisted files must be byte-reproducible
+# from the seeds, and wall-clock time is not.
+_COLUMNS = {
+    ("lambda" if f.name == "lam" else f.name): f
     for f in fields(SweepRecord)
     if f.name != "wall_time_ms"
-]
+}
+FIELD_NAMES = list(_COLUMNS)
+
+# field annotations are strings under `from __future__ import annotations`
+_PARSERS = {"int": int, "float": float, "str": str}
 
 _EMPIRICAL_FIELDS = ("mu_emp", "sigma2_emp", "eta_emp_mc", "eta_emp_plugin")

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import blas, cho_factor, cho_solve
 
-from . import mp
+from . import mp, theory
 from .errors import InnerSingular, InvalidShape, NonNegativeZ, SolveFailure
 
 # dense O(dim^3) inverses, kept as test oracles; the checks use solves
@@ -140,19 +140,14 @@ def det_equiv_feature_squared(c: float, tau: float, z: float) -> EquivalentCoeff
 def det_equiv_gram(c: float, tau: float, z: float) -> EquivalentCoefficients:
     """Qtilde1 <-> mtilde(z)(I_n - (1 - 1/B(z)) b b^T), B = 1 + c^-1 tau^2 (1 + z mtilde)."""
     mt = mp.mp_companion(c, z)
-    a = tau * tau / c
-    B = 1.0 + a * (1.0 + z * mt)
-    spike = -mt * (1.0 - 1.0 / B)
+    spike = -mt * (1.0 - 1.0 / theory.spike_scalars(c, tau * tau, z).B)
     return EquivalentCoefficients(iso=mt, spike=spike, direction=Side.GRAM_BBT)
 
 
 def det_equiv_gram_squared(c: float, tau: float, z: float) -> EquivalentCoefficients:
     """Qtilde1^2 <-> mtilde'(z) I_n + (T(z) - mtilde'(z)) b b^T."""
-    mt = mp.mp_companion(c, z)
     mtp = mp.mp_companion_derivative(c, z)
-    a = tau * tau / c
-    B = 1.0 + a * (1.0 + z * mt)
-    T = ((a + 1.0) * mtp - a * mt * mt) / (B * B)
+    T = theory.spike_scalars(c, tau * tau, z).T
     return EquivalentCoefficients(iso=mtp, spike=T - mtp, direction=Side.GRAM_BBT)
 
 
@@ -308,6 +303,8 @@ def convergence_table(
         raise InvalidShape(f"c must be positive and finite, got {c}")
     if any(p < 1 for p in sizes):
         raise InvalidShape(f"every size p must be >= 1, got {list(sizes)}")
+    if n_seeds < 1:
+        raise InvalidShape(f"n_seeds must be >= 1, got {n_seeds}")
     rows = []
     for check_idx, check in enumerate(ALL_CHECKS):
         for p in sizes:

@@ -1,13 +1,15 @@
 """Synthetic data generation, poisoning, centering and the exact ridge solve.
 
-Trial randomness comes from Philox counter streams keyed statelessly by
-(master_seed, grid_index, trial_index), so sweeps are bit-reproducible
-regardless of execution order or worker count.
+Each trial draws from one Philox counter stream seeded by its per-trial
+seed, which is derived statelessly from (master_seed, grid_index,
+trial_index).  Sweeps are therefore bit-reproducible regardless of execution
+order or worker count, and the seed stored in a row reproduces that row.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import dataclass
 
@@ -15,11 +17,16 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from . import theory
-from .errors import InvalidShape, NonPositiveLambda, SolveFailure, ThetaOutOfRange
+from .errors import (
+    InvalidShape, InvalidTestCount, NonPositiveLambda, SolveFailure, ThetaOutOfRange,
+)
 from .records import SweepRecord
-from .theory import ModelParams
+from .theory import ModelParams, TheoryPrediction
 
 _RESIDUAL_TOL = 1e-8
+
+# test points drawn per matrix product in the Monte Carlo efficacy
+_EFFICACY_BLOCK = 20000
 
 
 class Centering(enum.Enum):
@@ -59,10 +66,15 @@ class RidgeSolution:
     sigma_sq_emp: float  # ||beta||^2
 
 
-def trial_rng(master_seed: int, grid_index: int, trial_index: int) -> np.random.Generator:
-    """Stateless per-trial stream: Philox keyed by (master, grid, trial)."""
+def trial_seed(master_seed: int, grid_index: int, trial_index: int) -> int:
+    """64-bit per-trial seed, stateless in (master, grid, trial)."""
     ss = np.random.SeedSequence(master_seed, spawn_key=(grid_index, trial_index))
-    return np.random.Generator(np.random.Philox(ss))
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
+def trial_rng(master_seed: int, grid_index: int, trial_index: int) -> np.random.Generator:
+    """The trial's Philox stream, seeded by its per-trial seed alone."""
+    return _rng_from(trial_seed(master_seed, grid_index, trial_index))
 
 
 def _rng_from(seed) -> np.random.Generator:
@@ -84,9 +96,13 @@ def default_trigger(p: int, v_norm: float) -> np.ndarray:
     return v
 
 
-def generate_clean(shape: SimShape):
-    """I.i.d. standard normal features and uniform +-1 labels."""
-    rng = _rng_from(shape.seed)
+def generate_clean(shape: SimShape, rng: np.random.Generator | None = None):
+    """I.i.d. standard normal features and uniform +-1 labels.
+
+    Draws from `rng` when given, so a trial's stream continues into its
+    poison flips; otherwise from a fresh stream seeded by shape.seed.
+    """
+    rng = _rng_from(shape.seed if rng is None else rng)
     X = rng.standard_normal((shape.p, shape.n))
     y = rng.integers(0, 2, size=shape.n) * 2 - 1
     return X, y.astype(np.float64)
@@ -181,62 +197,63 @@ def score_statistics(solution: RidgeSolution, v) -> RidgeSolution:
     )
 
 
-def empirical_efficacy(
-    solution: RidgeSolution,
-    v,
-    m_test: int,
-    seed,
-    include_intercept: bool = False,
-    block: int = 20000,
-) -> float:
+def empirical_efficacy(solution: RidgeSolution, v, m_test: int, seed) -> float:
     """Fraction of m_test fresh standard-normal test points with triggered score > 0.
 
     Ties at exactly zero count as not-attacked (strict inequality).
     """
     if m_test < 1:
-        raise ValueError(f"m_test must be >= 1, got {m_test}")
+        raise InvalidTestCount(f"m_test must be >= 1, got {m_test}")
     rng = _rng_from(seed)
     v = np.asarray(v, dtype=np.float64)
     shift = float(solution.beta @ v)
-    if include_intercept:
-        shift += solution.b0
     p = solution.beta.shape[0]
     hits = 0
     remaining = m_test
     while remaining > 0:
-        k = min(block, remaining)
+        k = min(_EFFICACY_BLOCK, remaining)
         x0 = rng.standard_normal((k, p))
         hits += int(np.count_nonzero(x0 @ solution.beta + shift > 0.0))
         remaining -= k
     return hits / m_test
 
 
-def run_trial(
-    params: ModelParams,
-    shape: SimShape,
-    *,
-    centering: Centering = Centering.POPULATION,
-    grid_index: int = 0,
-    trial_index: int = 0,
-    m_test: int = 10000,
-    include_intercept: bool = False,
-) -> SweepRecord:
-    """One full synthetic trial: generate, poison, center, solve, join with theory."""
-    t0 = time.perf_counter()
-    v = default_trigger(shape.p, params.v_norm)
-    # one Philox stream per trial: generation, poison flips and efficacy
-    # draws all advance the same counter
-    rng = _rng_from(shape.seed)
-    X = rng.standard_normal((shape.p, shape.n))
-    y = (rng.integers(0, 2, size=shape.n) * 2 - 1).astype(np.float64)
+def fit_poisoned(
+    X, y, params: ModelParams, v, rng: np.random.Generator, centering: Centering, m_test: int
+) -> tuple[RidgeSolution, float]:
+    """Poison, center, solve and score one training set; also the MC efficacy.
+
+    Every stage draws from `rng` in turn, so one stream covers the trial.
+    """
     dataset = apply_poison(X, y, params.theta, v, rng, centering=centering)
     X_tilde, w_tilde, x_bar, w_bar = center(dataset, params.theta)
-    solution = score_statistics(
-        solve_ridge(X_tilde, w_tilde, params.lam, x_bar, w_bar), v
-    )
-    eta_mc = empirical_efficacy(solution, v, m_test, rng, include_intercept)
-    pred = theory.predict(params)
-    wall_ms = (time.perf_counter() - t0) * 1e3
+    solution = score_statistics(solve_ridge(X_tilde, w_tilde, params.lam, x_bar, w_bar), v)
+    return solution, empirical_efficacy(solution, v, m_test, rng)
+
+
+def make_record(
+    params: ModelParams,
+    shape: SimShape,
+    pred: TheoryPrediction | None,
+    centering: Centering,
+    grid_index: int,
+    trial_index: int,
+    solution: RidgeSolution | None = None,
+    eta_mc: float = math.nan,
+    wall_ms: float = 0.0,
+) -> SweepRecord:
+    """The row of one trial.
+
+    Without a solution the empirical columns are NaN, which marks an error
+    row; without a prediction the theory columns are NaN.
+    """
+    if solution is None:
+        mu = sigma_sq = eta_plugin = math.nan
+    else:
+        mu, sigma_sq = solution.mu_emp, solution.sigma_sq_emp
+        eta_plugin = theory.efficacy(mu, sigma_sq)
+    if pred is None:
+        pred = TheoryPrediction(mu=math.nan, sigma_sq=math.nan, eta=math.nan, C_align=math.nan)
     return SweepRecord(
         grid_index=grid_index,
         trial_index=trial_index,
@@ -248,10 +265,10 @@ def run_trial(
         p=shape.p,
         n=shape.n,
         seed=shape.seed,
-        mu_emp=solution.mu_emp,
-        sigma2_emp=solution.sigma_sq_emp,
+        mu_emp=mu,
+        sigma2_emp=sigma_sq,
         eta_emp_mc=eta_mc,
-        eta_emp_plugin=theory.efficacy(solution.mu_emp, solution.sigma_sq_emp),
+        eta_emp_plugin=eta_plugin,
         mu_theory=pred.mu,
         sigma2_theory=pred.sigma_sq,
         eta_theory=pred.eta,
@@ -259,3 +276,26 @@ def run_trial(
         centering_mode=centering.value,
         wall_time_ms=wall_ms,
     )
+
+
+def run_trial(
+    params: ModelParams,
+    shape: SimShape,
+    *,
+    centering: Centering = Centering.POPULATION,
+    grid_index: int = 0,
+    trial_index: int = 0,
+    m_test: int = 10000,
+) -> SweepRecord:
+    """One full synthetic trial: generate, poison, center, solve, join with theory."""
+    t0 = time.perf_counter()
+    v = default_trigger(shape.p, params.v_norm)
+    # one Philox stream per trial: generation, poison flips and efficacy
+    # draws all advance the same counter
+    rng = _rng_from(shape.seed)
+    X, y = generate_clean(shape, rng)
+    solution, eta_mc = fit_poisoned(X, y, params, v, rng, centering, m_test)
+    pred = theory.predict(params)
+    wall_ms = (time.perf_counter() - t0) * 1e3
+    return make_record(params, shape, pred, centering, grid_index, trial_index,
+                       solution, eta_mc, wall_ms)

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simulator, theory
-from .errors import EmptyGroup, PoisonRidgeError, SchemaMismatch
+from .errors import EmptyGroup, InvalidTestCount, PoisonRidgeError, SchemaMismatch
 from .records import _EMPIRICAL_FIELDS, FIELD_NAMES, SweepRecord
+from .simulator import trial_seed
 from .theory import ModelParams
 
 # each axis of the one-at-a-time sweep varies a single parameter around
@@ -71,50 +72,9 @@ class SweepGrid:
         return pts
 
 
-def trial_seed(master_seed: int, grid_index: int, trial_index: int) -> int:
-    """64-bit per-trial seed, stateless in (master, grid, trial)."""
-    ss = np.random.SeedSequence(master_seed, spawn_key=(grid_index, trial_index))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
-def _error_record(
-    params: ModelParams, p: int, grid_index: int, trial_index: int, seed: int
-) -> SweepRecord:
-    nan = float("nan")
-    try:
-        pred = theory.predict(params)
-        th_cols = (pred.mu, pred.sigma_sq, pred.eta, pred.C_align)
-    except PoisonRidgeError:
-        th_cols = (nan, nan, nan, nan)
-    n = max(1, round(p / params.c))
-    return SweepRecord(
-        grid_index=grid_index,
-        trial_index=trial_index,
-        c_target=params.c,
-        c_effective=p / n,
-        lam=params.lam,
-        theta=params.theta,
-        v_norm=params.v_norm,
-        p=p,
-        n=n,
-        seed=seed,
-        mu_emp=nan,
-        sigma2_emp=nan,
-        eta_emp_mc=nan,
-        eta_emp_plugin=nan,
-        mu_theory=th_cols[0],
-        sigma2_theory=th_cols[1],
-        eta_theory=th_cols[2],
-        C_theory=th_cols[3],
-        centering_mode=simulator.Centering.POPULATION.value,
-        wall_time_ms=0.0,
-    )
-
-
 def _run_one(job) -> SweepRecord:
     params, p, master_seed, grid_index, trial_index, m_test = job
-    seed = trial_seed(master_seed, grid_index, trial_index)
-    shape = simulator.SimShape(p=p, n=max(1, round(p / params.c)), seed=seed)
+    shape = simulator.shape_for(p, params.c, trial_seed(master_seed, grid_index, trial_index))
     try:
         return simulator.run_trial(
             params,
@@ -124,7 +84,14 @@ def _run_one(job) -> SweepRecord:
             m_test=m_test,
         )
     except PoisonRidgeError:
-        return _error_record(params, p, grid_index, trial_index, seed)
+        pass
+    try:
+        pred = theory.predict(params)
+    except PoisonRidgeError:
+        pred = None
+    return simulator.make_record(
+        params, shape, pred, simulator.Centering.POPULATION, grid_index, trial_index
+    )
 
 
 def run_sweep(
@@ -138,6 +105,9 @@ def run_sweep(
     Per-trial failures become NaN-valued error rows rather than aborting the
     sweep; near-singular solves at tiny lambda and c near 1 are expected.
     """
+    # checked here too: inside a trial it would only make every row an error row
+    if m_test < 1:
+        raise InvalidTestCount(f"m_test must be >= 1, got {m_test}")
     points = grid.points(axis_mode)
     jobs = [
         (params, grid.p, grid.master_seed, gi, ti, m_test)
@@ -218,10 +188,7 @@ def write_records(path, records: list[SweepRecord]) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(FIELD_NAMES)
         for r in records:
-            writer.writerow([
-                _fmt(getattr(r, "lam" if name == "lambda" else name))
-                for name in FIELD_NAMES
-            ])
+            writer.writerow([_fmt(value) for value in r.to_row().values()])
 
 
 def read_records(path) -> list[SweepRecord]:
@@ -230,20 +197,7 @@ def read_records(path) -> list[SweepRecord]:
         header = next(reader, None)
         if header != FIELD_NAMES:
             raise SchemaMismatch(f"unexpected header in {path}: {header}")
-        records = []
-        for row in reader:
-            kwargs = {}
-            for name, value in zip(FIELD_NAMES, row):
-                attr = "lam" if name == "lambda" else name
-                if attr in ("grid_index", "trial_index", "p", "n", "seed"):
-                    kwargs[attr] = int(value)
-                elif attr == "centering_mode":
-                    kwargs[attr] = value
-                else:
-                    kwargs[attr] = float(value)
-            kwargs["wall_time_ms"] = 0.0  # not persisted
-            records.append(SweepRecord(**kwargs))
-    return records
+        return [SweepRecord.from_row(row) for row in reader]
 
 
 def write_aggregates(path, rows: list[dict]) -> None:

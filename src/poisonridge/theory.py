@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from . import mp
 from .errors import (
-    InterpolationThreshold, InvalidLambda, InvalidShape, NegativeVariance, ThetaOutOfRange,
+    InterpolationThreshold, InvalidLambda, InvalidShape, InvalidTriggerNorm, NegativeVariance,
+    ThetaOutOfRange,
 )
 
 # sigma^2 slightly below zero from cancellation is clamped; anything worse
@@ -37,7 +38,7 @@ class ModelParams:
         if not (0.0 <= self.theta <= 1.0):
             raise ThetaOutOfRange(f"theta must be in [0, 1], got {self.theta}")
         if self.v_norm < 0.0:
-            raise ValueError(f"v_norm must be nonnegative, got {self.v_norm}")
+            raise InvalidTriggerNorm(f"v_norm must be nonnegative, got {self.v_norm}")
         if self.lam < 0.0:
             raise InvalidLambda(f"lambda must be nonnegative, got {self.lam}")
 
@@ -102,15 +103,25 @@ def tau_squared(params: ModelParams) -> float:
     return params.v_norm ** 2 * (params.theta / 2.0) * (1.0 - params.theta / 2.0)
 
 
-def spike_auxiliary(params: ModelParams, z: float) -> SpikeAuxiliary:
-    """tau^2, B(z), S(z) and the squared-resolvent scalar T(z) at z < 0."""
-    tau_sq = tau_squared(params)
-    a = tau_sq / params.c
-    t = mp.transforms(params.c, z)
-    B = 1.0 + a * (1.0 + z * t.m_tilde)
-    S = t.m_tilde + z * t.m_tilde_prime
-    T = ((a + 1.0) * t.m_tilde_prime - a * t.m_tilde ** 2) / (B * B)
+def spike_scalars(c: float, tau_sq: float, z: float) -> SpikeAuxiliary:
+    """tau^2, B(z), S(z) and the squared-resolvent scalar T(z) at z < 0.
+
+    With a = tau^2/c: B = 1 + a(1 + z mtilde), S = mtilde + z mtilde',
+    T = ((a + 1) mtilde' - a mtilde^2) / B^2.  The closed-form variance and
+    the Gram-side deterministic equivalents both read them from here.
+    """
+    a = tau_sq / c
+    t = mp.transforms(c, z)
+    mt, mtp = t.m_tilde, t.m_tilde_prime
+    B = 1.0 + a * (1.0 + z * mt)
+    S = mt + z * mtp
+    T = ((a + 1.0) * mtp - a * mt * mt) / (B * B)
     return SpikeAuxiliary(tau_sq=tau_sq, B=B, S=S, T=T)
+
+
+def spike_auxiliary(params: ModelParams, z: float) -> SpikeAuxiliary:
+    """Spike scalars at z < 0 for the spike strength tau^2 of `params`."""
+    return spike_scalars(params.c, tau_squared(params), z)
 
 
 def alignment_coefficient(params: ModelParams) -> float:
@@ -156,18 +167,15 @@ def predict(params: ModelParams) -> TheoryPrediction:
             "predict requires lambda > 0; use predict_ridgeless for the "
             "vanishing-regularization limit (c < 1)"
         )
-    theta, lam, vn = params.theta, params.lam, params.v_norm
+    theta, vn = params.theta, params.v_norm
     mu = alignment_coefficient(params) * vn ** 2
 
-    t = mp.transforms(params.c, -lam)
-    tau_sq = tau_squared(params)
-    a = tau_sq / params.c
-    S = t.m_tilde - lam * t.m_tilde_prime
+    aux = spike_auxiliary(params, -params.lam)
     bracket = (1.0 - theta ** 2)
     if theta > 0.0:
-        spike_gain = (1.0 + a) / (1.0 + a * (1.0 - lam * t.m_tilde)) ** 2 - 1.0
+        spike_gain = (1.0 + aux.tau_sq / params.c) / aux.B ** 2 - 1.0
         bracket += spike_gain * theta * (1.0 - theta) ** 2 / (2.0 - theta)
-    sigma_sq = S * bracket
+    sigma_sq = aux.S * bracket
     return _finalize(mu, sigma_sq, vn)
 
 

@@ -6,7 +6,8 @@ import struct
 import numpy as np
 import pytest
 
-from poisonridge import cli
+from poisonridge import cli, mnist, simulator, sweep
+from poisonridge.theory import ModelParams
 
 
 def run_cli(*argv):
@@ -69,6 +70,15 @@ def test_sweep_rerun_byte_identical(tmp_path, capsys):
     assert (out / "sweep.csv").read_bytes() == first
     assert (out / "sweep_agg.csv").read_bytes() == first_agg
 
+    # manifests written while sweep had a --builtin flag still rerun
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["args"]["builtin"] = "default"
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert run_cli("rerun", str(out / "manifest.json")) == 0
+    capsys.readouterr()
+    assert (out / "sweep.csv").read_bytes() == first
+    assert (out / "sweep_agg.csv").read_bytes() == first_agg
+
 
 def test_sweep_worker_flag_matches_serial(tmp_path, capsys):
     a, b = tmp_path / "w1", tmp_path / "w2"
@@ -107,11 +117,31 @@ def test_resolvent_check_beyond_dense_cap(tmp_path, capsys):
     ("resolvent-check", "--p", "0", "--seeds", "1"),
     ("simulate", "--c", "0", "--p", "10", "--trials", "1", "--m-test", "10"),
     ("simulate", "--p", "0", "--trials", "1", "--m-test", "10"),
+    ("resolvent-check", "--p", "10", "--seeds", "0"),
 ])
 def test_bad_shapes_exit_2(tmp_path, capsys, argv):
     assert run_cli(*argv, "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "InvalidShape" in err
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("theory", "--c", "0.5", "--vnorm", "-1"), "InvalidTriggerNorm"),
+    (("simulate", "--p", "10", "--vnorm", "-1", "--trials", "1", "--m-test", "10",
+      "--out", "{tmp}/o"), "InvalidTriggerNorm"),
+    (("simulate", "--p", "10", "--c", "0.5", "--trials", "1", "--m-test", "0",
+      "--out", "{tmp}/o"), "InvalidTestCount"),
+    (("sweep", "--p", "10", "--trials", "1", "--m-test", "0", "--out", "{tmp}/o"),
+     "InvalidTestCount"),
+    (("mnist", "--images", "{tmp}/missing", "--labels", "{tmp}/missing",
+      "--out", "{tmp}/o"), "FileNotFoundError"),
+    (("report", "--input", "{tmp}/missing.csv", "--kind", "mu"), "FileNotFoundError"),
+    (("rerun", "{tmp}/missing.json"), "FileNotFoundError"),
+])
+def test_bad_inputs_exit_2(tmp_path, capsys, argv, error):
+    assert run_cli(*(a.format(tmp=tmp_path) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and error in err
 
 
 def test_report_from_sweep(tmp_path, capsys):
@@ -127,14 +157,18 @@ def test_report_from_sweep(tmp_path, capsys):
     assert (out / "sweep_agg.csv").exists()
 
 
-def test_mnist_cli(tmp_path, capsys):
+def _write_idx_pair(tmp_path):
     rng = np.random.default_rng(0)
     pixels = rng.integers(0, 255, size=(40, 28, 28)).astype(np.uint8)
     labels = np.array([0, 1] * 20, dtype=np.uint8)
-    img = tmp_path / "imgs"
-    lbl = tmp_path / "lbls"
+    img, lbl = tmp_path / "imgs", tmp_path / "lbls"
     img.write_bytes(struct.pack(">IIII", 0x803, 40, 28, 28) + pixels.tobytes())
     lbl.write_bytes(struct.pack(">II", 0x801, 40) + labels.tobytes())
+    return img, lbl
+
+
+def test_mnist_cli(tmp_path, capsys):
+    img, lbl = _write_idx_pair(tmp_path)
     out = tmp_path / "m"
     rc = run_cli("mnist", "--images", str(img), "--labels", str(lbl),
                  "--subsample-n", "30", "--trials", "2", "--m-test", "50",
@@ -144,6 +178,42 @@ def test_mnist_cli(tmp_path, capsys):
     assert (out / "mnist.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["args"]["subsample_n"] == [30]
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "mnist"])
+def test_seed_column_reproduces_row(tmp_path, capsys, command):
+    # every command stores the per-trial seed: its stream alone redoes the trial
+    out = tmp_path / "o"
+    m_test = 50
+    common = ["--trials", "2", "--m-test", str(m_test), "--seed", "3", "--out", str(out)]
+    if command == "mnist":
+        img, lbl = _write_idx_pair(tmp_path)
+        argv = ["mnist", "--images", str(img), "--labels", str(lbl),
+                "--subsample-n", "30", *common]
+    elif command == "sweep":
+        argv = ["sweep", "--p", "10", *common]
+    else:
+        argv = ["simulate", "--p", "20", "--c", "0.5", "--centering", "empirical", *common]
+    assert run_cli(*argv) == 0
+    capsys.readouterr()
+    rows = sweep.read_records(out / f"{command}.csv")
+    assert len({r.seed for r in rows}) == len(rows)
+    for row in rows[:3]:
+        params = ModelParams(c=row.c_target, lam=row.lam, theta=row.theta, v_norm=row.v_norm)
+        centering = simulator.Centering(row.centering_mode)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(row.seed)))
+        if command == "mnist":
+            images, labels = mnist.load_pair(img, lbl)
+            task = mnist.build_binary_task(images, labels)
+            v = mnist.make_patch_trigger(offset=(2, 2), size=3, v_norm_target=1.0).v
+            idx = rng.choice(task.X.shape[1], size=row.n, replace=False)
+            X, y = task.X[:, idx], task.y[idx].copy()
+        else:
+            v = simulator.default_trigger(row.p, row.v_norm)
+            X, y = simulator.generate_clean(simulator.SimShape(row.p, row.n, row.seed), rng)
+        sol, eta = simulator.fit_poisoned(X, y, params, v, rng, centering, m_test)
+        assert sol.mu_emp == row.mu_emp
+        assert eta == row.eta_emp_mc
 
 
 def test_version_flag(capsys):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from poisonridge import sweep
+from poisonridge import simulator, sweep, theory
 from poisonridge.errors import EmptyGroup, SchemaMismatch
 from poisonridge.records import FIELD_NAMES, SweepRecord
 from poisonridge.sweep import AxisMode, SweepGrid
@@ -47,9 +47,9 @@ def test_one_at_a_time_holds_defaults():
 
 
 def test_trial_seed_stateless():
-    assert sweep.trial_seed(0, 1, 2) == sweep.trial_seed(0, 1, 2)
-    assert sweep.trial_seed(0, 1, 2) != sweep.trial_seed(0, 2, 1)
-    assert 0 <= sweep.trial_seed(5, 0, 0) < 2**64
+    assert simulator.trial_seed(0, 1, 2) == simulator.trial_seed(0, 1, 2)
+    assert simulator.trial_seed(0, 1, 2) != simulator.trial_seed(0, 2, 1)
+    assert 0 <= simulator.trial_seed(5, 0, 0) < 2**64
 
 
 def _single_point_records(values, grid_index=0):
@@ -159,11 +159,25 @@ def test_error_record_keeps_theory_columns():
     from poisonridge.theory import ModelParams
 
     params = ModelParams(c=0.5, lam=0.1, theta=0.1, v_norm=1.0)
-    rec = sweep._error_record(params, p=10, grid_index=4, trial_index=2, seed=9)
+    shape = simulator.shape_for(10, params.c, seed=9)
+    rec = simulator.make_record(params, shape, theory.predict(params),
+                                simulator.Centering.POPULATION, grid_index=4, trial_index=2)
     assert rec.is_error
     assert math.isnan(rec.sigma2_emp)
     assert not math.isnan(rec.mu_theory)
     assert rec.n == 20
+
+
+def test_failed_trial_becomes_error_row():
+    from poisonridge.theory import ModelParams
+
+    # lambda = 0 fails both the ridge solve and the closed-form prediction
+    params = ModelParams(c=0.5, lam=0.0, theta=0.1, v_norm=1.0)
+    rec = sweep._run_one((params, 10, 0, 4, 2, 50))
+    assert rec.is_error
+    assert math.isnan(rec.mu_theory) and math.isnan(rec.eta_emp_mc)
+    assert (rec.grid_index, rec.trial_index, rec.n) == (4, 2, 20)
+    assert rec.seed == simulator.trial_seed(0, 4, 2)
 
 
 def test_numpy_percentile_convention_reference():
