@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import __version__, mnist as mnist_mod, mp, report, resolvent, simulator, sweep as sweep_mod
-from .errors import PoisonRidgeError
+from .errors import InvalidTrialCount, PoisonRidgeError
 from .theory import ModelParams, predict, predict_ridgeless
 
 
@@ -73,6 +73,8 @@ def cmd_theory(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.trials < 1:
+        raise InvalidTrialCount(f"trials must be >= 1, got {args.trials}")
     os.makedirs(args.out, exist_ok=True)
     params = ModelParams(c=args.c, lam=args.lam, theta=args.theta, v_norm=args.vnorm)
     records = []

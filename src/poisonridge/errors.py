@@ -59,6 +59,10 @@ class InvalidTestCount(PoisonRidgeError, ValueError):
     """The Monte Carlo efficacy needs at least one test point (m_test >= 1)."""
 
 
+class InvalidTrialCount(PoisonRidgeError, ValueError):
+    """A run needs at least one trial per grid point (trials >= 1)."""
+
+
 # --- low-rank updates ---
 
 class InnerSingular(PoisonRidgeError):

@@ -18,6 +18,8 @@ from . import simulator, theory
 from .errors import (
     BadMagic,
     CountMismatch,
+    InvalidShape,
+    InvalidTrialCount,
     NoSamplesForDigit,
     PatchOutOfBounds,
     SubsampleTooLarge,
@@ -175,6 +177,10 @@ def run_mnist_experiment(
     """
     if not (0.0 <= theta <= 1.0):
         raise ThetaOutOfRange(f"theta must be in [0, 1], got {theta}")
+    if trials < 1:
+        raise InvalidTrialCount(f"trials must be >= 1, got {trials}")
+    if subsample_n < 1:
+        raise InvalidShape(f"subsample_n must be >= 1, got {subsample_n}")
     n_avail = task.X.shape[1]
     if subsample_n > n_avail:
         raise SubsampleTooLarge(f"requested {subsample_n} of {n_avail} samples")

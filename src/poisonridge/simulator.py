@@ -25,9 +25,6 @@ from .theory import ModelParams, TheoryPrediction
 
 _RESIDUAL_TOL = 1e-8
 
-# test points drawn per matrix product in the Monte Carlo efficacy
-_EFFICACY_BLOCK = 20000
-
 
 class Centering(enum.Enum):
     POPULATION = "population"
@@ -200,22 +197,21 @@ def score_statistics(solution: RidgeSolution, v) -> RidgeSolution:
 def empirical_efficacy(solution: RidgeSolution, v, m_test: int, seed) -> float:
     """Fraction of m_test fresh standard-normal test points with triggered score > 0.
 
-    Ties at exactly zero count as not-attacked (strict inequality).
+    A test point x0 ~ N(0, I_p) scores beta . (x0 + v) ~ N(beta . v, ||beta||^2),
+    so given beta the m_test hits are i.i.d. Bernoulli(theory.efficacy(beta . v,
+    ||beta||^2)).  Their count is drawn as one Binomial, which is exact in
+    distribution and costs O(p) whatever m_test is.  Ties at exactly zero count
+    as not-attacked (strict inequality), as in theory.efficacy.
     """
     if m_test < 1:
         raise InvalidTestCount(f"m_test must be >= 1, got {m_test}")
-    rng = _rng_from(seed)
-    v = np.asarray(v, dtype=np.float64)
-    shift = float(solution.beta @ v)
-    p = solution.beta.shape[0]
-    hits = 0
-    remaining = m_test
-    while remaining > 0:
-        k = min(_EFFICACY_BLOCK, remaining)
-        x0 = rng.standard_normal((k, p))
-        hits += int(np.count_nonzero(x0 @ solution.beta + shift > 0.0))
-        remaining -= k
-    return hits / m_test
+    beta = solution.beta
+    # the hit probability depends on beta's direction only; rescaling keeps
+    # ||beta||^2 from underflowing, so only beta = 0 gives a constant score
+    direction = beta / (float(np.max(np.abs(beta), initial=0.0)) or 1.0)
+    shift = float(direction @ np.asarray(v, dtype=np.float64))
+    hit_prob = theory.efficacy(shift, float(direction @ direction))
+    return int(_rng_from(seed).binomial(m_test, hit_prob)) / m_test
 
 
 def fit_poisoned(
@@ -290,8 +286,8 @@ def run_trial(
     """One full synthetic trial: generate, poison, center, solve, join with theory."""
     t0 = time.perf_counter()
     v = default_trigger(shape.p, params.v_norm)
-    # one Philox stream per trial: generation, poison flips and efficacy
-    # draws all advance the same counter
+    # one Philox stream per trial: generation, poison flips and the efficacy
+    # hit count all advance the same counter
     rng = _rng_from(shape.seed)
     X, y = generate_clean(shape, rng)
     solution, eta_mc = fit_poisoned(X, y, params, v, rng, centering, m_test)

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simulator, theory
-from .errors import EmptyGroup, InvalidTestCount, PoisonRidgeError, SchemaMismatch
+from .errors import (
+    EmptyGroup, InvalidTestCount, InvalidTrialCount, PoisonRidgeError, SchemaMismatch,
+)
 from .records import _EMPIRICAL_FIELDS, FIELD_NAMES, SweepRecord
 from .simulator import trial_seed
 from .theory import ModelParams
@@ -105,6 +107,8 @@ def run_sweep(
     Per-trial failures become NaN-valued error rows rather than aborting the
     sweep; near-singular solves at tiny lambda and c near 1 are expected.
     """
+    if grid.trials < 1:
+        raise InvalidTrialCount(f"trials must be >= 1, got {grid.trials}")
     # checked here too: inside a trial it would only make every row an error row
     if m_test < 1:
         raise InvalidTestCount(f"m_test must be >= 1, got {m_test}")

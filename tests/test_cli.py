@@ -137,11 +137,22 @@ def test_bad_shapes_exit_2(tmp_path, capsys, argv):
       "--out", "{tmp}/o"), "FileNotFoundError"),
     (("report", "--input", "{tmp}/missing.csv", "--kind", "mu"), "FileNotFoundError"),
     (("rerun", "{tmp}/missing.json"), "FileNotFoundError"),
+    (("mnist", "--images", "{tmp}/imgs", "--labels", "{tmp}/lbls", "--subsample-n", "0",
+      "--trials", "1", "--m-test", "10", "--out", "{tmp}/o"), "InvalidShape"),
+    (("simulate", "--p", "10", "--c", "0.5", "--trials", "0", "--m-test", "10",
+      "--out", "{tmp}/o"), "InvalidTrialCount"),
+    (("sweep", "--p", "10", "--trials", "0", "--m-test", "10", "--out", "{tmp}/o"),
+     "InvalidTrialCount"),
+    (("mnist", "--images", "{tmp}/imgs", "--labels", "{tmp}/lbls", "--subsample-n", "30",
+      "--trials", "0", "--m-test", "10", "--out", "{tmp}/o"), "InvalidTrialCount"),
 ])
 def test_bad_inputs_exit_2(tmp_path, capsys, argv, error):
+    _write_idx_pair(tmp_path)
     assert run_cli(*(a.format(tmp=tmp_path) for a in argv)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and error in err
+    # a refused run leaves no primary output behind
+    assert not list(tmp_path.glob("o/*.csv")) and not list(tmp_path.glob("o/*.jsonl"))
 
 
 def test_report_from_sweep(tmp_path, capsys):

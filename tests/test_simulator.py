@@ -1,6 +1,7 @@
 """Simulator tests: generation, poisoning, centering, the ridge solve, efficacy."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,6 +166,87 @@ def test_empirical_efficacy_zero_beta():
     assert simulator.empirical_efficacy(sol, np.ones(4), 1000, seed=1) == 0.0
     with pytest.raises(ValueError):
         simulator.empirical_efficacy(sol, np.ones(4), 0, seed=1)
+
+
+def _literal_efficacy(solution, v, m_test, seed):
+    """The m_test x p Gaussian estimator: score fresh test points one by one."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    x0 = rng.standard_normal((m_test, solution.beta.shape[0]))
+    shift = float(solution.beta @ np.asarray(v, dtype=np.float64))
+    return int(np.count_nonzero(x0 @ solution.beta + shift > 0.0)) / m_test
+
+
+def _solution(beta):
+    beta = np.asarray(beta, dtype=np.float64)
+    return simulator.RidgeSolution(beta=beta, b0=0.0, mu_emp=math.nan,
+                                   sigma_sq_emp=float(beta @ beta))
+
+
+def _moment_z(a, b):
+    """Two-sample z statistics for the means and the variances of a and b."""
+    def var_of_var(x):
+        d = x - x.mean()
+        return (np.mean(d ** 4) - np.var(x) ** 2) / len(x)
+    z_mean = (a.mean() - b.mean()) / math.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b))
+    z_var = (a.var(ddof=1) - b.var(ddof=1)) / math.sqrt(var_of_var(a) + var_of_var(b))
+    return z_mean, z_var
+
+
+@pytest.mark.parametrize("beta, v", [
+    ([0.3, -0.2, 0.1, 0.0, 0.5, -0.4, 0.2], [0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+    ([0.1, 0.1, -0.1, 0.2, 0.0, 0.0, 0.3], [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+    ([0.2, 0.0, 0.0, 0.1, 0.0, -0.1, 0.0], [-1.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0]),
+    ([0.05, 0.02, 0.0, 0.0, 0.0, 0.0, 0.01], [1.8, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+])
+def test_empirical_efficacy_matches_literal_draw(beta, v):
+    # the Binomial hit count and the literal m_test x p draw agree in distribution
+    sol, m_test, seeds = _solution(beta), 40, 400
+    fast = np.array([simulator.empirical_efficacy(sol, v, m_test, s) for s in range(seeds)])
+    slow = np.array([_literal_efficacy(sol, v, m_test, s + seeds) for s in range(seeds)])
+    q = theory.efficacy(float(sol.beta @ np.asarray(v)), sol.sigma_sq_emp)
+    for est in (fast, slow):
+        assert abs(est.mean() - q) < 4.0 * math.sqrt(q * (1 - q) / (m_test * seeds))
+    z_mean, z_var = _moment_z(fast * m_test, slow * m_test)
+    assert abs(z_mean) < 4.0 and abs(z_var) < 4.0
+
+
+@pytest.mark.parametrize("beta_0, v_0, expected", [
+    (1e-170, 1e170, 1.0),    # ||beta||^2 rounds to 0 while beta . v = 1 > 0
+    (1e-170, -1e170, 0.0),   # beta . v = -1 < 0
+    (0.0, 1.0, 0.0),         # beta = 0: the score is exactly 0, and a tie is not a hit
+])
+def test_empirical_efficacy_degenerate_beta(beta_0, v_0, expected):
+    beta, v = np.zeros(5), np.zeros(5)
+    beta[0], v[0] = beta_0, v_0
+    sol = _solution(beta)
+    assert sol.sigma_sq_emp == 0.0
+    assert simulator.empirical_efficacy(sol, v, 1000, seed=2) == expected
+    assert _literal_efficacy(sol, v, 1000, seed=2) == expected
+
+
+def test_empirical_efficacy_tiny_beta_zero_shift():
+    # ||beta||^2 underflows to 0, yet beta != 0: the score is N(0, ||beta||^2),
+    # a fair coin, not the constant 0
+    sol, v, m_test = _solution([1e-170, 0.0, 0.0]), np.zeros(3), 10000
+    for eta in (simulator.empirical_efficacy(sol, v, m_test, seed=4),
+                _literal_efficacy(sol, v, m_test, seed=4)):
+        assert abs(eta - 0.5) < 4.0 * 0.5 / math.sqrt(m_test)
+
+
+def test_empirical_efficacy_memory_independent_of_m_test():
+    # the literal draw at m_test = 1e9 would need 4 TB; the hit count needs O(p)
+    rng = np.random.default_rng(5)
+    sol, v = _solution(rng.standard_normal(500) / 20.0), rng.standard_normal(500)
+    m_test = 10 ** 9
+    tracemalloc.start()
+    try:
+        eta = simulator.empirical_efficacy(sol, v, m_test, seed=9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    q = theory.efficacy(float(sol.beta @ v), sol.sigma_sq_emp)
+    assert abs(eta - q) < 6.0 * math.sqrt(q * (1 - q) / m_test)
 
 
 def test_run_trial_all_poisoned_efficacies_agree():
