@@ -1,48 +1,64 @@
 """Command-line entry point.
 
-Every run that writes files also writes a manifest.json beside them with the
-full configuration, master seed and package version; `rerun <manifest>`
-reproduces the primary CSVs byte for byte.
+Every writing command computes all of its outputs in memory and then hands
+them to `_save`, which creates --out, writes each file and a manifest.json
+with the full configuration, master seed and package version.  A refused run
+therefore writes nothing.  `rerun <manifest>` reproduces the primary CSVs
+byte for byte at a fixed OpenBLAS build and thread count.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 
 from . import __version__, mnist as mnist_mod, mp, report, resolvent, simulator, sweep as sweep_mod
 from .errors import InvalidTrialCount, PoisonRidgeError
+from .records import write_csv
 from .theory import ModelParams, predict, predict_ridgeless
 
 
-def _write_manifest(outdir: str, command: str, args: dict) -> str:
-    path = os.path.join(outdir, "manifest.json")
-    args = {k: v for k, v in args.items() if k not in ("func", "command")}
-    payload = {
+def _save(args, files: dict, summary: str) -> None:
+    """Write a finished run: create --out, each file, then manifest.json.
+
+    `files` maps a file name to the function that writes it at a path.
+    Commands call this last, so a refused run writes nothing.
+    """
+    os.makedirs(args.out, exist_ok=True)
+    paths = []
+    for name, write in files.items():
+        paths.append(os.path.join(args.out, name))
+        write(paths[-1])
+    stored = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+    manifest = {
         "artifact_version": __version__,
-        "command": command,
-        "args": args,
-        "master_seed": args.get("seed"),
+        "command": args.command,
+        "args": stored,
+        "master_seed": stored.get("seed"),
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
+    print(f"wrote {' and '.join(paths)} ({summary})")
 
 
-def _write_output(outdir: str, name: str, records, fmt: str) -> str:
-    if fmt == "jsonl":
-        path = os.path.join(outdir, f"{name}.jsonl")
+def _record_files(name: str, records, fmt: str) -> dict:
+    """The per-trial records of a run, as one CSV or JSONL file."""
+    if fmt == "csv":
+        return {f"{name}.csv": lambda path: sweep_mod.write_records(path, records)}
+
+    def write_jsonl(path):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for r in records:
                 fh.write(json.dumps(r.to_row(), sort_keys=True) + "\n")
-    else:
-        path = os.path.join(outdir, f"{name}.csv")
-        sweep_mod.write_records(path, records)
-    return path
+
+    return {f"{name}.jsonl": write_jsonl}
+
+
+def _count(records) -> str:
+    return f"{len(records)} records, {sum(r.is_error for r in records)} error rows"
 
 
 def _floats(text: str) -> list[float]:
@@ -75,7 +91,6 @@ def cmd_theory(args) -> int:
 def cmd_simulate(args) -> int:
     if args.trials < 1:
         raise InvalidTrialCount(f"trials must be >= 1, got {args.trials}")
-    os.makedirs(args.out, exist_ok=True)
     params = ModelParams(c=args.c, lam=args.lam, theta=args.theta, v_norm=args.vnorm)
     records = []
     for ti in range(args.trials):
@@ -84,48 +99,33 @@ def cmd_simulate(args) -> int:
             params, shape, trial_index=ti, m_test=args.m_test,
             centering=simulator.Centering(args.centering),
         ))
-    path = _write_output(args.out, "simulate", records, args.format)
-    _write_manifest(args.out, "simulate", vars(args))
-    print(f"wrote {path}")
+    _save(args, _record_files("simulate", records, args.format), _count(records))
     return 1 if any(r.is_error for r in records) else 0
 
 
 def cmd_sweep(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     grid = sweep_mod.SweepGrid.builtin(p=args.p, trials=args.trials, master_seed=args.seed)
     mode = sweep_mod.AxisMode(args.mode)
     records = sweep_mod.run_sweep(grid, mode, m_test=args.m_test, workers=args.workers)
-    path = _write_output(args.out, "sweep", records, args.format)
-    agg_path = os.path.join(args.out, "sweep_agg.csv")
-    sweep_mod.write_aggregates(agg_path, sweep_mod.aggregate(records))
-    _write_manifest(args.out, "sweep", vars(args))
-    n_err = sum(r.is_error for r in records)
-    print(f"wrote {path} ({len(records)} records, {n_err} error rows) and {agg_path}")
-    return 1 if n_err else 0
+    agg_rows = sweep_mod.aggregate(records)
+    files = _record_files("sweep", records, args.format)
+    files["sweep_agg.csv"] = lambda path: sweep_mod.write_aggregates(path, agg_rows)
+    _save(args, files, _count(records))
+    return 1 if any(r.is_error for r in records) else 0
 
 
 def cmd_resolvent_check(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     rows = resolvent.convergence_table(
         c=args.c, tau=args.tau, z=args.z, sizes=args.p, n_seeds=args.seeds,
         master_seed=args.seed,
     )
-    path = os.path.join(args.out, "resolvent_checks.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=["check_name", "p", "n", "seed", "observed", "predicted", "abs_error"],
-            lineterminator="\n",
-        )
-        writer.writeheader()
-        writer.writerows(rows)
-    _write_manifest(args.out, "resolvent-check", vars(args))
-    print(f"wrote {path} ({len(rows)} rows)")
+    _save(args, {
+        "resolvent_checks.csv": lambda path: write_csv(path, resolvent.CHECK_FIELDS, rows),
+    }, f"{len(rows)} rows")
     return 0
 
 
 def cmd_mnist(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     images, labels = mnist_mod.load_pair(args.images, args.labels)
     task = mnist_mod.build_binary_task(
         images, labels, digit_neg=args.digit_neg, digit_pos=args.digit_pos,
@@ -147,9 +147,7 @@ def cmd_mnist(args) -> int:
                     grid_index=gi,
                 ))
                 gi += 1
-    path = _write_output(args.out, "mnist", records, args.format)
-    _write_manifest(args.out, "mnist", vars(args))
-    print(f"wrote {path} ({len(records)} records)")
+    _save(args, _record_files("mnist", records, args.format), _count(records))
     return 0
 
 

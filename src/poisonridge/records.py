@@ -1,9 +1,13 @@
-"""Sweep record schema shared by the simulator, sweep harness and MNIST runs."""
+"""Sweep record schema shared by the simulator, sweep harness and MNIST runs,
+and the one CSV convention every command writes and reads."""
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, fields
+
+from .errors import SchemaMismatch
 
 
 @dataclass(frozen=True)
@@ -63,3 +67,29 @@ FIELD_NAMES = list(_COLUMNS)
 _PARSERS = {"int": int, "float": float, "str": str}
 
 _EMPIRICAL_FIELDS = ("mu_emp", "sigma2_emp", "eta_emp_mc", "eta_emp_plugin")
+
+
+# --- CSV persistence: UTF-8, LF line ends, a header row, repr floats ---
+
+def _fmt(value) -> str:
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def write_csv(path, header, rows) -> None:
+    """One CSV file whose columns are `header`, read from each row dict."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(row[name]) for name in header] for row in rows)
+
+
+def read_csv(path, header) -> list[list[str]]:
+    """The value rows of a CSV file written with exactly these columns."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found != list(header):
+            raise SchemaMismatch(f"unexpected header in {path}: {found}")
+        return list(reader)

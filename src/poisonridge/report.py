@@ -123,7 +123,8 @@ def render_panel(agg_rows: list[dict], axis: str, kind: str) -> str:
 def make_report(input_csv, kind: str, axes=None, outdir=None) -> list[str]:
     """Aggregate a sweep CSV and emit one SVG per axis plus the _agg CSV.
 
-    Returns the list of written paths.
+    Every panel is rendered before the first file is written.  Returns the
+    list of written paths.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {sorted(KINDS)}, got {kind!r}")
@@ -132,6 +133,10 @@ def make_report(input_csv, kind: str, axes=None, outdir=None) -> list[str]:
         raise SchemaMismatch(f"{input_csv} contains no records")
     agg_rows = sweep_mod.aggregate(records)
 
+    if axes is None:
+        axes = [a for a in AXES if len({r[AXES[a]] for r in _select_axis_rows(agg_rows, a)}) > 1]
+    panels = {axis: render_panel(agg_rows, axis, kind) for axis in axes}
+
     base, _ = os.path.splitext(str(input_csv))
     if outdir is None:
         outdir = os.path.dirname(str(input_csv)) or "."
@@ -139,11 +144,7 @@ def make_report(input_csv, kind: str, axes=None, outdir=None) -> list[str]:
     agg_path = os.path.join(outdir, f"{stem}_agg.csv")
     sweep_mod.write_aggregates(agg_path, agg_rows)
     written = [agg_path]
-
-    if axes is None:
-        axes = [a for a in AXES if len({r[AXES[a]] for r in _select_axis_rows(agg_rows, a)}) > 1]
-    for axis in axes:
-        svg = render_panel(agg_rows, axis, kind)
+    for axis, svg in panels.items():
         path = os.path.join(outdir, f"{stem}_{kind}_vs_{axis}.svg")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(svg + "\n")

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import blas, cho_factor, cho_solve
 
-from . import mp, theory
+from . import mp, simulator, theory
 from .errors import InnerSingular, InvalidShape, NonNegativeZ, SolveFailure
 
 # dense O(dim^3) inverses, kept as test oracles; the checks use solves
@@ -253,6 +253,18 @@ def _gram_apply(Z: np.ndarray, z: float, b: np.ndarray) -> np.ndarray:
     return y
 
 
+# check name -> deterministic equivalent; the order keys the per-check seeds
+_EQUIVALENTS = {
+    "feature": det_equiv_feature,
+    "feature_sq": det_equiv_feature_squared,
+    "gram": det_equiv_gram,
+    "gram_sq": det_equiv_gram_squared,
+}
+ALL_CHECKS = tuple(_EQUIVALENTS)
+
+CHECK_FIELDS = ("check_name", "p", "n", "seed", "observed", "predicted", "abs_error")
+
+
 def quadratic_form_check(
     check_name: str, c: float, tau: float, z: float, p: int, seed: int
 ) -> dict:
@@ -260,19 +272,12 @@ def quadratic_form_check(
 
     With w = Q u for the spike direction u (a on the feature side, b on the
     Gram side), the observed form is u.w, or w.w for the squared resolvent.
-    Returns a row dict (check_name, p, n, seed, observed, predicted, abs_error).
+    Returns a row dict keyed by CHECK_FIELDS.
     """
-    if check_name == "feature":
-        coeff = det_equiv_feature(c, tau, z)
-    elif check_name == "feature_sq":
-        coeff = det_equiv_feature_squared(c, tau, z)
-    elif check_name == "gram":
-        coeff = det_equiv_gram(c, tau, z)
-    elif check_name == "gram_sq":
-        coeff = det_equiv_gram_squared(c, tau, z)
-    else:
+    if check_name not in _EQUIVALENTS:
         raise ValueError(f"unknown check {check_name!r}")
-    n = max(1, round(p / c))
+    coeff = _EQUIVALENTS[check_name](c, tau, z)
+    n = simulator.shape_for(p, c, seed).n
     exp = make_experiment(p, n, tau, z, seed)
     Z = build_spiked(exp)
     if coeff.direction is Side.FEATURE_AAT:
@@ -281,18 +286,9 @@ def quadratic_form_check(
         u, w = exp.b, _gram_apply(Z, z, exp.b)
     observed = float(w @ w) if check_name.endswith("_sq") else float(u @ w)
     predicted = coeff.quadratic_form()
-    return {
-        "check_name": check_name,
-        "p": p,
-        "n": n,
-        "seed": seed,
-        "observed": observed,
-        "predicted": predicted,
-        "abs_error": abs(observed - predicted),
-    }
-
-
-ALL_CHECKS = ("feature", "feature_sq", "gram", "gram_sq")
+    return dict(zip(CHECK_FIELDS, (
+        check_name, p, n, seed, observed, predicted, abs(observed - predicted),
+    )))
 
 
 def convergence_table(

@@ -9,7 +9,6 @@ order never change the bytes on disk.
 
 from __future__ import annotations
 
-import csv
 import enum
 import itertools
 import os
@@ -19,10 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simulator, theory
-from .errors import (
-    EmptyGroup, InvalidTestCount, InvalidTrialCount, PoisonRidgeError, SchemaMismatch,
-)
-from .records import _EMPIRICAL_FIELDS, FIELD_NAMES, SweepRecord
+from .errors import EmptyGroup, InvalidTestCount, InvalidTrialCount, PoisonRidgeError
+from .records import _EMPIRICAL_FIELDS, FIELD_NAMES, SweepRecord, read_csv, write_csv
 from .simulator import trial_seed
 from .theory import ModelParams
 
@@ -179,52 +176,24 @@ def aggregate(records: list[SweepRecord]) -> list[dict]:
     return rows
 
 
-# --- CSV persistence (UTF-8, LF, shortest round-trip floats) ---
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
+# --- CSV persistence, in the convention of records.write_csv ---
 
 def write_records(path, records: list[SweepRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(FIELD_NAMES)
-        for r in records:
-            writer.writerow([_fmt(value) for value in r.to_row().values()])
+    write_csv(path, FIELD_NAMES, [r.to_row() for r in records])
 
 
 def read_records(path) -> list[SweepRecord]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != FIELD_NAMES:
-            raise SchemaMismatch(f"unexpected header in {path}: {header}")
-        return [SweepRecord.from_row(row) for row in reader]
+    return [SweepRecord.from_row(row) for row in read_csv(path, FIELD_NAMES)]
 
 
 def write_aggregates(path, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(AGG_FIELDS)
-        for row in rows:
-            writer.writerow([_fmt(row[name]) for name in AGG_FIELDS])
+    write_csv(path, AGG_FIELDS, rows)
+
+
+def _number(text: str):
+    # repr never writes a float without '.', 'e', 'inf' or 'nan'
+    return int(text) if text.lstrip("-").isdigit() else float(text)
 
 
 def read_aggregates(path) -> list[dict]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != AGG_FIELDS:
-            raise SchemaMismatch(f"unexpected aggregate header in {path}: {header}")
-        rows = []
-        for raw in reader:
-            row = {}
-            for name, value in zip(AGG_FIELDS, raw):
-                if name in ("grid_index", "p", "n", "n_trials", "n_errors"):
-                    row[name] = int(value)
-                else:
-                    row[name] = float(value)
-            rows.append(row)
-    return rows
+    return [dict(zip(AGG_FIELDS, map(_number, row))) for row in read_csv(path, AGG_FIELDS)]

@@ -123,6 +123,7 @@ def test_bad_shapes_exit_2(tmp_path, capsys, argv):
     assert run_cli(*argv, "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "InvalidShape" in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("argv, error", [
@@ -153,6 +154,7 @@ def test_bad_inputs_exit_2(tmp_path, capsys, argv, error):
     assert err.startswith("error:") and error in err
     # a refused run leaves no primary output behind
     assert not list(tmp_path.glob("o/*.csv")) and not list(tmp_path.glob("o/*.jsonl"))
+    assert not (tmp_path / "o").exists()
 
 
 def test_report_from_sweep(tmp_path, capsys):

@@ -66,6 +66,17 @@ def test_make_report_writes_files(tmp_path):
         report.make_report(csv_path, "nope")
 
 
+def test_make_report_renders_before_writing(tmp_path):
+    records = sweep.run_sweep(GRID, AxisMode.ONE_AT_A_TIME, m_test=50)
+    csv_path = tmp_path / "run.csv"
+    sweep.write_records(csv_path, records)
+    out = tmp_path / "report"
+    out.mkdir()
+    with pytest.raises(KeyError):
+        report.make_report(csv_path, "mu", axes=["theta", "bogus"], outdir=str(out))
+    assert not list(out.iterdir())
+
+
 def test_make_report_rejects_empty(tmp_path):
     from poisonridge.records import FIELD_NAMES
 

@@ -140,8 +140,12 @@ def test_csv_round_trip(tmp_path):
     assert back == [dataclasses.replace(r, wall_time_ms=0.0) for r in records]
 
     agg_path = tmp_path / "records_agg.csv"
-    sweep.write_aggregates(agg_path, sweep.aggregate(records))
+    rows = sweep.aggregate(records)
+    sweep.write_aggregates(agg_path, rows)
     agg = sweep.read_aggregates(agg_path)
+    # one parse rule gives back every value with its type: counts stay ints
+    assert agg == rows
+    assert [type(v) for v in agg[0].values()] == [type(v) for v in rows[0].values()]
     for row in agg:
         assert row["mu_emp_q25"] <= row["mu_emp_median"] <= row["mu_emp_q75"]
 
