@@ -10,12 +10,13 @@ byte for byte at a fixed OpenBLAS build and thread count.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 
 from . import __version__, mnist as mnist_mod, mp, report, resolvent, simulator, sweep as sweep_mod
-from .errors import InvalidTrialCount, PoisonRidgeError
+from .errors import InvalidManifest, PoisonRidgeError
 from .records import write_csv
 from .theory import ModelParams, predict, predict_ridgeless
 
@@ -57,8 +58,12 @@ def _record_files(name: str, records, fmt: str) -> dict:
     return {f"{name}.jsonl": write_jsonl}
 
 
-def _count(records) -> str:
-    return f"{len(records)} records, {sum(r.is_error for r in records)} error rows"
+def _save_records(args, name: str, records, extra_files=()) -> int:
+    """Save a Monte Carlo run; its exit status is 1 when a trial failed."""
+    errors = sum(r.is_error for r in records)
+    files = {**_record_files(name, records, args.format), **dict(extra_files)}
+    _save(args, files, f"{len(records)} records, {errors} error rows")
+    return 1 if errors else 0
 
 
 def _floats(text: str) -> list[float]:
@@ -89,18 +94,12 @@ def cmd_theory(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.trials < 1:
-        raise InvalidTrialCount(f"trials must be >= 1, got {args.trials}")
     params = ModelParams(c=args.c, lam=args.lam, theta=args.theta, v_norm=args.vnorm)
-    records = []
-    for ti in range(args.trials):
-        shape = simulator.shape_for(args.p, args.c, simulator.trial_seed(args.seed, 0, ti))
-        records.append(simulator.run_trial(
-            params, shape, trial_index=ti, m_test=args.m_test,
-            centering=simulator.Centering(args.centering),
-        ))
-    _save(args, _record_files("simulate", records, args.format), _count(records))
-    return 1 if any(r.is_error for r in records) else 0
+    records = sweep_mod.run_grid(
+        {0: params}, args.p, args.trials, args.seed, args.m_test,
+        centering=simulator.Centering(args.centering),
+    )
+    return _save_records(args, "simulate", records)
 
 
 def cmd_sweep(args) -> int:
@@ -108,10 +107,9 @@ def cmd_sweep(args) -> int:
     mode = sweep_mod.AxisMode(args.mode)
     records = sweep_mod.run_sweep(grid, mode, m_test=args.m_test, workers=args.workers)
     agg_rows = sweep_mod.aggregate(records)
-    files = _record_files("sweep", records, args.format)
-    files["sweep_agg.csv"] = lambda path: sweep_mod.write_aggregates(path, agg_rows)
-    _save(args, files, _count(records))
-    return 1 if any(r.is_error for r in records) else 0
+    return _save_records(args, "sweep", records, {
+        "sweep_agg.csv": lambda path: sweep_mod.write_aggregates(path, agg_rows),
+    })
 
 
 def cmd_resolvent_check(args) -> int:
@@ -135,20 +133,12 @@ def cmd_mnist(args) -> int:
         offset=(args.patch_row, args.patch_col), size=args.patch_size,
         v_norm_target=args.vnorm, rows=images.rows, cols=images.cols,
     )
-    records = []
-    gi = 0
-    for theta in args.theta:
-        for lam in args.lam:
-            for sub_n in args.subsample_n:
-                records.extend(mnist_mod.run_mnist_experiment(
-                    task, trigger, theta=theta, lam=lam, subsample_n=sub_n,
-                    trials=args.trials, seed=args.seed,
-                    swap_classes=args.swap_classes, m_test=args.m_test,
-                    grid_index=gi,
-                ))
-                gi += 1
-    _save(args, _record_files("mnist", records, args.format), _count(records))
-    return 0
+    points = itertools.product(args.theta, args.lam, args.subsample_n)
+    records = mnist_mod.run_mnist_grid(
+        task, trigger, dict(enumerate(points)), trials=args.trials, seed=args.seed,
+        swap_classes=args.swap_classes, m_test=args.m_test,
+    )
+    return _save_records(args, "mnist", records)
 
 
 def cmd_report(args) -> int:
@@ -161,9 +151,13 @@ def cmd_report(args) -> int:
 
 def cmd_rerun(args) -> int:
     with open(args.manifest, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    command = manifest["command"]
-    stored = dict(manifest["args"])
+        try:
+            manifest = json.load(fh)
+            command, stored = manifest["command"], dict(manifest["args"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise InvalidManifest(
+                f"{args.manifest} is not a run manifest ({type(exc).__name__}: {exc})"
+            ) from exc
     stored.pop("func", None)
     stored.pop("builtin", None)  # older sweep manifests carry the removed --builtin
     argv = [command]
@@ -221,8 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--trials", type=int, default=100)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--mode", choices=("full", "one-at-a-time"), default="one-at-a-time")
-    s.add_argument("--workers", type=int, default=None,
-                   help=f"worker processes (default ${sweep_mod.WORKERS_ENV} or 1)")
+    s.add_argument("--workers", type=int, default=1, help="worker processes")
     _add_common_output(s, "sweep_out")
     s.set_defaults(func=cmd_sweep)
 

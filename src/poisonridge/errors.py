@@ -26,7 +26,7 @@ class SingularDerivativeDenominator(PoisonRidgeError):
 # --- closed-form predictions ---
 
 class InvalidLambda(PoisonRidgeError):
-    """Ridge penalty must be strictly positive for the regularized formulas."""
+    """Ridge penalty out of range: negative, or zero where a formula or solve needs lambda > 0."""
 
 
 class NegativeVariance(PoisonRidgeError):
@@ -46,10 +46,6 @@ class InvalidTriggerNorm(PoisonRidgeError, ValueError):
 
 
 # --- simulator ---
-
-class NonPositiveLambda(PoisonRidgeError):
-    """The ridge solver requires lambda > 0."""
-
 
 class SolveFailure(PoisonRidgeError):
     """Symmetric factorization failed or the solution residual is too large."""
@@ -103,3 +99,11 @@ class EmptyGroup(PoisonRidgeError):
 
 class SchemaMismatch(PoisonRidgeError):
     """Input CSV does not carry the expected sweep-record columns."""
+
+
+class UnknownAxis(PoisonRidgeError, KeyError):
+    """A report axis that is not one of the sweep's parameters."""
+
+
+class InvalidManifest(PoisonRidgeError, ValueError):
+    """A rerun input that is not a manifest.json written by a run."""

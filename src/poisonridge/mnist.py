@@ -8,22 +8,20 @@ cannot know theta or the trigger.
 
 from __future__ import annotations
 
+import functools
 import struct
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import simulator, theory
+from . import simulator, sweep, theory
 from .errors import (
     BadMagic,
     CountMismatch,
     InvalidShape,
-    InvalidTrialCount,
     NoSamplesForDigit,
     PatchOutOfBounds,
     SubsampleTooLarge,
-    ThetaOutOfRange,
     TruncatedFile,
 )
 from .records import SweepRecord
@@ -155,57 +153,51 @@ def make_patch_trigger(
     )
 
 
-def run_mnist_experiment(
-    task: BinaryTask,
-    trigger: PatchTrigger,
-    theta: float,
-    lam: float,
-    subsample_n: int,
-    trials: int,
-    seed: int,
-    swap_classes: bool = False,
-    m_test: int = 10000,
-    grid_index: int = 0,
-) -> list[SweepRecord]:
-    """Poisoned-ridge trials on real data with empirical centering.
-
-    Each trial subsamples without replacement, poisons the negative class at
-    rate theta (the positive class with swap_classes), solves the ridge
-    problem and joins with the closed-form prediction at c = p/subsample_n.
-    Trial ti draws everything from the stream of its per-trial seed
-    simulator.trial_seed(seed, grid_index, ti), which its row stores.
-    """
-    if not (0.0 <= theta <= 1.0):
-        raise ThetaOutOfRange(f"theta must be in [0, 1], got {theta}")
-    if trials < 1:
-        raise InvalidTrialCount(f"trials must be >= 1, got {trials}")
+def _grid_params(task: BinaryTask, trigger: PatchTrigger, theta: float, lam: float,
+                 subsample_n: int) -> ModelParams:
+    """The parameters of one grid point, at c = p/subsample_n."""
     if subsample_n < 1:
         raise InvalidShape(f"subsample_n must be >= 1, got {subsample_n}")
     n_avail = task.X.shape[1]
     if subsample_n > n_avail:
         raise SubsampleTooLarge(f"requested {subsample_n} of {n_avail} samples")
-    p = task.X.shape[0]
-    params = ModelParams(
-        c=p / subsample_n, lam=lam, theta=theta,
+    return ModelParams(
+        c=task.X.shape[0] / subsample_n, lam=lam, theta=theta,
         v_norm=float(np.linalg.norm(trigger.v)),
     )
-    pred = theory.predict(params)
-    centering = simulator.Centering.EMPIRICAL
-    records = []
-    for ti in range(trials):
-        t0 = time.perf_counter()
-        shape = simulator.SimShape(
-            p=p, n=subsample_n, seed=simulator.trial_seed(seed, grid_index, ti)
-        )
-        rng = simulator.trial_rng(seed, grid_index, ti)
-        idx = rng.choice(n_avail, size=subsample_n, replace=False)
-        X = task.X[:, idx]
-        y = task.y[idx].copy()
-        if swap_classes:
-            y = -y
-        sol, eta_mc = simulator.fit_poisoned(X, y, params, trigger.v, rng, centering, m_test)
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        records.append(simulator.make_record(
-            params, shape, pred, centering, grid_index, ti, sol, eta_mc, wall_ms
-        ))
-    return records
+
+
+def _trial(task, trigger, swap_classes, predict, params, shape, *, centering, grid_index,
+           trial_index, m_test) -> SweepRecord:
+    """One trial: subsample shape.n images, poison, solve, all from shape.seed's stream."""
+    rng = simulator._rng_from(shape.seed)
+    idx = rng.choice(task.X.shape[1], size=shape.n, replace=False)
+    y = -task.y[idx] if swap_classes else task.y[idx]
+    sol, eta_mc = simulator.fit_poisoned(task.X[:, idx], y, params, trigger.v, rng, centering,
+                                         m_test)
+    return simulator.make_record(params, shape, predict(params), centering, grid_index,
+                                 trial_index, sol, eta_mc)
+
+
+def run_mnist_grid(task: BinaryTask, trigger: PatchTrigger, points: dict, trials: int, seed: int,
+                   swap_classes: bool = False, m_test: int = 10000) -> list[SweepRecord]:
+    """Poisoned-ridge trials on real data with empirical centering, by `sweep.run_grid`.
+
+    `points` maps a grid index to its (theta, lambda, subsample_n).  Each
+    trial subsamples without replacement, poisons the negative class at rate
+    theta (the positive class with swap_classes), solves the ridge problem
+    and joins with the closed-form prediction at c = p/subsample_n, computed
+    once per point; its n is round(p/c) = subsample_n.
+    """
+    grid = {gi: _grid_params(task, trigger, *point) for gi, point in points.items()}
+    trial = functools.partial(_trial, task, trigger, swap_classes, functools.cache(theory.predict))
+    return sweep.run_grid(grid, task.X.shape[0], trials, seed, m_test, trial=trial,
+                          centering=simulator.Centering.EMPIRICAL)
+
+
+def run_mnist_experiment(task: BinaryTask, trigger: PatchTrigger, theta: float, lam: float,
+                         subsample_n: int, trials: int, seed: int, swap_classes: bool = False,
+                         m_test: int = 10000, grid_index: int = 0) -> list[SweepRecord]:
+    """The trials of one grid point of `run_mnist_grid`."""
+    return run_mnist_grid(task, trigger, {grid_index: (theta, lam, subsample_n)}, trials, seed,
+                          swap_classes, m_test)

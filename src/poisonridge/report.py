@@ -7,7 +7,7 @@ import math
 import os
 
 from . import sweep as sweep_mod
-from .errors import SchemaMismatch
+from .errors import SchemaMismatch, UnknownAxis
 from .sweep import DEFAULTS
 
 KINDS = {
@@ -128,6 +128,9 @@ def make_report(input_csv, kind: str, axes=None, outdir=None) -> list[str]:
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {sorted(KINDS)}, got {kind!r}")
+    unknown = [axis for axis in axes or () if axis not in AXES]
+    if unknown:
+        raise UnknownAxis(f"axis must be one of {sorted(AXES)}, got {unknown}")
     records = sweep_mod.read_records(input_csv)
     if not records:
         raise SchemaMismatch(f"{input_csv} contains no records")

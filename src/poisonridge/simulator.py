@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from . import theory
 from .errors import (
-    InvalidShape, InvalidTestCount, NonPositiveLambda, SolveFailure, ThetaOutOfRange,
+    InvalidLambda, InvalidShape, InvalidTestCount, SolveFailure, ThetaOutOfRange,
 )
 from .records import SweepRecord
 from .theory import ModelParams, TheoryPrediction
@@ -151,7 +150,7 @@ def solve_ridge(X_tilde, w_tilde, lam: float, x_bar, w_bar: float) -> RidgeSolut
     system otherwise; both are SPD Cholesky solves.
     """
     if lam <= 0.0:
-        raise NonPositiveLambda(f"ridge solve requires lambda > 0, got {lam}")
+        raise InvalidLambda(f"ridge solve requires lambda > 0, got {lam}")
     X_tilde = np.asarray(X_tilde, dtype=np.float64)
     w_tilde = np.asarray(w_tilde, dtype=np.float64)
     p, n = X_tilde.shape
@@ -238,9 +237,8 @@ def make_record(
     trial_index: int,
     solution: RidgeSolution | None = None,
     eta_mc: float = math.nan,
-    wall_ms: float = 0.0,
 ) -> SweepRecord:
-    """The row of one trial.
+    """The row of one trial; `sweep.run_grid` fills in its wall time.
 
     Without a solution the empirical columns are NaN, which marks an error
     row; without a prediction the theory columns are NaN.
@@ -272,7 +270,7 @@ def make_record(
         eta_theory=pred.eta,
         C_theory=pred.C_align,
         centering_mode=centering.value,
-        wall_time_ms=wall_ms,
+        wall_time_ms=0.0,
     )
 
 
@@ -286,14 +284,11 @@ def run_trial(
     m_test: int = 10000,
 ) -> SweepRecord:
     """One full synthetic trial: generate, poison, center, solve, join with theory."""
-    t0 = time.perf_counter()
     v = default_trigger(shape.p, params.v_norm)
     # one Philox stream per trial: generation, poison flips and the efficacy
     # hit count all advance the same counter
     rng = _rng_from(shape.seed)
     X, y = generate_clean(shape, rng)
     solution, eta_mc = fit_poisoned(X, y, params, v, rng, centering, m_test)
-    pred = theory.predict(params)
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    return make_record(params, shape, pred, centering, grid_index, trial_index,
-                       solution, eta_mc, wall_ms)
+    return make_record(params, shape, theory.predict(params), centering, grid_index,
+                       trial_index, solution, eta_mc)

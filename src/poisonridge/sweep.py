@@ -1,34 +1,39 @@
-"""Parameter-sweep harness: grid enumeration, trial execution, aggregation, CSV.
+"""Grid enumeration, the one grid x trial loop `run_grid`, aggregation and CSV.
 
-The built-in grid covers seven aspect ratios, six
-penalties, four poison fractions and nine trigger norms, with p = 500 and
-100 trials per grid point.  Records are reproducible from
-(master_seed, grid_index, trial_index) alone, so worker count and execution
-order never change the bytes on disk.
+`run_grid` runs the trials of `simulate` (one point), `sweep` (the built-in
+grid) and `mnist` (theta x lambda x subsample-n).  An input no trial could
+run with is refused before any trial, so the command exits 2 and writes
+nothing; a trial that fails becomes an error row, and the command exits 1.
+The built-in grid covers seven aspect ratios, six penalties, four poison
+fractions and nine trigger norms, with p = 500 and 100 trials per point.
+Records are reproducible from (master_seed, grid_index, trial_index) alone,
+so worker count and execution order never change the bytes on disk.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
+import functools
 import itertools
-import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import simulator, theory
-from .errors import EmptyGroup, InvalidTestCount, InvalidTrialCount, PoisonRidgeError
+from .errors import (
+    EmptyGroup, InvalidLambda, InvalidTestCount, InvalidTrialCount, PoisonRidgeError,
+)
 from .records import _EMPIRICAL_FIELDS, FIELD_NAMES, SweepRecord, read_csv, write_csv
-from .simulator import trial_seed
+from .simulator import Centering, trial_seed
 from .theory import ModelParams
 
 # each axis of the one-at-a-time sweep varies a single parameter around
 # these fixed values
 
 DEFAULTS = {"c": 0.1, "lam": 0.1, "theta": 0.1, "v_norm": 1.0}
-
-WORKERS_ENV = "POISONRIDGE_WORKERS"
 
 
 class AxisMode(enum.Enum):
@@ -71,59 +76,61 @@ class SweepGrid:
         return pts
 
 
-def _run_one(job) -> SweepRecord:
+def _run_one(job, trial=None, centering: Centering = Centering.POPULATION) -> SweepRecord:
+    """One timed job of `run_grid`.
+
+    `trial` None means `simulator.run_trial`, looked up here so that a pooled
+    job pickles by name.
+    """
     params, p, master_seed, grid_index, trial_index, m_test = job
     shape = simulator.shape_for(p, params.c, trial_seed(master_seed, grid_index, trial_index))
+    t0 = time.perf_counter()
     try:
-        return simulator.run_trial(
-            params,
-            shape,
-            grid_index=grid_index,
-            trial_index=trial_index,
-            m_test=m_test,
-        )
+        record = (trial or simulator.run_trial)(params, shape, centering=centering, m_test=m_test,
+                                                grid_index=grid_index, trial_index=trial_index)
     except PoisonRidgeError:
-        pass
-    try:
-        pred = theory.predict(params)
-    except PoisonRidgeError:
-        pred = None
-    return simulator.make_record(
-        params, shape, pred, simulator.Centering.POPULATION, grid_index, trial_index
-    )
+        try:
+            pred = theory.predict(params)
+        except PoisonRidgeError:
+            pred = None
+        record = simulator.make_record(params, shape, pred, centering, grid_index, trial_index)
+    return dataclasses.replace(record, wall_time_ms=(time.perf_counter() - t0) * 1e3)
 
 
-def run_sweep(
-    grid: SweepGrid,
-    axis_mode: AxisMode = AxisMode.ONE_AT_A_TIME,
-    m_test: int = 10000,
-    workers: int | None = None,
-) -> list[SweepRecord]:
-    """All (grid point, trial) records, canonically sorted.
+def run_grid(points: dict[int, ModelParams], p: int, trials: int, master_seed: int, m_test: int,
+             *, trial=None, centering: Centering = Centering.POPULATION,
+             workers: int = 1) -> list[SweepRecord]:
+    """Every (grid point, trial) record of a Monte Carlo run, in (grid, trial) order.
 
-    Per-trial failures become NaN-valued error rows rather than aborting the
-    sweep; near-singular solves at tiny lambda and c near 1 are expected.
+    `points` maps a grid index to its parameters, run at n = round(p/c).
+    Trial t of point g is `trial(params, shape, centering=, m_test=,
+    grid_index=g, trial_index=t)`, default `simulator.run_trial`, with
+    shape.seed = trial_seed(master_seed, g, t).  A `PoisonRidgeError` from it
+    becomes an error row (NaN empirical columns) instead of ending the run:
+    near-singular solves at tiny lambda and c near 1 are expected.
     """
-    if grid.trials < 1:
-        raise InvalidTrialCount(f"trials must be >= 1, got {grid.trials}")
-    # checked here too: inside a trial it would only make every row an error row
+    if trials < 1:
+        raise InvalidTrialCount(f"trials must be >= 1, got {trials}")
+    # refused here: inside a trial they would only make every row an error row
     if m_test < 1:
         raise InvalidTestCount(f"m_test must be >= 1, got {m_test}")
-    points = grid.points(axis_mode)
-    jobs = [
-        (params, grid.p, grid.master_seed, gi, ti, m_test)
-        for gi, params in enumerate(points)
-        for ti in range(grid.trials)
-    ]
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
+    for params in points.values():
+        if not params.lam > 0.0:
+            raise InvalidLambda(f"the ridge solve requires lambda > 0, got {params.lam}")
+    jobs = [(points[gi], p, master_seed, gi, ti, m_test)
+            for gi in sorted(points) for ti in range(trials)]
+    run = functools.partial(_run_one, trial=trial, centering=centering)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_one, jobs, chunksize=4))
-    else:
-        records = [_run_one(job) for job in jobs]
-    records.sort(key=lambda r: (r.grid_index, r.trial_index))
-    return records
+            return list(pool.map(run, jobs, chunksize=4))
+    return [run(job) for job in jobs]
+
+
+def run_sweep(grid: SweepGrid, axis_mode: AxisMode = AxisMode.ONE_AT_A_TIME,
+              m_test: int = 10000, workers: int = 1) -> list[SweepRecord]:
+    """All (grid point, trial) records of the grid, through `run_grid`."""
+    points = dict(enumerate(grid.points(axis_mode)))
+    return run_grid(points, grid.p, grid.trials, grid.master_seed, m_test, workers=workers)
 
 
 # --- aggregation ---

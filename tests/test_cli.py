@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from poisonridge import cli, mnist, simulator, sweep
+from poisonridge.errors import SolveFailure
 from poisonridge.theory import ModelParams
 
 
@@ -146,9 +147,19 @@ def test_bad_shapes_exit_2(tmp_path, capsys, argv):
      "InvalidTrialCount"),
     (("mnist", "--images", "{tmp}/imgs", "--labels", "{tmp}/lbls", "--subsample-n", "30",
       "--trials", "0", "--m-test", "10", "--out", "{tmp}/o"), "InvalidTrialCount"),
+    (("rerun", "{tmp}/object.json"), "InvalidManifest"),
+    (("rerun", "{tmp}/list.json"), "InvalidManifest"),
+    (("rerun", "{tmp}/text.json"), "InvalidManifest"),
+    (("simulate", "--p", "10", "--c", "0.5", "--lambda", "0", "--trials", "1",
+      "--m-test", "10", "--out", "{tmp}/o"), "InvalidLambda"),
+    (("mnist", "--images", "{tmp}/imgs", "--labels", "{tmp}/lbls", "--subsample-n", "30",
+      "--lambda", "0", "--trials", "1", "--m-test", "10", "--out", "{tmp}/o"), "InvalidLambda"),
 ])
 def test_bad_inputs_exit_2(tmp_path, capsys, argv, error):
     _write_idx_pair(tmp_path)
+    # JSON files that are not run manifests
+    for name, text in (("object", "{}"), ("list", "[]"), ("text", "not json")):
+        (tmp_path / f"{name}.json").write_text(text, encoding="utf-8")
     assert run_cli(*(a.format(tmp=tmp_path) for a in argv)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and error in err
@@ -168,6 +179,79 @@ def test_report_from_sweep(tmp_path, capsys):
     svg = (out / "sweep_mu_vs_theta.svg").read_text()
     assert svg.startswith("<svg")
     assert (out / "sweep_agg.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "mnist"])
+def test_failed_trial_is_an_error_row(tmp_path, capsys, monkeypatch, command):
+    # every Monte Carlo command keeps its other trials, marks the failed one
+    # and exits 1
+    img, lbl = _write_idx_pair(tmp_path)
+    out = tmp_path / "o"
+    if command == "mnist":
+        argv = ["mnist", "--images", str(img), "--labels", str(lbl), "--subsample-n", "30"]
+    else:
+        argv = ["simulate", "--p", "20", "--c", "0.5"]
+    solve, calls = simulator.solve_ridge, []
+
+    def fail_second_solve(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise SolveFailure("injected")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "solve_ridge", fail_second_solve)
+    assert run_cli(*argv, "--trials", "3", "--m-test", "50", "--out", str(out)) == 1
+    assert "3 records, 1 error rows" in capsys.readouterr().out
+    rows = sweep.read_records(out / f"{command}.csv")
+    assert [r.trial_index for r in rows] == [0, 1, 2]
+    assert [r.is_error for r in rows] == [False, True, False]
+    assert not np.isnan(rows[1].mu_theory)
+
+
+def test_mnist_grid_order(tmp_path, capsys):
+    # theta x lambda x subsample-n, last factor fastest, trials innermost
+    img, lbl = _write_idx_pair(tmp_path)
+    out = tmp_path / "m"
+    assert run_cli("mnist", "--images", str(img), "--labels", str(lbl),
+                   "--theta", "0.1,0.2", "--lambda", "0.1,1.0", "--subsample-n", "20,30",
+                   "--trials", "2", "--m-test", "50", "--out", str(out)) == 0
+    capsys.readouterr()
+    rows = sweep.read_records(out / "mnist.csv")
+    assert [(r.grid_index, r.trial_index) for r in rows] == [
+        (g, t) for g in range(8) for t in range(2)]
+    assert [(r.theta, r.lam, r.n) for r in rows[::2]] == [
+        (th, lam, n) for th in (0.1, 0.2) for lam in (0.1, 1.0) for n in (20, 30)]
+    assert all(r.seed == simulator.trial_seed(0, r.grid_index, r.trial_index) for r in rows)
+
+
+def test_rerun_of_manifest_without_worker_count(tmp_path, capsys):
+    # manifests from before --workers defaulted to 1 store "workers": null
+    out = tmp_path / "s"
+    assert run_cli("sweep", "--p", "10", "--trials", "1", "--m-test", "50",
+                   "--out", str(out)) == 0
+    first = (out / "sweep.csv").read_bytes()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["args"]["workers"] == 1
+    manifest["args"]["workers"] = None
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert run_cli("rerun", str(out / "manifest.json")) == 0
+    capsys.readouterr()
+    assert (out / "sweep.csv").read_bytes() == first
+
+
+def test_report_unknown_axis_exit_2(tmp_path, capsys):
+    out = tmp_path / "s"
+    assert run_cli("sweep", "--p", "10", "--trials", "1", "--m-test", "50",
+                   "--out", str(out)) == 0
+    capsys.readouterr()
+    report_dir = tmp_path / "r"
+    report_dir.mkdir()
+    rc = run_cli("report", "--input", str(out / "sweep.csv"), "--kind", "mu",
+                 "--axis", "bogus", "--outdir", str(report_dir))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "UnknownAxis" in err
+    assert not list(report_dir.iterdir())
 
 
 def _write_idx_pair(tmp_path):

@@ -3,7 +3,7 @@
 import pytest
 
 from poisonridge import report, sweep
-from poisonridge.errors import SchemaMismatch
+from poisonridge.errors import PoisonRidgeError, SchemaMismatch, UnknownAxis
 from poisonridge.sweep import AxisMode, SweepGrid
 
 GRID = SweepGrid(
@@ -74,6 +74,18 @@ def test_make_report_renders_before_writing(tmp_path):
     out.mkdir()
     with pytest.raises(KeyError):
         report.make_report(csv_path, "mu", axes=["theta", "bogus"], outdir=str(out))
+    assert not list(out.iterdir())
+
+
+def test_make_report_rejects_unknown_axis_first(tmp_path):
+    records = sweep.run_sweep(GRID, AxisMode.ONE_AT_A_TIME, m_test=50)
+    csv_path = tmp_path / "run.csv"
+    sweep.write_records(csv_path, records)
+    out = tmp_path / "report"
+    out.mkdir()
+    with pytest.raises(UnknownAxis) as exc:
+        report.make_report(csv_path, "mu", axes=["theta", "bogus"], outdir=str(out))
+    assert isinstance(exc.value, PoisonRidgeError)
     assert not list(out.iterdir())
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from poisonridge import simulator, theory
-from poisonridge.errors import NonPositiveLambda, ThetaOutOfRange
+from poisonridge.errors import InvalidLambda, ThetaOutOfRange
 from poisonridge.simulator import Centering, SimShape
 from poisonridge.theory import ModelParams
 
@@ -130,7 +130,7 @@ def test_solve_ridge_large_penalty_shrinks():
     assert big.sigma_sq_emp < small.sigma_sq_emp
     # beta -> (1/(n lam)) X w as lam -> inf
     assert np.allclose(big.beta, X @ w / (30 * 100.0), rtol=0.2)
-    with pytest.raises(NonPositiveLambda):
+    with pytest.raises(InvalidLambda):
         simulator.solve_ridge(X, w, 0.0, np.zeros(10), 0.0)
 
 
