@@ -4,7 +4,8 @@ Every writing command computes all of its outputs in memory and then hands
 them to `_save`, which creates --out, writes each file and a manifest.json
 with the full configuration, master seed and package version.  A refused run
 therefore writes nothing.  `rerun <manifest>` reproduces the primary CSVs
-byte for byte at a fixed OpenBLAS build and thread count.
+byte for byte on any core count, for the OpenBLAS builds that the numpy and
+scipy wheels bundle: every run computes with one BLAS thread per process.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ class SingularDerivativeDenominator(PoisonRidgeError):
 # --- closed-form predictions ---
 
 class InvalidLambda(PoisonRidgeError):
-    """Ridge penalty out of range: negative, or zero where a formula or solve needs lambda > 0."""
+    """Ridge penalty out of range: negative or not finite, or zero where lambda > 0 is needed."""
 
 
 class NegativeVariance(PoisonRidgeError):
@@ -42,7 +42,7 @@ class ThetaOutOfRange(PoisonRidgeError):
 
 
 class InvalidTriggerNorm(PoisonRidgeError, ValueError):
-    """Trigger norm must be nonnegative."""
+    """Trigger norm must be nonnegative and finite."""
 
 
 # --- simulator ---
@@ -57,6 +57,10 @@ class InvalidTestCount(PoisonRidgeError, ValueError):
 
 class InvalidTrialCount(PoisonRidgeError, ValueError):
     """A run needs at least one trial per grid point (trials >= 1)."""
+
+
+class InvalidWorkerCount(PoisonRidgeError, ValueError):
+    """A run needs at least one worker process (workers >= 1)."""
 
 
 # --- low-rank updates ---

@@ -20,6 +20,7 @@ import numpy as np
 from scipy.linalg import blas, cho_factor, cho_solve
 
 from . import mp, simulator, theory
+from .blas import one_thread
 from .errors import InnerSingular, InvalidShape, NonNegativeZ, SolveFailure
 
 # dense O(dim^3) inverses, kept as test oracles; the checks use solves
@@ -294,13 +295,18 @@ def quadratic_form_check(
 def convergence_table(
     c: float, tau: float, z: float, sizes, n_seeds: int, master_seed: int = 0
 ) -> list[dict]:
-    """Quadratic-form error rows for every check over a grid of sizes and seeds."""
+    """Quadratic-form error rows for every check over a grid of sizes and seeds.
+
+    BLAS runs on one thread (`one_thread`), so the rows do not depend
+    on the core count.
+    """
     if not (c > 0.0 and math.isfinite(c)):
         raise InvalidShape(f"c must be positive and finite, got {c}")
     if any(p < 1 for p in sizes):
         raise InvalidShape(f"every size p must be >= 1, got {list(sizes)}")
     if n_seeds < 1:
         raise InvalidShape(f"n_seeds must be >= 1, got {n_seeds}")
+    one_thread()
     rows = []
     for check_idx, check in enumerate(ALL_CHECKS):
         for p in sizes:

@@ -3,9 +3,9 @@
 Each trial draws from one Philox counter stream seeded by its per-trial
 seed, which is derived statelessly from (master_seed, grid_index,
 trial_index).  Sweeps are therefore bit-reproducible regardless of execution
-order or worker count, and the seed stored in a row reproduces that row, at a
-fixed OpenBLAS build and thread count: the BLAS results of `solve_ridge`
-change in their last bits with the number of BLAS threads.
+order or worker count, and the seed stored in a row reproduces that row byte
+for byte on any core count, for the OpenBLAS builds that the numpy and scipy
+wheels bundle: `sweep.run_grid` runs every trial with one BLAS thread.
 """
 
 from __future__ import annotations

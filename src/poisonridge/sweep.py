@@ -7,7 +7,8 @@ nothing; a trial that fails becomes an error row, and the command exits 1.
 The built-in grid covers seven aspect ratios, six penalties, four poison
 fractions and nine trigger norms, with p = 500 and 100 trials per point.
 Records are reproducible from (master_seed, grid_index, trial_index) alone,
-so worker count and execution order never change the bytes on disk.
+and every process runs its BLAS on one thread, so neither the worker count,
+the core count nor the execution order changes the bytes on disk.
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simulator, theory
+from .blas import one_thread
 from .errors import (
-    EmptyGroup, InvalidLambda, InvalidTestCount, InvalidTrialCount, PoisonRidgeError,
+    EmptyGroup, InvalidLambda, InvalidTestCount, InvalidTrialCount, InvalidWorkerCount,
+    PoisonRidgeError,
 )
 from .records import _EMPIRICAL_FIELDS, FIELD_NAMES, SweepRecord, read_csv, write_csv
 from .simulator import Centering, trial_seed
@@ -107,8 +110,12 @@ def run_grid(points: dict[int, ModelParams], p: int, trials: int, master_seed: i
     grid_index=g, trial_index=t)`, default `simulator.run_trial`, with
     shape.seed = trial_seed(master_seed, g, t).  A `PoisonRidgeError` from it
     becomes an error row (NaN empirical columns) instead of ending the run:
-    near-singular solves at tiny lambda and c near 1 are expected.
+    near-singular solves at tiny lambda and c near 1 are expected.  This
+    process and every pool worker run their BLAS on one thread
+    (`one_thread`), so the records do not depend on the core count.
     """
+    if workers < 1:
+        raise InvalidWorkerCount(f"workers must be >= 1, got {workers}")
     if trials < 1:
         raise InvalidTrialCount(f"trials must be >= 1, got {trials}")
     # refused here: inside a trial they would only make every row an error row
@@ -120,8 +127,11 @@ def run_grid(points: dict[int, ModelParams], p: int, trials: int, master_seed: i
     jobs = [(points[gi], p, master_seed, gi, ti, m_test)
             for gi in sorted(points) for ti in range(trials)]
     run = functools.partial(_run_one, trial=trial, centering=centering)
+    one_thread()
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # workers pin themselves: under the spawn and forkserver start methods
+        # they do not inherit this process's BLAS settings
+        with ProcessPoolExecutor(max_workers=workers, initializer=one_thread) as pool:
             return list(pool.map(run, jobs, chunksize=4))
     return [run(job) for job in jobs]
 

@@ -37,10 +37,10 @@ class ModelParams:
             raise InvalidShape(f"c must be positive and finite, got {self.c}")
         if not (0.0 <= self.theta <= 1.0):
             raise ThetaOutOfRange(f"theta must be in [0, 1], got {self.theta}")
-        if self.v_norm < 0.0:
-            raise InvalidTriggerNorm(f"v_norm must be nonnegative, got {self.v_norm}")
-        if self.lam < 0.0:
-            raise InvalidLambda(f"lambda must be nonnegative, got {self.lam}")
+        if not (self.v_norm >= 0.0 and math.isfinite(self.v_norm)):
+            raise InvalidTriggerNorm(f"v_norm must be nonnegative and finite, got {self.v_norm}")
+        if not (self.lam >= 0.0 and math.isfinite(self.lam)):
+            raise InvalidLambda(f"lambda must be nonnegative and finite, got {self.lam}")
 
 
 @dataclass(frozen=True)

@@ -154,6 +154,16 @@ def test_bad_shapes_exit_2(tmp_path, capsys, argv):
       "--m-test", "10", "--out", "{tmp}/o"), "InvalidLambda"),
     (("mnist", "--images", "{tmp}/imgs", "--labels", "{tmp}/lbls", "--subsample-n", "30",
       "--lambda", "0", "--trials", "1", "--m-test", "10", "--out", "{tmp}/o"), "InvalidLambda"),
+    (("simulate", "--p", "10", "--vnorm", "nan", "--trials", "1", "--m-test", "10",
+      "--out", "{tmp}/o"), "InvalidTriggerNorm"),
+    (("simulate", "--p", "10", "--vnorm", "inf", "--trials", "1", "--m-test", "10",
+      "--out", "{tmp}/o"), "InvalidTriggerNorm"),
+    (("simulate", "--p", "10", "--lambda", "inf", "--trials", "1", "--m-test", "10",
+      "--out", "{tmp}/o"), "InvalidLambda"),
+    (("sweep", "--p", "10", "--trials", "1", "--m-test", "10", "--workers", "0",
+      "--out", "{tmp}/o"), "InvalidWorkerCount"),
+    (("sweep", "--p", "10", "--trials", "1", "--m-test", "10", "--workers", "-1",
+      "--out", "{tmp}/o"), "InvalidWorkerCount"),
 ])
 def test_bad_inputs_exit_2(tmp_path, capsys, argv, error):
     _write_idx_pair(tmp_path)
