@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import blas, cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
 from . import mp, simulator, theory
 from .blas import one_thread
@@ -81,24 +81,22 @@ def make_experiment(p: int, n: int, tau: float, z: float, seed: int) -> Resolven
 
 def build_spiked(experiment: ResolventExperiment) -> np.ndarray:
     """Z = X + tau*sqrt(n)*a b^T with i.i.d. standard normal X."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(experiment.seed)))
-    X = rng.standard_normal((experiment.p, experiment.n))
+    X = simulator._rng_from(experiment.seed).standard_normal((experiment.p, experiment.n))
     return X + experiment.tau * np.sqrt(experiment.n) * np.outer(experiment.a, experiment.b)
 
 
-def _dense_resolvent(M: np.ndarray, z: float) -> np.ndarray:
-    dim = M.shape[0]
+def _dense_resolvent(A: np.ndarray, n: int, z: float) -> np.ndarray:
+    """((1/n) A A^T - z I)^-1 for a matrix A of dim rows, dense and symmetric."""
+    if z >= 0.0:
+        raise NonNegativeZ(f"z must be negative, got {z}")
+    dim = A.shape[0]
     if dim > MAX_DENSE_DIM:
         raise ValueError(
             f"dense resolvent capped at dimension {MAX_DENSE_DIM}, got {dim}"
         )
-    A = M - z * np.eye(dim)
-    try:
-        Q = cho_solve(cho_factor(A, lower=False), np.eye(dim))
-    except np.linalg.LinAlgError as exc:
-        raise SolveFailure(f"resolvent factorization failed at z={z}") from exc
+    Q = cho_solve(simulator.gram_cholesky(A, 1.0 / n, -z), np.eye(dim))
     Q = 0.5 * (Q + Q.T)
-    resid = float(np.max(np.abs(A @ Q - np.eye(dim))))
+    resid = float(np.max(np.abs(A @ (A.T @ Q) / n - z * Q - np.eye(dim))))
     if resid > _RESOLVENT_RESIDUAL_TOL:
         raise SolveFailure(f"resolvent residual {resid:.3e} too large at z={z}")
     return Q
@@ -106,25 +104,23 @@ def _dense_resolvent(M: np.ndarray, z: float) -> np.ndarray:
 
 def feature_resolvent(Z: np.ndarray, z: float) -> np.ndarray:
     """Q1(z) = ((1/n) Z Z^T - z I_p)^-1, dense and symmetric."""
-    if z >= 0.0:
-        raise NonNegativeZ(f"z must be negative, got {z}")
-    n = Z.shape[1]
-    return _dense_resolvent(Z @ Z.T / n, z)
+    return _dense_resolvent(Z, Z.shape[1], z)
 
 
 def gram_resolvent(Z: np.ndarray, z: float) -> np.ndarray:
     """Qtilde1(z) = ((1/n) Z^T Z - z I_n)^-1, dense and symmetric."""
-    if z >= 0.0:
-        raise NonNegativeZ(f"z must be negative, got {z}")
-    n = Z.shape[1]
-    return _dense_resolvent(Z.T @ Z / n, z)
+    return _dense_resolvent(Z.T, Z.shape[1], z)
+
+
+def _feature_gain(tau: float, z: float, m: float) -> float:
+    """The feature-side spike scalar 1 + tau^2(1 + z m(z))."""
+    return 1.0 + tau * tau * (1.0 + z * m)
 
 
 def det_equiv_feature(c: float, tau: float, z: float) -> EquivalentCoefficients:
     """Q1 <-> m(z) I_p - m(z)(1 - 1/(1 + tau^2(1 + z m(z)))) a a^T."""
     m = mp.mp_stieltjes(c, z)
-    gain = tau * tau * (1.0 + z * m)
-    spike = -m * (1.0 - 1.0 / (1.0 + gain))
+    spike = -m * (1.0 - 1.0 / _feature_gain(tau, z, m))
     return EquivalentCoefficients(iso=m, spike=spike, direction=Side.FEATURE_AAT)
 
 
@@ -133,7 +129,7 @@ def det_equiv_feature_squared(c: float, tau: float, z: float) -> EquivalentCoeff
     m = mp.mp_stieltjes(c, z)
     m_prime = mp.mp_stieltjes_derivative(c, z)
     tau2 = tau * tau
-    denom = (1.0 + tau2 * (1.0 + z * m)) ** 2
+    denom = _feature_gain(tau, z, m) ** 2
     spike = (m_prime * (tau2 + 1.0) - m * m * tau2) / denom - m_prime
     return EquivalentCoefficients(iso=m_prime, spike=spike, direction=Side.FEATURE_AAT)
 
@@ -204,9 +200,7 @@ def reconstruct_spiked_resolvent(
     """Inverse action of (1/n) Z Z^T - z I built from the unspiked resolvent."""
     if z >= 0.0:
         raise NonNegativeZ(f"z must be negative, got {z}")
-    p, n = X.shape
-    base = X @ X.T / n - z * np.eye(p)
-    factor = cho_factor(base, lower=False)
+    factor = simulator.gram_cholesky(X, 1.0 / X.shape[1], -z)
 
     def apply_Q0(x: np.ndarray) -> np.ndarray:
         return cho_solve(factor, x)
@@ -223,23 +217,10 @@ def _check_residual(resid: np.ndarray, rhs: np.ndarray, z: float) -> None:
 
 
 def _feature_solve(Z: np.ndarray, z: float, rhs: np.ndarray) -> np.ndarray:
-    """Q1(z) rhs by one Cholesky solve of the p x p feature system.
-
-    Only the upper triangle of A = (1/n) Z Z^T - z I is formed (syrk), and
-    the factorization and the residual read only that triangle.  The Gram
-    product runs in scipy's BLAS, like the factorization: numpy links a
-    separate OpenBLAS whose threads keep spinning after a call, and
-    alternating the two libraries made the checks about 2x slower on a
-    2-core machine.
-    """
+    """Q1(z) rhs by one Cholesky solve of the p x p feature system."""
     n = Z.shape[1]
-    A = blas.dsyrk(1.0 / n, Z.T, trans=1)  # Z.T of a C-ordered Z is Fortran-ordered: no copy
-    A[np.diag_indices_from(A)] -= z
-    try:
-        x = cho_solve(cho_factor(A, lower=False), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SolveFailure(f"resolvent factorization failed at z={z}") from exc
-    _check_residual(blas.dsymv(1.0, A, x) - rhs, rhs, z)
+    x = cho_solve(simulator.gram_cholesky(Z, 1.0 / n, -z), rhs)
+    _check_residual(Z @ (Z.T @ x) / n - z * x - rhs, rhs, z)
     return x
 
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import blas, cho_factor, cho_solve
 
 from . import theory
 from .errors import (
@@ -128,13 +128,14 @@ def apply_poison(X, y, theta: float, v, seed, centering: Centering = Centering.P
 def center(dataset: PoisonedDataset, theta: float):
     """Remove the feature/label means, by expectation or empirically.
 
-    Population mode uses the model expectations x_bar = (theta/2) v,
-    w_bar = theta; Empirical mode uses sample means (the only option when
-    theta and v are unknown, e.g. on real data).
+    Population mode uses the model expectations of `theory.population_moments`,
+    x_bar = (theta/2) v and w_bar = theta; Empirical mode uses sample means
+    (the only option when theta and v are unknown, e.g. on real data).
     """
     if dataset.centering is Centering.POPULATION:
-        x_bar = (theta / 2.0) * dataset.v
-        w_bar = theta
+        moments = theory.population_moments(theta)
+        x_bar = moments.x_bar_coeff * dataset.v
+        w_bar = moments.w_bar
     else:
         x_bar = dataset.X.mean(axis=1)
         w_bar = float(dataset.y.mean())
@@ -143,30 +144,43 @@ def center(dataset: PoisonedDataset, theta: float):
     return X_tilde, w_tilde, x_bar, w_bar
 
 
+def gram_cholesky(A, scale: float, shift: float):
+    """Upper Cholesky factor of the regularized Gram scale * A A^T + shift * I.
+
+    The one place that forms and factors such a system: the ridge solve's
+    primal and dual systems and the resolvent's (1/n) Z Z^T - z I.  Only the
+    upper triangle is formed (syrk), and the factorization overwrites it.
+    Returns a `cho_solve` factor; a matrix that is not finite or not positive
+    definite is a `SolveFailure`.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    # syrk reads a Fortran-ordered operand without a copy; A.T of a C-ordered A is one
+    trans = int(not A.flags.f_contiguous)
+    G = blas.dsyrk(scale, A.T if trans else A, trans=trans)
+    G[np.diag_indices_from(G)] += shift
+    if not np.all(np.isfinite(G)):
+        raise SolveFailure(f"regularized Gram is not finite (scale={scale}, shift={shift})")
+    try:
+        return cho_factor(G, lower=False, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise SolveFailure(f"Cholesky factorization failed at shift={shift}") from exc
+
+
 def solve_ridge(X_tilde, w_tilde, lam: float, x_bar, w_bar: float) -> RidgeSolution:
     """Exact centered ridge solve: beta = (1/n)((1/n)XX^T + lam I)^-1 X w.
 
     Uses the p x p primal system when p <= n and the equivalent n x n dual
-    system otherwise; both are SPD Cholesky solves.
+    system otherwise; both are SPD Cholesky solves by `gram_cholesky`.
     """
     if lam <= 0.0:
         raise InvalidLambda(f"ridge solve requires lambda > 0, got {lam}")
     X_tilde = np.asarray(X_tilde, dtype=np.float64)
     w_tilde = np.asarray(w_tilde, dtype=np.float64)
     p, n = X_tilde.shape
-    try:
-        if p <= n:
-            G = X_tilde @ X_tilde.T / n
-            G[np.diag_indices_from(G)] += lam
-            rhs = X_tilde @ w_tilde / n
-            beta = cho_solve(cho_factor(G, lower=False), rhs)
-        else:
-            K = X_tilde.T @ X_tilde / n
-            K[np.diag_indices_from(K)] += lam
-            alpha = cho_solve(cho_factor(K, lower=False), w_tilde)
-            beta = X_tilde @ alpha / n
-    except np.linalg.LinAlgError as exc:
-        raise SolveFailure(f"Cholesky factorization failed at lambda={lam}") from exc
+    if p <= n:
+        beta = cho_solve(gram_cholesky(X_tilde, 1.0 / n, lam), X_tilde @ w_tilde / n)
+    else:
+        beta = X_tilde @ cho_solve(gram_cholesky(X_tilde.T, 1.0 / n, lam), w_tilde) / n
 
     # normal-equations residual guards against ill-conditioning
     resid = X_tilde @ (X_tilde.T @ beta) / n + lam * beta - X_tilde @ w_tilde / n

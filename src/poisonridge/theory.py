@@ -124,6 +124,12 @@ def spike_auxiliary(params: ModelParams, z: float) -> SpikeAuxiliary:
     return spike_scalars(params.c, tau_squared(params), z)
 
 
+def _alignment(theta: float, v_norm: float, m: float, cm: float, lam_m: float) -> float:
+    """C = theta(1-theta) m / ((1 + cm)(2 + ||v||^2 theta(1 - theta/2)(1 - lam m)))."""
+    denom = (1.0 + cm) * (2.0 + v_norm ** 2 * theta * (1.0 - theta / 2.0) * (1.0 - lam_m))
+    return theta * (1.0 - theta) * m / denom
+
+
 def alignment_coefficient(params: ModelParams) -> float:
     """Limit coefficient C with beta_hat^T a -> C v^T a for deterministic a.
 
@@ -131,12 +137,8 @@ def alignment_coefficient(params: ModelParams) -> float:
     """
     if params.lam <= 0.0:
         raise InvalidLambda("alignment coefficient requires lambda > 0")
-    theta, lam, vn = params.theta, params.lam, params.v_norm
-    m = mp.mp_stieltjes(params.c, -lam)
-    denom = (1.0 + params.c * m) * (
-        2.0 + vn ** 2 * theta * (1.0 - theta / 2.0) * (1.0 - lam * m)
-    )
-    return theta * (1.0 - theta) * m / denom
+    m = mp.mp_stieltjes(params.c, -params.lam)
+    return _alignment(params.theta, params.v_norm, m, params.c * m, params.lam * m)
 
 
 def efficacy(mu: float, sigma_sq: float) -> float:
@@ -150,13 +152,21 @@ def efficacy(mu: float, sigma_sq: float) -> float:
     return 1.0 - normal_cdf(-mu / math.sqrt(sigma_sq))
 
 
-def _finalize(mu: float, sigma_sq: float, v_norm: float) -> TheoryPrediction:
+def _prediction(params: ModelParams, align: float, aux: SpikeAuxiliary) -> TheoryPrediction:
+    """(mu, sigma^2, eta, C) from the alignment coefficient and the spike scalars B and S."""
+    theta, vn = params.theta, params.v_norm
+    mu = align * vn ** 2
+    bracket = (1.0 - theta ** 2)
+    if theta > 0.0:
+        spike_gain = (1.0 + aux.tau_sq / params.c) / aux.B ** 2 - 1.0
+        bracket += spike_gain * theta * (1.0 - theta) ** 2 / (2.0 - theta)
+    sigma_sq = aux.S * bracket
     if sigma_sq < 0.0:
         if sigma_sq < _VARIANCE_CLAMP:
             raise NegativeVariance(f"sigma^2 = {sigma_sq} < {_VARIANCE_CLAMP}")
         warnings.warn(f"clamping tiny negative variance {sigma_sq} to 0", stacklevel=3)
         sigma_sq = 0.0
-    C = mu / v_norm ** 2 if v_norm > 0.0 else 0.0
+    C = mu / vn ** 2 if vn > 0.0 else 0.0
     return TheoryPrediction(mu=mu, sigma_sq=sigma_sq, eta=efficacy(mu, sigma_sq), C_align=C)
 
 
@@ -167,32 +177,21 @@ def predict(params: ModelParams) -> TheoryPrediction:
             "predict requires lambda > 0; use predict_ridgeless for the "
             "vanishing-regularization limit (c < 1)"
         )
-    theta, vn = params.theta, params.v_norm
-    mu = alignment_coefficient(params) * vn ** 2
-
-    aux = spike_auxiliary(params, -params.lam)
-    bracket = (1.0 - theta ** 2)
-    if theta > 0.0:
-        spike_gain = (1.0 + aux.tau_sq / params.c) / aux.B ** 2 - 1.0
-        bracket += spike_gain * theta * (1.0 - theta) ** 2 / (2.0 - theta)
-    sigma_sq = aux.S * bracket
-    return _finalize(mu, sigma_sq, vn)
+    return _prediction(params, alignment_coefficient(params),
+                       spike_auxiliary(params, -params.lam))
 
 
 def predict_ridgeless(params: ModelParams) -> TheoryPrediction:
-    """Vanishing-regularization limit; valid only below the interpolation threshold."""
+    """Vanishing-regularization limit; valid only below the interpolation threshold.
+
+    `predict` as lambda -> 0 with c < 1: m/(1 + cm) -> 1, lambda m -> 0,
+    S -> c/(1 - c) and B -> 1 + tau^2.
+    """
     if params.c >= 1.0:
         raise InterpolationThreshold(
             f"ridgeless variance diverges for c >= 1 (got c={params.c})"
         )
-    theta, vn = params.theta, params.v_norm
-    mu = vn ** 2 * theta * (1.0 - theta) / (2.0 + vn ** 2 * theta * (1.0 - theta / 2.0))
-
     tau_sq = tau_squared(params)
-    a = tau_sq / params.c
-    bracket = (1.0 - theta ** 2)
-    if theta > 0.0:
-        spike_gain = (1.0 + a) / (1.0 + tau_sq) ** 2 - 1.0
-        bracket += spike_gain * theta * (1.0 - theta) ** 2 / (2.0 - theta)
-    sigma_sq = params.c / (1.0 - params.c) * bracket
-    return _finalize(mu, sigma_sq, vn)
+    limits = SpikeAuxiliary(tau_sq=tau_sq, B=1.0 + tau_sq, S=params.c / (1.0 - params.c),
+                            T=math.nan)
+    return _prediction(params, _alignment(params.theta, params.v_norm, 1.0, 0.0, 0.0), limits)
