@@ -69,6 +69,10 @@ class InnerSingular(PoisonRidgeError):
     """The small inner matrix of the low-rank update is numerically singular."""
 
 
+class NonFiniteParameter(PoisonRidgeError, ValueError):
+    """A resolvent check's spike strength tau or evaluation point z is infinite or NaN."""
+
+
 # --- MNIST / IDX ---
 
 class BadMagic(PoisonRidgeError):
@@ -87,8 +91,12 @@ class NoSamplesForDigit(PoisonRidgeError):
     """Requested digit is absent from the label file."""
 
 
+class SameDigits(PoisonRidgeError, ValueError):
+    """The binary task needs two different digits."""
+
+
 class PatchOutOfBounds(PoisonRidgeError):
-    """Trigger patch does not fit inside the image."""
+    """Trigger patch is empty or does not fit inside the image."""
 
 
 class SubsampleTooLarge(PoisonRidgeError):

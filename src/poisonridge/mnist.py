@@ -9,6 +9,7 @@ cannot know theta or the trigger.
 from __future__ import annotations
 
 import functools
+import math
 import struct
 from dataclasses import dataclass
 
@@ -19,8 +20,10 @@ from .errors import (
     BadMagic,
     CountMismatch,
     InvalidShape,
+    InvalidTriggerNorm,
     NoSamplesForDigit,
     PatchOutOfBounds,
+    SameDigits,
     SubsampleTooLarge,
     TruncatedFile,
 )
@@ -111,6 +114,8 @@ def build_binary_task(
     """Filter to two digits and map them to -1/+1, in input order."""
     if scale not in ("raw", "unit"):
         raise ValueError(f"scale must be 'raw' or 'unit', got {scale!r}")
+    if digit_neg == digit_pos:
+        raise SameDigits(f"both classes are digit {digit_neg}")
     mask = (labels == digit_neg) | (labels == digit_pos)
     if not np.any(labels == digit_neg):
         raise NoSamplesForDigit(f"no samples for digit {digit_neg}")
@@ -132,19 +137,18 @@ def make_patch_trigger(
     cols: int = 28,
 ) -> PatchTrigger:
     """Constant-intensity size x size patch, rescaled to the requested norm."""
+    if not (v_norm_target >= 0.0 and math.isfinite(v_norm_target)):
+        raise InvalidTriggerNorm(
+            f"v_norm_target must be nonnegative and finite, got {v_norm_target}")
     r0, c0 = offset
-    if r0 < 0 or c0 < 0 or r0 + size > rows or c0 + size > cols:
+    if size < 1 or r0 < 0 or c0 < 0 or r0 + size > rows or c0 + size > cols:
         raise PatchOutOfBounds(
             f"{size}x{size} patch at {offset} does not fit in {rows}x{cols}"
         )
     grid = np.zeros((rows, cols))
     grid[r0:r0 + size, c0:c0 + size] = 1.0
     flat = grid.ravel()
-    norm = float(np.linalg.norm(flat))
-    if v_norm_target > 0.0 and norm > 0.0:
-        flat = flat * (v_norm_target / norm)
-    elif v_norm_target == 0.0:
-        flat = flat * 0.0
+    flat = flat * (v_norm_target / float(np.linalg.norm(flat)))
     return PatchTrigger(
         offset=(r0, c0),
         patch=flat.reshape(rows, cols)[r0:r0 + size, c0:c0 + size].copy(),

@@ -21,7 +21,7 @@ from scipy.linalg import cho_solve
 
 from . import mp, simulator, theory
 from .blas import one_thread
-from .errors import InnerSingular, InvalidShape, NonNegativeZ, SolveFailure
+from .errors import InnerSingular, InvalidShape, NonFiniteParameter, NonNegativeZ, SolveFailure
 
 # dense O(dim^3) inverses, kept as test oracles; the checks use solves
 MAX_DENSE_DIM = 800
@@ -283,6 +283,8 @@ def convergence_table(
     """
     if not (c > 0.0 and math.isfinite(c)):
         raise InvalidShape(f"c must be positive and finite, got {c}")
+    if not (math.isfinite(tau) and math.isfinite(z)):
+        raise NonFiniteParameter(f"tau and z must be finite, got tau={tau}, z={z}")
     if any(p < 1 for p in sizes):
         raise InvalidShape(f"every size p must be >= 1, got {list(sizes)}")
     if n_seeds < 1:

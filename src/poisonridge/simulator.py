@@ -41,6 +41,8 @@ class SimShape:
     def __post_init__(self) -> None:
         if self.p < 1 or self.n < 1:
             raise InvalidShape(f"p and n must be >= 1, got p={self.p}, n={self.n}")
+        if self.p * self.n > np.iinfo(np.intp).max:
+            raise InvalidShape(f"a p x n matrix exceeds the index range, p={self.p}, n={self.n}")
 
     @property
     def c_effective(self) -> float:
@@ -83,7 +85,10 @@ def _rng_from(seed) -> np.random.Generator:
 
 def shape_for(p: int, c: float, seed: int) -> SimShape:
     """Derive n = round(p/c) at fixed p, recording the seed."""
-    return SimShape(p=p, n=max(1, round(p / c)), seed=seed)
+    ratio = p / c
+    if not math.isfinite(ratio):
+        raise InvalidShape(f"n = p/c is not finite at p={p}, c={c}")
+    return SimShape(p=p, n=max(1, round(ratio)), seed=seed)
 
 
 def default_trigger(p: int, v_norm: float) -> np.ndarray:

@@ -119,6 +119,10 @@ def test_resolvent_check_beyond_dense_cap(tmp_path, capsys):
     ("simulate", "--c", "0", "--p", "10", "--trials", "1", "--m-test", "10"),
     ("simulate", "--p", "0", "--trials", "1", "--m-test", "10"),
     ("resolvent-check", "--p", "10", "--seeds", "0"),
+    # n = round(p/c) past the index range, or p/c not finite
+    ("simulate", "--c", "1e-300", "--p", "10", "--trials", "1", "--m-test", "10"),
+    ("simulate", "--c", "1e-320", "--p", "10", "--trials", "1", "--m-test", "10"),
+    ("resolvent-check", "--c", "1e-320", "--p", "10", "--seeds", "1"),
 ])
 def test_bad_shapes_exit_2(tmp_path, capsys, argv):
     assert run_cli(*argv, "--out", str(tmp_path / "o")) == 2
@@ -164,6 +168,30 @@ def test_bad_shapes_exit_2(tmp_path, capsys, argv):
       "--out", "{tmp}/o"), "InvalidWorkerCount"),
     (("sweep", "--p", "10", "--trials", "1", "--m-test", "10", "--workers", "-1",
       "--out", "{tmp}/o"), "InvalidWorkerCount"),
+    (("mnist", "--images", "{tmp}/imgs", "--labels", "{tmp}/lbls", "--subsample-n", "30",
+      "--vnorm", "-1", "--trials", "1", "--m-test", "10", "--out", "{tmp}/o"),
+     "InvalidTriggerNorm"),
+    (("mnist", "--images", "{tmp}/imgs", "--labels", "{tmp}/lbls", "--subsample-n", "30",
+      "--vnorm", "nan", "--trials", "1", "--m-test", "10", "--out", "{tmp}/o"),
+     "InvalidTriggerNorm"),
+    (("mnist", "--images", "{tmp}/imgs", "--labels", "{tmp}/lbls", "--subsample-n", "30",
+      "--patch-size", "0", "--trials", "1", "--m-test", "10", "--out", "{tmp}/o"),
+     "PatchOutOfBounds"),
+    (("mnist", "--images", "{tmp}/imgs", "--labels", "{tmp}/lbls", "--subsample-n", "30",
+      "--patch-size", "-1", "--trials", "1", "--m-test", "10", "--out", "{tmp}/o"),
+     "PatchOutOfBounds"),
+    (("mnist", "--images", "{tmp}/imgs", "--labels", "{tmp}/lbls", "--subsample-n", "30",
+      "--digit-neg", "1", "--digit-pos", "1", "--trials", "1", "--m-test", "10",
+      "--out", "{tmp}/o"), "SameDigits"),
+    (("resolvent-check", "--p", "10", "--seeds", "1", "--tau", "nan", "--out", "{tmp}/o"),
+     "NonFiniteParameter"),
+    (("resolvent-check", "--p", "10", "--seeds", "1", "--tau=inf", "--out", "{tmp}/o"),
+     "NonFiniteParameter"),
+    (("resolvent-check", "--p", "10", "--seeds", "1", "--z=-inf", "--out", "{tmp}/o"),
+     "NonFiniteParameter"),
+    # finite, but the Gram of the spiked matrix overflows
+    (("resolvent-check", "--p", "10", "--seeds", "1", "--tau=1e200", "--out", "{tmp}/o"),
+     "SolveFailure"),
 ])
 def test_bad_inputs_exit_2(tmp_path, capsys, argv, error):
     _write_idx_pair(tmp_path)
