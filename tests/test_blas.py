@@ -6,10 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import poisonridge
-from poisonridge import blas
+from poisonridge import blas, mnist
 
 SRC = str(Path(poisonridge.__file__).resolve().parent.parent)
 
@@ -34,29 +35,58 @@ def test_one_thread_pins_every_bundled_openblas():
         assert getter() == 1
 
 
-def _run(tmp_path, threads: int, argv, name: str) -> bytes:
+# a fresh interpreter that allows itself one CPU before numpy loads, so that
+# OpenBLAS sizes its thread pools for that CPU
+_ONE_CPU = ("import os, runpy; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+            "runpy.run_module('poisonridge.cli', run_name='__main__')")
+
+
+def _run(tmp_path, setting, argv, name: str) -> bytes:
     """The bytes of output `name` of a CLI run in a fresh process.
 
-    A fresh process has not been pinned by an earlier in-process run, so
-    OPENBLAS_NUM_THREADS sets its BLAS thread count until the command pins it.
+    `setting` is a BLAS thread count, set through OPENBLAS_NUM_THREADS, or
+    "one_cpu" for a process restricted to one CPU.  A fresh process has not
+    been pinned by an earlier in-process run, so the setting holds until the
+    command pins BLAS to one thread.
     """
     out = tmp_path / f"run{len(list(tmp_path.iterdir()))}"
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+    env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    subprocess.run([sys.executable, "-m", "poisonridge.cli", *argv, "--out", str(out)],
+    if setting == "one_cpu":
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        launch = ["-c", _ONE_CPU]
+    else:
+        env["OPENBLAS_NUM_THREADS"] = str(setting)
+        launch = ["-m", "poisonridge.cli"]
+    subprocess.run([sys.executable, *launch, *argv, "--out", str(out)],
                    env=env, check=True, capture_output=True, timeout=300)
     return (out / name).read_bytes()
 
 
-# p = 300 is large enough that a threaded OpenBLAS splits the Gram product
-# and the factorization, which changes their last bits
+def _write_idx_pair(tmp_path, count: int = 400) -> None:
+    """A synthetic 28 x 28 IDX pair of alternating digits 0 and 1."""
+    pixels = np.random.default_rng(0).integers(0, 255, size=(count, 28, 28), dtype=np.uint8)
+    images = mnist.IdxImages(count=count, rows=28, cols=28, pixels=pixels)
+    (tmp_path / "imgs").write_bytes(mnist.serialize_idx_images(images))
+    (tmp_path / "lbls").write_bytes(mnist.serialize_idx_labels(np.arange(count) % 2))
+
+
+# p = 300 (and mnist's p = 784 at n = 300) is large enough that a threaded
+# OpenBLAS splits the Gram product and the factorization, which changes
+# their last bits
 @pytest.mark.parametrize("argv, name", [
     (("simulate", "--p", "300", "--c", "0.5", "--trials", "2"), "simulate.csv"),
     (("simulate", "--p", "300", "--c", "2", "--trials", "2"), "simulate.csv"),
     (("resolvent-check", "--seeds", "1"), "resolvent_checks.csv"),
+    (("mnist", "--images", "{tmp}/imgs", "--labels", "{tmp}/lbls", "--subsample-n", "300",
+      "--trials", "2"), "mnist.csv"),
 ])
 def test_outputs_do_not_depend_on_blas_threads(tmp_path, argv, name):
-    assert _run(tmp_path, 1, argv, name) == _run(tmp_path, 2, argv, name)
+    if argv[0] == "mnist":
+        _write_idx_pair(tmp_path)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    outputs = {_run(tmp_path, setting, argv, name) for setting in (1, 2, "one_cpu")}
+    assert len(outputs) == 1
 
 
 def test_sweep_does_not_depend_on_blas_threads_or_workers(tmp_path):
