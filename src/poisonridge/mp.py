@@ -17,10 +17,6 @@ from .errors import (
     SingularDerivativeDenominator,
 )
 
-# Below this |c*z| the quadratic-formula numerator is a 0/0; switch to the
-# rationalized (conjugate-multiplied) form, which is exact and stable there.
-_RATIONALIZE_THRESHOLD = 1e-8
-
 
 @dataclass(frozen=True)
 class TransformValues:
@@ -42,14 +38,16 @@ def _check_args(c: float, z: float) -> None:
 def mp_stieltjes(c: float, z: float) -> float:
     """Stieltjes transform m(z) of the MP law, positive branch for z < 0.
 
-    m(z) = (1 - c - z - sqrt((1-c-z)^2 - 4cz)) / (2cz).
+    m(z) = (1 - c - z - sqrt((1-c-z)^2 - 4cz)) / (2cz).  Since cz < 0 the
+    root exceeds |1-c-z|, so head - root cancels when head = 1-c-z >= 0 and
+    head + root cancels when head < 0; each case uses the form without it.
     """
     _check_args(c, z)
     head = 1.0 - c - z
     disc = head * head - 4.0 * c * z  # > head^2 since cz < 0
     root = math.sqrt(disc)
-    if abs(c * z) < _RATIONALIZE_THRESHOLD:
-        # (head - root)/(2cz) multiplied through by (head + root).
+    if head >= 0.0:
+        # (head - root)/(2cz) multiplied through by (head + root)
         m = 2.0 / (head + root)
     else:
         m = (head - root) / (2.0 * c * z)

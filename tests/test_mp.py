@@ -1,6 +1,7 @@
 """Transform-layer tests: frozen values, finite differences, spectra, branches."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -83,6 +84,25 @@ def test_rationalized_branch_continuity():
         # rationalized form is the reference
         assert m == pytest.approx(2.0 / (head + root), rel=1e-8)
         assert abs(mp.self_consistency_residual(c, z)) <= 1e-8
+
+
+def _stieltjes_reference(c: float, z: float) -> Decimal:
+    """m(z) in 50-digit decimal arithmetic on the exact binary values of c and z."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        c, z = Decimal(c), Decimal(z)
+        head = 1 - c - z
+        root = (head * head - 4 * c * z).sqrt()
+        return 2 / (head + root) if head >= 0 else (head - root) / (2 * c * z)
+
+
+def test_stieltjes_matches_decimal_reference():
+    # tiny lambda on both sides of c = 1, where one of the two root forms cancels
+    for c in (0.1, 0.5, 0.75, 0.9, 1.0, 1.25, 2.0):
+        for lam in (1.0, 1e-1, 1e-3, 1e-5, 1e-7, 2e-8, 1e-9):
+            ref = _stieltjes_reference(c, -lam)
+            rel = abs((Decimal(mp.mp_stieltjes(c, -lam)) - ref) / ref)
+            assert rel <= Decimal("1e-15"), (c, lam, float(rel))
 
 
 def test_ridgeless_limits():
