@@ -9,7 +9,6 @@ cannot know theta or the trigger.
 from __future__ import annotations
 
 import functools
-import math
 import struct
 from dataclasses import dataclass
 
@@ -137,7 +136,7 @@ def make_patch_trigger(
     cols: int = 28,
 ) -> PatchTrigger:
     """Constant-intensity size x size patch, rescaled to the requested norm."""
-    if not (v_norm_target >= 0.0 and math.isfinite(v_norm_target)):
+    if not (v_norm_target >= 0.0 and np.isfinite(v_norm_target)):
         raise InvalidTriggerNorm(
             f"v_norm_target must be nonnegative and finite, got {v_norm_target}")
     r0, c0 = offset

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from . import mp, simulator, theory
 from .blas import one_thread
@@ -94,7 +93,7 @@ def _dense_resolvent(A: np.ndarray, n: int, z: float) -> np.ndarray:
         raise ValueError(
             f"dense resolvent capped at dimension {MAX_DENSE_DIM}, got {dim}"
         )
-    Q = cho_solve(simulator.gram_cholesky(A, 1.0 / n, -z), np.eye(dim))
+    Q = simulator.gram_cholesky(A, 1.0 / n, -z)(np.eye(dim))
     Q = 0.5 * (Q + Q.T)
     resid = float(np.max(np.abs(A @ (A.T @ Q) / n - z * Q - np.eye(dim))))
     if resid > _RESOLVENT_RESIDUAL_TOL:
@@ -200,13 +199,8 @@ def reconstruct_spiked_resolvent(
     """Inverse action of (1/n) Z Z^T - z I built from the unspiked resolvent."""
     if z >= 0.0:
         raise NonNegativeZ(f"z must be negative, got {z}")
-    factor = simulator.gram_cholesky(X, 1.0 / X.shape[1], -z)
-
-    def apply_Q0(x: np.ndarray) -> np.ndarray:
-        return cho_solve(factor, x)
-
     U, V = spike_blocks(X, tau, a, b)
-    return woodbury_update(apply_Q0, U, V)
+    return woodbury_update(simulator.gram_cholesky(X, 1.0 / X.shape[1], -z), U, V)
 
 
 def _check_residual(resid: np.ndarray, rhs: np.ndarray, z: float) -> None:
@@ -219,7 +213,7 @@ def _check_residual(resid: np.ndarray, rhs: np.ndarray, z: float) -> None:
 def _feature_solve(Z: np.ndarray, z: float, rhs: np.ndarray) -> np.ndarray:
     """Q1(z) rhs by one Cholesky solve of the p x p feature system."""
     n = Z.shape[1]
-    x = cho_solve(simulator.gram_cholesky(Z, 1.0 / n, -z), rhs)
+    x = simulator.gram_cholesky(Z, 1.0 / n, -z)(rhs)
     _check_residual(Z @ (Z.T @ x) / n - z * x - rhs, rhs, z)
     return x
 

@@ -41,8 +41,6 @@ class SimShape:
     def __post_init__(self) -> None:
         if self.p < 1 or self.n < 1:
             raise InvalidShape(f"p and n must be >= 1, got p={self.p}, n={self.n}")
-        if self.p * self.n > np.iinfo(np.intp).max:
-            raise InvalidShape(f"a p x n matrix exceeds the index range, p={self.p}, n={self.n}")
 
     @property
     def c_effective(self) -> float:
@@ -85,10 +83,9 @@ def _rng_from(seed) -> np.random.Generator:
 
 def shape_for(p: int, c: float, seed: int) -> SimShape:
     """Derive n = round(p/c) at fixed p, recording the seed."""
-    ratio = p / c
-    if not math.isfinite(ratio):
-        raise InvalidShape(f"n = p/c is not finite at p={p}, c={c}")
-    return SimShape(p=p, n=max(1, round(ratio)), seed=seed)
+    if not p * (p / c) <= np.iinfo(np.intp).max:  # also refuses p/c = inf
+        raise InvalidShape(f"a p x p/c matrix exceeds the index range at p={p}, c={c}")
+    return SimShape(p=p, n=max(1, round(p / c)), seed=seed)
 
 
 def default_trigger(p: int, v_norm: float) -> np.ndarray:
@@ -150,25 +147,23 @@ def center(dataset: PoisonedDataset, theta: float):
 
 
 def gram_cholesky(A, scale: float, shift: float):
-    """Upper Cholesky factor of the regularized Gram scale * A A^T + shift * I.
+    """x -> (scale A A^T + shift I)^-1 x, by one Cholesky factorization.
 
-    The one place that forms and factors such a system: the ridge solve's
-    primal and dual systems and the resolvent's (1/n) Z Z^T - z I.  Only the
-    upper triangle is formed (syrk), and the factorization overwrites it.
-    Returns a `cho_solve` factor; a matrix that is not finite or not positive
-    definite is a `SolveFailure`.
+    The one place that forms and factors a regularized Gram: the ridge
+    solve's primal and dual systems and the resolvent's (1/n) Z Z^T - z I.
+    syrk forms only the upper triangle, which the factorization overwrites.
+    A matrix that is not finite or not positive definite is a `SolveFailure`.
     """
     A = np.asarray(A, dtype=np.float64)
-    # syrk reads a Fortran-ordered operand without a copy; A.T of a C-ordered A is one
-    trans = int(not A.flags.f_contiguous)
+    trans = int(not A.flags.f_contiguous)  # syrk reads A.T of a C-ordered A without a copy
     G = blas.dsyrk(scale, A.T if trans else A, trans=trans)
     G[np.diag_indices_from(G)] += shift
-    if not np.all(np.isfinite(G)):
-        raise SolveFailure(f"regularized Gram is not finite (scale={scale}, shift={shift})")
     try:
-        return cho_factor(G, lower=False, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SolveFailure(f"Cholesky factorization failed at shift={shift}") from exc
+        factor = cho_factor(G, lower=False, overwrite_a=True)
+    except (np.linalg.LinAlgError, ValueError) as exc:  # ValueError: G is not finite
+        raise SolveFailure(
+            f"regularized Gram at shift={shift} is not finite and positive definite") from exc
+    return lambda rhs: cho_solve(factor, rhs)
 
 
 def solve_ridge(X_tilde, w_tilde, lam: float, x_bar, w_bar: float) -> RidgeSolution:
@@ -183,9 +178,9 @@ def solve_ridge(X_tilde, w_tilde, lam: float, x_bar, w_bar: float) -> RidgeSolut
     w_tilde = np.asarray(w_tilde, dtype=np.float64)
     p, n = X_tilde.shape
     if p <= n:
-        beta = cho_solve(gram_cholesky(X_tilde, 1.0 / n, lam), X_tilde @ w_tilde / n)
+        beta = gram_cholesky(X_tilde, 1.0 / n, lam)(X_tilde @ w_tilde / n)
     else:
-        beta = X_tilde @ cho_solve(gram_cholesky(X_tilde.T, 1.0 / n, lam), w_tilde) / n
+        beta = X_tilde @ gram_cholesky(X_tilde.T, 1.0 / n, lam)(w_tilde) / n
 
     # normal-equations residual guards against ill-conditioning
     resid = X_tilde @ (X_tilde.T @ beta) / n + lam * beta - X_tilde @ w_tilde / n
