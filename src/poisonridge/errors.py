@@ -48,7 +48,7 @@ class InvalidTriggerNorm(PoisonRidgeError, ValueError):
 # --- simulator ---
 
 class SolveFailure(PoisonRidgeError):
-    """Symmetric factorization failed or the solution residual is too large."""
+    """A regularized Gram is not finite or not positive definite, or a residual is too large."""
 
 
 class InvalidTestCount(PoisonRidgeError, ValueError):
