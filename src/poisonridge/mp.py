@@ -41,11 +41,12 @@ def mp_stieltjes(c: float, z: float) -> float:
     m(z) = (1 - c - z - sqrt((1-c-z)^2 - 4cz)) / (2cz).  Since cz < 0 the
     root exceeds |1-c-z|, so head - root cancels when head = 1-c-z >= 0 and
     head + root cancels when head < 0; each case uses the form without it.
+    The root is hypot(head, 2 sqrt(-cz)), which never squares head, so a
+    large |z| does not overflow it.
     """
     _check_args(c, z)
     head = 1.0 - c - z
-    disc = head * head - 4.0 * c * z  # > head^2 since cz < 0
-    root = math.sqrt(disc)
+    root = math.hypot(head, 2.0 * math.sqrt(-c * z))
     if head >= 0.0:
         # (head - root)/(2cz) multiplied through by (head + root)
         m = 2.0 / (head + root)

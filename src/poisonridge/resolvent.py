@@ -4,9 +4,10 @@ A rank-one spiked Gaussian matrix Z = X + tau*sqrt(n)*a b^T has feature and
 Gram resolvents whose quadratic forms converge to explicit functions of
 (c, tau, z).  This module builds the random objects, evaluates the predicted
 coefficients, and exposes the low-rank (Woodbury) update used to reconstruct
-the spiked resolvent from the unspiked one.  The Monte Carlo checks read each
-quadratic form from one residual-guarded Cholesky solve of the p x p feature
-system; the dense resolvents remain as reference oracles.
+the spiked resolvent from the unspiked one.  The Monte Carlo checks read all
+four quadratic forms of one spiked draw from one Cholesky factorization of
+the p x p feature system, through residual-guarded solves; the dense
+resolvents remain as reference oracles.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import blas
 
 from . import mp, simulator, theory
 from .blas import one_thread
@@ -79,9 +81,16 @@ def make_experiment(p: int, n: int, tau: float, z: float, seed: int) -> Resolven
 
 
 def build_spiked(experiment: ResolventExperiment) -> np.ndarray:
-    """Z = X + tau*sqrt(n)*a b^T with i.i.d. standard normal X."""
+    """Z = X + tau*sqrt(n)*a b^T with i.i.d. standard normal X.
+
+    The spike is a rank-one BLAS update of the fresh draw in place (dger
+    on the Fortran-ordered view X^T += tau*sqrt(n) b a^T), so no p x n
+    temporary is formed.
+    """
     X = simulator._rng_from(experiment.seed).standard_normal((experiment.p, experiment.n))
-    return X + experiment.tau * np.sqrt(experiment.n) * np.outer(experiment.a, experiment.b)
+    blas.dger(experiment.tau * np.sqrt(experiment.n), experiment.b, experiment.a,
+              a=X.T, overwrite_a=True)
+    return X
 
 
 def _dense_resolvent(A: np.ndarray, n: int, z: float) -> np.ndarray:
@@ -210,26 +219,25 @@ def _check_residual(resid: np.ndarray, rhs: np.ndarray, z: float) -> None:
         raise SolveFailure(f"resolvent residual {err:.3e} exceeds {bound:.3e} at z={z}")
 
 
-def _feature_solve(Z: np.ndarray, z: float, rhs: np.ndarray) -> np.ndarray:
-    """Q1(z) rhs by one Cholesky solve of the p x p feature system."""
-    n = Z.shape[1]
-    x = simulator.gram_cholesky(Z, 1.0 / n, -z)(rhs)
-    _check_residual(Z @ (Z.T @ x) / n - z * x - rhs, rhs, z)
+def _feature_solve(Z: np.ndarray, z: float, solve, rhs: np.ndarray) -> np.ndarray:
+    """Q1(z) rhs through `solve`, the factored p x p feature system."""
+    x = solve(rhs)
+    _check_residual(Z @ (Z.T @ x) / Z.shape[1] - z * x - rhs, rhs, z)
     return x
 
 
-def _gram_apply(Z: np.ndarray, z: float, b: np.ndarray) -> np.ndarray:
+def _gram_apply(Z: np.ndarray, z: float, solve, b: np.ndarray) -> np.ndarray:
     """Qtilde1(z) b through the p x p system, never forming an n x n matrix.
 
     Push-through: Z Qtilde1 = Q1 Z, so Qtilde1 b = -(1/z)(b - Z^T Q1 (Z b) / n).
     """
     n = Z.shape[1]
-    y = -(b - Z.T @ _feature_solve(Z, z, Z @ b) / n) / z
+    y = -(b - Z.T @ _feature_solve(Z, z, solve, Z @ b) / n) / z
     _check_residual(Z.T @ (Z @ y) / n - z * y - b, b, z)
     return y
 
 
-# check name -> deterministic equivalent; the order keys the per-check seeds
+# check name -> deterministic equivalent, in the row order of convergence_table
 _EQUIVALENTS = {
     "feature": det_equiv_feature,
     "feature_sq": det_equiv_feature_squared,
@@ -241,30 +249,42 @@ ALL_CHECKS = tuple(_EQUIVALENTS)
 CHECK_FIELDS = ("check_name", "p", "n", "seed", "observed", "predicted", "abs_error")
 
 
-def quadratic_form_check(
-    check_name: str, c: float, tau: float, z: float, p: int, seed: int
-) -> dict:
-    """One Monte Carlo draw of a spike-direction quadratic form vs its limit.
+def spiked_draw_checks(c: float, tau: float, z: float, p: int, seed: int) -> dict[str, dict]:
+    """Every check's row from one Monte Carlo draw of the spiked matrix.
 
-    With w = Q u for the spike direction u (a on the feature side, b on the
-    Gram side), the observed form is u.w, or w.w for the squared resolvent.
-    Returns a row dict keyed by CHECK_FIELDS.
+    One Cholesky factorization of (1/n) Z Z^T - z I serves both solves:
+    w = Q1 a on the feature side and w = Qtilde1 b (push-through) on the
+    Gram side.  The observed form is u.w for the spike direction u, or w.w
+    for a squared resolvent.  Maps each check name to a row dict keyed by
+    CHECK_FIELDS.
     """
-    if check_name not in _EQUIVALENTS:
-        raise ValueError(f"unknown check {check_name!r}")
-    coeff = _EQUIVALENTS[check_name](c, tau, z)
     n = simulator.shape_for(p, c, seed).n
     exp = make_experiment(p, n, tau, z, seed)
     Z = build_spiked(exp)
-    if coeff.direction is Side.FEATURE_AAT:
-        u, w = exp.a, _feature_solve(Z, z, exp.a)
-    else:
-        u, w = exp.b, _gram_apply(Z, z, exp.b)
-    observed = float(w @ w) if check_name.endswith("_sq") else float(u @ w)
-    predicted = coeff.quadratic_form()
-    return dict(zip(CHECK_FIELDS, (
-        check_name, p, n, seed, observed, predicted, abs(observed - predicted),
-    )))
+    solve = simulator.gram_cholesky(Z, 1.0 / n, -z)
+    solved = {
+        Side.FEATURE_AAT: (exp.a, _feature_solve(Z, z, solve, exp.a)),
+        Side.GRAM_BBT: (exp.b, _gram_apply(Z, z, solve, exp.b)),
+    }
+    rows = {}
+    for check_name, equivalent in _EQUIVALENTS.items():
+        coeff = equivalent(c, tau, z)
+        u, w = solved[coeff.direction]
+        observed = float(w @ w) if check_name.endswith("_sq") else float(u @ w)
+        predicted = coeff.quadratic_form()
+        rows[check_name] = dict(zip(CHECK_FIELDS, (
+            check_name, p, n, seed, observed, predicted, abs(observed - predicted),
+        )))
+    return rows
+
+
+def quadratic_form_check(
+    check_name: str, c: float, tau: float, z: float, p: int, seed: int
+) -> dict:
+    """One check's row of `spiked_draw_checks` at (p, seed)."""
+    if check_name not in _EQUIVALENTS:
+        raise ValueError(f"unknown check {check_name!r}")
+    return spiked_draw_checks(c, tau, z, p, seed)[check_name]
 
 
 def convergence_table(
@@ -272,8 +292,10 @@ def convergence_table(
 ) -> list[dict]:
     """Quadratic-form error rows for every check over a grid of sizes and seeds.
 
-    BLAS runs on one thread (`one_thread`), so the rows do not depend
-    on the core count.
+    One spiked draw per (p, seed index) serves all four checks, so rows are
+    dependent across checks and independent across seeds.  Rows run check,
+    then p, then seed.  BLAS runs on one thread (`one_thread`), so the rows
+    do not depend on the core count.
     """
     if not (c > 0.0 and math.isfinite(c)):
         raise InvalidShape(f"c must be positive and finite, got {c}")
@@ -284,14 +306,9 @@ def convergence_table(
     if n_seeds < 1:
         raise InvalidShape(f"n_seeds must be >= 1, got {n_seeds}")
     one_thread()
-    rows = []
-    for check_idx, check in enumerate(ALL_CHECKS):
-        for p in sizes:
-            for s in range(n_seeds):
-                seed = int(
-                    np.random.SeedSequence(
-                        master_seed, spawn_key=(check_idx, p, s)
-                    ).generate_state(1)[0]
-                )
-                rows.append(quadratic_form_check(check, c, tau, z, p, seed))
-    return rows
+    draws = []
+    for p in sizes:
+        for s in range(n_seeds):
+            seed = np.random.SeedSequence(master_seed, spawn_key=(0, p, s)).generate_state(1)[0]
+            draws.append(spiked_draw_checks(c, tau, z, p, int(seed)))
+    return [draw[check] for check in ALL_CHECKS for draw in draws]

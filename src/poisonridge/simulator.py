@@ -177,13 +177,14 @@ def solve_ridge(X_tilde, w_tilde, lam: float, x_bar, w_bar: float) -> RidgeSolut
     X_tilde = np.asarray(X_tilde, dtype=np.float64)
     w_tilde = np.asarray(w_tilde, dtype=np.float64)
     p, n = X_tilde.shape
+    rhs = X_tilde @ w_tilde / n
     if p <= n:
-        beta = gram_cholesky(X_tilde, 1.0 / n, lam)(X_tilde @ w_tilde / n)
+        beta = gram_cholesky(X_tilde, 1.0 / n, lam)(rhs)
     else:
         beta = X_tilde @ gram_cholesky(X_tilde.T, 1.0 / n, lam)(w_tilde) / n
 
     # normal-equations residual guards against ill-conditioning
-    resid = X_tilde @ (X_tilde.T @ beta) / n + lam * beta - X_tilde @ w_tilde / n
+    resid = X_tilde @ (X_tilde.T @ beta) / n + lam * beta - rhs
     bound = _RESIDUAL_TOL * (1.0 + float(np.linalg.norm(w_tilde)))
     if float(np.linalg.norm(resid)) > bound:
         raise SolveFailure(

@@ -27,6 +27,17 @@ def test_theory_output(capsys):
     assert "m(-lambda)" in out
 
 
+def test_theory_huge_lambda_stays_finite(capsys):
+    # m(-lambda) ~ 1/lambda is representable even where (1 - c + lambda)^2 overflows
+    rc = run_cli("theory", "--c", "0.1", "--lambda", "1e200")
+    out = capsys.readouterr().out
+    assert rc == 0
+    m = float(next(line.split()[1] for line in out.splitlines()
+                   if line.startswith("m(-lambda)")))
+    assert math.isfinite(m)
+    assert m == pytest.approx(1e-200, rel=1e-12)
+
+
 def test_theory_ridgeless_and_errors(capsys):
     rc = run_cli("theory", "--c", "0.5", "--ridgeless")
     assert rc == 0

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from poisonridge import mp, resolvent, theory
+from poisonridge import mp, resolvent, simulator, theory
 from poisonridge.errors import InnerSingular, InvalidShape, NonNegativeZ, SolveFailure
 from poisonridge.resolvent import Side
 from poisonridge.theory import ModelParams
@@ -202,3 +202,56 @@ def test_convergence_table_shape_and_determinism():
                                         n_seeds=3, master_seed=1)
     assert rows == again
     assert all(r["abs_error"] == abs(r["observed"] - r["predicted"]) for r in rows)
+
+
+def test_convergence_table_draws_and_factors_once_per_size_and_seed(monkeypatch):
+    # one spiked draw and one Cholesky per (p, seed) serve all four checks
+    calls = {"build_spiked": 0, "gram_cholesky": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(resolvent, "build_spiked")
+    counted(simulator, "gram_cholesky")
+    rows = resolvent.convergence_table(c=0.5, tau=1.0, z=-0.5, sizes=(100, 200, 400),
+                                       n_seeds=20, master_seed=2)
+    assert len(rows) == 240
+    assert calls == {"build_spiked": 60, "gram_cholesky": 60}
+
+
+def test_convergence_table_rows_are_draw_lookups():
+    c, tau, z, sizes, n_seeds = 0.5, 1.0, -0.5, (40, 80), 3
+    rows = resolvent.convergence_table(c, tau, z, sizes, n_seeds, master_seed=1)
+    for row in rows:
+        assert row == resolvent.quadratic_form_check(
+            row["check_name"], c, tau, z, row["p"], row["seed"])
+    # rows run check, then p, then seed; the four checks at one (p, s) share a draw
+    per_check = len(sizes) * n_seeds
+    assert [r["check_name"] for r in rows] == [
+        check for check in resolvent.ALL_CHECKS for _ in range(per_check)]
+    for i in range(per_check):
+        at_ps = rows[i::per_check]
+        assert len({(r["p"], r["n"], r["seed"]) for r in at_ps}) == 1
+
+
+def test_convergence_table_feature_rows_keep_their_seeds():
+    # feature rows equal a feature-only table keyed by spawn_key=(0, p, s)
+    c, tau, z, sizes, n_seeds, master = 0.5, 1.0, -0.5, (30, 60), 4, 2
+    rows = resolvent.convergence_table(c, tau, z, sizes, n_seeds, master_seed=master)
+    expected = []
+    for p in sizes:
+        for s in range(n_seeds):
+            seed = int(np.random.SeedSequence(master, spawn_key=(0, p, s)).generate_state(1)[0])
+            n = round(p / c)
+            exp = resolvent.make_experiment(p, n, tau, z, seed)
+            Z = resolvent.build_spiked(exp)
+            observed = float(exp.a @ simulator.gram_cholesky(Z, 1.0 / n, -z)(exp.a))
+            predicted = resolvent.det_equiv_feature(c, tau, z).quadratic_form()
+            expected.append(dict(zip(resolvent.CHECK_FIELDS, (
+                "feature", p, n, seed, observed, predicted, abs(observed - predicted)))))
+    assert [r for r in rows if r["check_name"] == "feature"] == expected
