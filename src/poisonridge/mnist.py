@@ -122,7 +122,7 @@ def build_binary_task(
         raise NoSamplesForDigit(f"no samples for digit {digit_pos}")
     selected = images.pixels[mask].astype(np.float64)
     if scale == "unit":
-        selected = selected / 255.0
+        selected /= 255.0
     X = selected.reshape(selected.shape[0], -1).T  # p x n
     y = np.where(labels[mask] == digit_pos, 1.0, -1.0)
     return BinaryTask(X=X, y=y, preprocessing=scale)
@@ -172,7 +172,10 @@ def _grid_params(task: BinaryTask, trigger: PatchTrigger, theta: float, lam: flo
 
 def _trial(task, trigger, swap_classes, predict, params, shape, *, centering, grid_index,
            trial_index, m_test) -> SweepRecord:
-    """One trial: subsample shape.n images, poison, solve, all from shape.seed's stream."""
+    """One trial: subsample shape.n images, poison, solve, all from shape.seed's stream.
+
+    The subsample is a fresh p x n copy, which `fit_poisoned` poisons and centers in place.
+    """
     rng = simulator._rng_from(shape.seed)
     idx = rng.choice(task.X.shape[1], size=shape.n, replace=False)
     y = -task.y[idx] if swap_classes else task.y[idx]

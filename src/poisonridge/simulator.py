@@ -109,22 +109,28 @@ def generate_clean(shape: SimShape, rng: np.random.Generator | None = None):
 
 
 def apply_poison(X, y, theta: float, v, seed, centering: Centering = Centering.POPULATION) -> PoisonedDataset:
-    """Shift a theta-fraction of the -1 class by v and flip those labels to +1."""
+    """Shift a theta-fraction of the -1 class by v and flip those labels to +1.
+
+    Works on a float64 copy of X in X's memory order; X and y are left as they are.
+    """
+    Xp, yp = np.array(X, dtype=np.float64, order="K"), np.array(y, dtype=np.float64)
+    u, v = _poison(Xp, yp, theta, v, _rng_from(seed))
+    return PoisonedDataset(X=Xp, y=yp, u=u, v=v, centering=centering)
+
+
+def _poison(X, y, theta: float, v, rng: np.random.Generator):
+    """The poison stage, in place on float64 X and y; returns (u, v)."""
     if not (0.0 <= theta <= 1.0):
         raise ThetaOutOfRange(f"theta must be in [0, 1], got {theta}")
     v = np.asarray(v, dtype=np.float64)
     if not np.all(np.isfinite(v)):
         raise ValueError("trigger vector must be finite")
-    rng = _rng_from(seed)
-    n = y.shape[0]
-    u = np.zeros(n, dtype=np.int64)
+    u = np.zeros(y.shape[0], dtype=np.int64)
     neg = y < 0
     u[neg] = rng.random(int(neg.sum())) < theta
-    Xp = X.copy()
-    Xp[:, u == 1] += v[:, None]
-    yp = y.copy()
-    yp[u == 1] = 1.0
-    return PoisonedDataset(X=Xp, y=yp, u=u, v=v, centering=centering)
+    X[:, u == 1] += v[:, None]
+    y[u == 1] = 1.0
+    return u, v
 
 
 def center(dataset: PoisonedDataset, theta: float):
@@ -133,17 +139,23 @@ def center(dataset: PoisonedDataset, theta: float):
     Population mode uses the model expectations of `theory.population_moments`,
     x_bar = (theta/2) v and w_bar = theta; Empirical mode uses sample means
     (the only option when theta and v are unknown, e.g. on real data).
+    Works on a float64 copy of dataset.X in its memory order.
     """
-    if dataset.centering is Centering.POPULATION:
+    X = np.array(dataset.X, dtype=np.float64, order="K")
+    return _center(X, dataset.y, dataset.v, theta, dataset.centering)
+
+
+def _center(X, y, v, theta: float, centering: Centering):
+    """The centering stage: subtracts x_bar from float64 X in place."""
+    if centering is Centering.POPULATION:
         moments = theory.population_moments(theta)
-        x_bar = moments.x_bar_coeff * dataset.v
+        x_bar = moments.x_bar_coeff * v
         w_bar = moments.w_bar
     else:
-        x_bar = dataset.X.mean(axis=1)
-        w_bar = float(dataset.y.mean())
-    X_tilde = dataset.X - x_bar[:, None]
-    w_tilde = dataset.y - w_bar
-    return X_tilde, w_tilde, x_bar, w_bar
+        x_bar = X.mean(axis=1)
+        w_bar = float(y.mean())
+    X -= x_bar[:, None]
+    return X, y - w_bar, x_bar, w_bar
 
 
 def gram_cholesky(A, scale: float, shift: float):
@@ -235,10 +247,15 @@ def fit_poisoned(
 ) -> tuple[RidgeSolution, float]:
     """Poison, center, solve and score one training set; also the MC efficacy.
 
-    Every stage draws from `rng` in turn, so one stream covers the trial.
+    Consumes X: the poison shift and the centering are done in place on X
+    (on one float64 conversion of it if X is not float64), so a trial holds a
+    single p x n array.  y is not modified.  Every stage draws from `rng` in
+    turn, so one stream covers the trial.
     """
-    dataset = apply_poison(X, y, params.theta, v, rng, centering=centering)
-    X_tilde, w_tilde, x_bar, w_bar = center(dataset, params.theta)
+    X = np.asarray(X, dtype=np.float64)
+    y = np.array(y, dtype=np.float64)
+    _, v = _poison(X, y, params.theta, v, rng)
+    X_tilde, w_tilde, x_bar, w_bar = _center(X, y, v, params.theta, centering)
     solution = score_statistics(solve_ridge(X_tilde, w_tilde, params.lam, x_bar, w_bar), v)
     return solution, empirical_efficacy(solution, v, m_test, rng)
 

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from poisonridge import simulator, theory
+from poisonridge import mnist, simulator, theory
 from poisonridge.errors import InvalidLambda, ThetaOutOfRange
 from poisonridge.simulator import Centering, SimShape
 from poisonridge.theory import ModelParams
@@ -87,6 +87,93 @@ def test_empirical_centering_matches_population_mean():
     assert abs(w_bar - theta) < 5.0 / math.sqrt(shape.n)
     assert np.allclose(X_tilde.mean(axis=1), 0.0, atol=1e-12)
     assert abs(w_tilde.mean()) < 1e-12
+
+
+def test_apply_poison_converts_to_float64():
+    # integer pixels and float32 features are poisoned in float64, like float64 input
+    rng = np.random.default_rng(14)
+    X8 = rng.integers(0, 256, size=(6, 40)).astype(np.uint8)
+    y = np.where(rng.random(40) < 0.5, -1.0, 1.0)
+    v = simulator.default_trigger(6, 0.7)
+    for X in (X8, X8.astype(np.float32) / np.float32(3.0)):
+        kept = X.copy()
+        ds = simulator.apply_poison(X, y, 0.5, v, seed=15)
+        ref = simulator.apply_poison(X.astype(np.float64), y, 0.5, v, seed=15)
+        assert ds.X.dtype == np.float64
+        assert np.array_equal(ds.X, ref.X) and np.array_equal(ds.u, ref.u)
+        assert ds.u.sum() > 0
+        assert np.array_equal(X, kept) and X.dtype == kept.dtype
+        params = ModelParams(c=6 / 40, lam=0.1, theta=0.5, v_norm=0.7)
+        got = simulator.fit_poisoned(X, y, params, v, simulator._rng_from(16),
+                                     Centering.EMPIRICAL, 100)
+        want = simulator.fit_poisoned(X.astype(np.float64), y, params, v,
+                                      simulator._rng_from(16), Centering.EMPIRICAL, 100)
+        assert got[0].mu_emp == want[0].mu_emp and got[1] == want[1]
+
+
+def _c_ordered_draw(seed):
+    return simulator.generate_clean(SimShape(p=30, n=80, seed=seed))
+
+
+def _f_ordered_subsample(seed):
+    rng = np.random.default_rng(seed)
+    pixels = rng.integers(0, 256, size=(200, 6, 5)).astype(np.uint8)
+    labels = np.arange(200, dtype=np.uint8) % 2
+    task = mnist.build_binary_task(
+        mnist.IdxImages(count=200, rows=6, cols=5, pixels=pixels), labels)
+    idx = rng.choice(200, size=120, replace=False)
+    X = task.X[:, idx]
+    assert X.flags.f_contiguous  # the layout of an mnist trial's subsample
+    return X, task.y[idx]
+
+
+@pytest.mark.parametrize("draw", [_c_ordered_draw, _f_ordered_subsample])
+@pytest.mark.parametrize("centering", list(Centering))
+def test_fit_poisoned_matches_literal_chain(draw, centering):
+    # fit_poisoned poisons and centers in place; the copying public stages must
+    # give the same bits, and keep their inputs and the memory order
+    X, y = draw(17)
+    p, n = X.shape
+    params = ModelParams(c=p / n, lam=0.2, theta=0.3, v_norm=1.5)
+    v = simulator.default_trigger(p, params.v_norm)
+    X_in, y_in = X.copy(order="K"), y.copy()
+
+    rng = simulator._rng_from(18)
+    ds = simulator.apply_poison(X, y, params.theta, v, rng, centering=centering)
+    ds_X = ds.X.copy(order="K")
+    X_tilde, w_tilde, x_bar, w_bar = simulator.center(ds, params.theta)
+    sol = simulator.score_statistics(
+        simulator.solve_ridge(X_tilde, w_tilde, params.lam, x_bar, w_bar), v)
+    eta = simulator.empirical_efficacy(sol, v, 500, rng)
+
+    assert np.array_equal(X, X_in) and np.array_equal(y, y_in)
+    assert np.array_equal(ds.X, ds_X)
+    for out in (ds.X, X_tilde):
+        assert (out.flags.c_contiguous, out.flags.f_contiguous) == (
+            X.flags.c_contiguous, X.flags.f_contiguous)
+
+    got, got_eta = simulator.fit_poisoned(X, y, params, v, simulator._rng_from(18),
+                                          centering, 500)
+    assert got.mu_emp == sol.mu_emp
+    assert got.sigma_sq_emp == sol.sigma_sq_emp
+    assert got_eta == eta
+    assert np.array_equal(y, y_in)
+    assert np.array_equal(X, X_tilde)  # X was consumed: it now holds the centered features
+
+
+def test_fit_poisoned_allocates_no_copy_of_x():
+    X, y = simulator.generate_clean(SimShape(p=200, n=2000, seed=19))
+    params = ModelParams(c=0.1, lam=0.1, theta=0.2, v_norm=1.0)
+    v = simulator.default_trigger(200, params.v_norm)
+    for centering in Centering:
+        X_run = X.copy()
+        tracemalloc.start()
+        try:
+            simulator.fit_poisoned(X_run, y, params, v, simulator._rng_from(20), centering, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * X.nbytes
 
 
 def test_solve_ridge_explicit_inverse():
