@@ -19,6 +19,10 @@ class NumericalBranchFailure(PoisonRidgeError):
     """The square-root branch produced a non-positive transform value."""
 
 
+class NonFiniteTransform(PoisonRidgeError):
+    """A transform value overflows double precision: |z| (lambda) is too small."""
+
+
 class SingularDerivativeDenominator(PoisonRidgeError):
     """Implicit-differentiation denominator vanished (cannot occur for z < 0)."""
 

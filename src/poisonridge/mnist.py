@@ -170,19 +170,21 @@ def _grid_params(task: BinaryTask, trigger: PatchTrigger, theta: float, lam: flo
     )
 
 
-def _trial(task, trigger, swap_classes, predict, params, shape, *, centering, grid_index,
-           trial_index, m_test) -> SweepRecord:
-    """One trial: subsample shape.n images, poison, solve, all from shape.seed's stream.
+def _trial(task, trigger, swap_classes, predict, points, shape, *, centering, trial_index,
+           m_test) -> list[SweepRecord]:
+    """One trial at each (grid_index, params) of `points`, which differ only in lambda.
 
-    The subsample is a fresh p x n copy, which `fit_poisoned` poisons and centers in place.
+    Subsamples shape.n images, poisons and centers them once and solves at
+    each lambda, all from shape.seed's stream.  The subsample is a fresh
+    p x n copy, which `fit_poisoned_path` poisons and centers in place.
     """
     rng = simulator._rng_from(shape.seed)
     idx = rng.choice(task.X.shape[1], size=shape.n, replace=False)
     y = -task.y[idx] if swap_classes else task.y[idx]
-    sol, eta_mc = simulator.fit_poisoned(task.X[:, idx], y, params, trigger.v, rng, centering,
-                                         m_test)
-    return simulator.make_record(params, shape, predict(params), centering, grid_index,
-                                 trial_index, sol, eta_mc)
+    fits = simulator.fit_poisoned_path(task.X[:, idx], y, points[0][1].theta,
+                                       [params.lam for _, params in points], trigger.v, rng,
+                                       centering, m_test)
+    return simulator.path_records(points, shape, centering, trial_index, fits, predict)
 
 
 def run_mnist_grid(task: BinaryTask, trigger: PatchTrigger, points: dict, trials: int, seed: int,
@@ -193,7 +195,9 @@ def run_mnist_grid(task: BinaryTask, trigger: PatchTrigger, points: dict, trials
     trial subsamples without replacement, poisons the negative class at rate
     theta (the positive class with swap_classes), solves the ridge problem
     and joins with the closed-form prediction at c = p/subsample_n, computed
-    once per point; its n is round(p/c) = subsample_n.
+    once per point; its n is round(p/c) = subsample_n.  The points that
+    differ only in lambda share each trial's subsample, poison flips and
+    Gram, and its seed.
     """
     grid = {gi: _grid_params(task, trigger, *point) for gi, point in points.items()}
     trial = functools.partial(_trial, task, trigger, swap_classes, functools.cache(theory.predict))

@@ -3,7 +3,8 @@
 All callers evaluate at z = -lambda with lambda > 0, strictly outside the
 spectrum support, so everything here is real arithmetic.  The companion
 transform is the Gram-side (n x n) analogue and satisfies
-mtilde(z) = c*m(z) - (1-c)/z.
+mtilde(z) = c*m(z) - (1-c)/z.  A value that is not finite in double
+precision (at a |z| too small for it) is a `NonFiniteTransform`.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import (
+    NonFiniteTransform,
     NonNegativeZ,
     NumericalBranchFailure,
     SingularDerivativeDenominator,
@@ -35,6 +37,13 @@ def _check_args(c: float, z: float) -> None:
         raise NonNegativeZ(f"evaluation point must satisfy z < 0, got {z}")
 
 
+def _finite(value: float, name: str, c: float, z: float) -> float:
+    if not math.isfinite(value):
+        raise NonFiniteTransform(
+            f"{name}(z) = {value} at c={c}, z={z} is not finite in double precision")
+    return value
+
+
 def mp_stieltjes(c: float, z: float) -> float:
     """Stieltjes transform m(z) of the MP law, positive branch for z < 0.
 
@@ -56,13 +65,19 @@ def mp_stieltjes(c: float, z: float) -> float:
         raise NumericalBranchFailure(
             f"m(z) = {m} <= 0 at c={c}, z={z}: wrong branch or overflow"
         )
-    return m
+    return _finite(m, "m", c, z)
 
 
 def mp_companion(c: float, z: float) -> float:
-    """Companion (Gram-side) transform mtilde(z) = c*m(z) - (1-c)/z."""
+    """Companion (Gram-side) transform mtilde(z) = c*m(z) - (1-c)/z.
+
+    For c > 1 the two terms cancel as z -> 0, so there mtilde is the
+    transform of the n x n side's own MP law, scaled: m_{1/c}(z/c)/c.
+    """
+    if c > 1.0:
+        return _finite(mp_stieltjes(1.0 / c, z / c) / c, "mtilde", c, z)
     m = mp_stieltjes(c, z)
-    return c * m - (1.0 - c) / z
+    return _finite(c * m - (1.0 - c) / z, "mtilde", c, z)
 
 
 def mp_stieltjes_derivative(c: float, z: float) -> float:
@@ -77,12 +92,16 @@ def mp_stieltjes_derivative(c: float, z: float) -> float:
         raise SingularDerivativeDenominator(
             f"implicit-derivative denominator {denom} at c={c}, z={z}"
         )
-    return -(c * m * m + m) / denom
+    return _finite(-(c * m * m + m) / denom, "m'", c, z)
 
 
 def mp_companion_derivative(c: float, z: float) -> float:
-    """mtilde'(z) = c*m'(z) + (1-c)/z^2."""
-    return c * mp_stieltjes_derivative(c, z) + (1.0 - c) / (z * z)
+    """mtilde'(z) = c*m'(z) + (1-c)/z^2; m'_{1/c}(z/c)/c^2 for c > 1, as in `mp_companion`."""
+    if c > 1.0:
+        return _finite(mp_stieltjes_derivative(1.0 / c, z / c) / (c * c), "mtilde'", c, z)
+    z_sq = z * z  # 0 below |z| ~ 1.6e-162, where the transform is not finite
+    pole = (1.0 - c) / z_sq if z_sq > 0.0 else math.inf
+    return _finite(c * mp_stieltjes_derivative(c, z) + pole, "mtilde'", c, z)
 
 
 def transforms(c: float, z: float) -> TransformValues:

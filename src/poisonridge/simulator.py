@@ -2,14 +2,21 @@
 
 Each trial draws from one Philox counter stream seeded by its per-trial
 seed, which is derived statelessly from (master_seed, grid_index,
-trial_index).  Sweeps are therefore bit-reproducible regardless of execution
-order or worker count, and the seed stored in a row reproduces that row byte
-for byte on any core count, for the OpenBLAS builds that the numpy and scipy
-wheels bundle: `sweep.run_grid` runs every trial with one BLAS thread.
+trial_index), where grid_index is the first grid point of the trial's
+group: the points that differ only in lambda.  One trial of a group draws,
+poisons and centers its data and forms its Gram once, then solves at each
+lambda (`run_trial_path`), so rows that differ only in lambda are common
+random numbers.  Sweeps are therefore bit-reproducible regardless of
+execution order or worker count, and the seed stored in a row reproduces
+that row byte for byte, through the one-lambda `run_trial` or
+`fit_poisoned`, on any core count, for the OpenBLAS builds that the numpy
+and scipy wheels bundle: `sweep.run_grid` runs every trial with one BLAS
+thread.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
 import math
 from dataclasses import dataclass
@@ -19,7 +26,8 @@ from scipy.linalg import blas, cho_factor, cho_solve
 
 from . import theory
 from .errors import (
-    InvalidLambda, InvalidShape, InvalidTestCount, SolveFailure, ThetaOutOfRange,
+    InvalidLambda, InvalidShape, InvalidTestCount, PoisonRidgeError, SolveFailure,
+    ThetaOutOfRange,
 )
 from .records import SweepRecord
 from .theory import ModelParams, TheoryPrediction
@@ -158,31 +166,69 @@ def _center(X, y, v, theta: float, centering: Centering):
     return X, y - w_bar, x_bar, w_bar
 
 
+class GramPath:
+    """scale A A^T, formed once and factored at one shift after another.
+
+    The constructor is the "form once" half of `gram_cholesky`: syrk forms
+    only the upper triangle, F-ordered.  `factor(shift)` is the "factor at a
+    shift" half.  Of the `shifts` factorizations, every one but the last
+    works on a copy in the Gram's memory order and the last overwrites the
+    Gram itself, so a Gram factored at one shift is never copied.
+    """
+
+    def __init__(self, A, scale: float, shifts: int = 1):
+        A = np.asarray(A, dtype=np.float64)
+        trans = int(not A.flags.f_contiguous)  # syrk reads A.T of a C-ordered A without a copy
+        self._gram = blas.dsyrk(scale, A.T if trans else A, trans=trans)
+        self._left = shifts
+
+    def factor(self, shift: float):
+        """x -> (scale A A^T + shift I)^-1 x, by one Cholesky factorization.
+
+        A matrix that is not finite or not positive definite is a `SolveFailure`.
+        """
+        self._left -= 1
+        if self._left > 0:
+            G = self._gram.copy(order="K")
+        else:
+            G, self._gram = self._gram, None  # the last shift: factored in place
+        G[np.diag_indices_from(G)] += shift
+        try:
+            factor = cho_factor(G, lower=False, overwrite_a=True)
+        except (np.linalg.LinAlgError, ValueError) as exc:  # ValueError: G is not finite
+            raise SolveFailure(
+                f"regularized Gram at shift={shift} is not finite and positive definite") from exc
+        return lambda rhs: cho_solve(factor, rhs)
+
+
 def gram_cholesky(A, scale: float, shift: float):
     """x -> (scale A A^T + shift I)^-1 x, by one Cholesky factorization.
 
     The one place that forms and factors a regularized Gram: the ridge
     solve's primal and dual systems and the resolvent's (1/n) Z Z^T - z I.
-    syrk forms only the upper triangle, which the factorization overwrites.
-    A matrix that is not finite or not positive definite is a `SolveFailure`.
+    A path of shifts forms one `GramPath` and factors it at each shift.
     """
-    A = np.asarray(A, dtype=np.float64)
-    trans = int(not A.flags.f_contiguous)  # syrk reads A.T of a C-ordered A without a copy
-    G = blas.dsyrk(scale, A.T if trans else A, trans=trans)
-    G[np.diag_indices_from(G)] += shift
-    try:
-        factor = cho_factor(G, lower=False, overwrite_a=True)
-    except (np.linalg.LinAlgError, ValueError) as exc:  # ValueError: G is not finite
-        raise SolveFailure(
-            f"regularized Gram at shift={shift} is not finite and positive definite") from exc
-    return lambda rhs: cho_solve(factor, rhs)
+    return GramPath(A, scale).factor(shift)
 
 
-def solve_ridge(X_tilde, w_tilde, lam: float, x_bar, w_bar: float) -> RidgeSolution:
+def ridge_gram(X_tilde, shifts: int = 1) -> GramPath:
+    """The Gram that `solve_ridge` factors, for `shifts` values of lambda.
+
+    (1/n) X X^T (p x p, primal) when p <= n and (1/n) X^T X (n x n, dual)
+    otherwise.
+    """
+    X_tilde = np.asarray(X_tilde, dtype=np.float64)
+    p, n = X_tilde.shape
+    return GramPath(X_tilde if p <= n else X_tilde.T, 1.0 / n, shifts)
+
+
+def solve_ridge(X_tilde, w_tilde, lam: float, x_bar, w_bar: float, *,
+                gram: GramPath | None = None) -> RidgeSolution:
     """Exact centered ridge solve: beta = (1/n)((1/n)XX^T + lam I)^-1 X w.
 
     Uses the p x p primal system when p <= n and the equivalent n x n dual
-    system otherwise; both are SPD Cholesky solves by `gram_cholesky`.
+    system otherwise; both are SPD Cholesky solves of `ridge_gram(X_tilde)`.
+    A path of lambda passes the one `gram` it formed for all of them.
     """
     if lam <= 0.0:
         raise InvalidLambda(f"ridge solve requires lambda > 0, got {lam}")
@@ -190,10 +236,11 @@ def solve_ridge(X_tilde, w_tilde, lam: float, x_bar, w_bar: float) -> RidgeSolut
     w_tilde = np.asarray(w_tilde, dtype=np.float64)
     p, n = X_tilde.shape
     rhs = X_tilde @ w_tilde / n
+    solve = (gram or ridge_gram(X_tilde)).factor(lam)
     if p <= n:
-        beta = gram_cholesky(X_tilde, 1.0 / n, lam)(rhs)
+        beta = solve(rhs)
     else:
-        beta = X_tilde @ gram_cholesky(X_tilde.T, 1.0 / n, lam)(w_tilde) / n
+        beta = X_tilde @ solve(w_tilde) / n
 
     # normal-equations residual guards against ill-conditioning
     resid = X_tilde @ (X_tilde.T @ beta) / n + lam * beta - rhs
@@ -247,17 +294,47 @@ def fit_poisoned(
 ) -> tuple[RidgeSolution, float]:
     """Poison, center, solve and score one training set; also the MC efficacy.
 
+    The one-lambda case of `fit_poisoned_path`, whose failure it raises.
     Consumes X: the poison shift and the centering are done in place on X
     (on one float64 conversion of it if X is not float64), so a trial holds a
     single p x n array.  y is not modified.  Every stage draws from `rng` in
     turn, so one stream covers the trial.
     """
+    fit = fit_poisoned_path(X, y, params.theta, (params.lam,), v, rng, centering,
+                            m_test)[params.lam]
+    if isinstance(fit, PoisonRidgeError):
+        raise fit
+    return fit
+
+
+def fit_poisoned_path(X, y, theta: float, lams, v, rng: np.random.Generator,
+                      centering: Centering, m_test: int) -> dict:
+    """`fit_poisoned` at each lambda of `lams`, from one poisoned, centered set and one Gram.
+
+    Returns {lambda: (solution, eta_mc)}, or the `PoisonRidgeError` of that
+    lambda's solve or efficacy in place of the pair, so a failure at one
+    lambda leaves the others.  Each pair is bit for bit what `fit_poisoned`
+    gives at that lambda alone from the same stream: every lambda factors the
+    same Gram (`ridge_gram`), and draws its efficacy count from a copy of the
+    post-poison stream, except the last, which draws from `rng` itself.  One
+    lambda copies neither the Gram nor the stream.
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.array(y, dtype=np.float64)
-    _, v = _poison(X, y, params.theta, v, rng)
-    X_tilde, w_tilde, x_bar, w_bar = _center(X, y, v, params.theta, centering)
-    solution = score_statistics(solve_ridge(X_tilde, w_tilde, params.lam, x_bar, w_bar), v)
-    return solution, empirical_efficacy(solution, v, m_test, rng)
+    _, v = _poison(X, y, theta, v, rng)
+    X_tilde, w_tilde, x_bar, w_bar = _center(X, y, v, theta, centering)
+    lams = list(dict.fromkeys(lams))
+    gram = ridge_gram(X_tilde, len(lams))
+    fits = {}
+    for k, lam in enumerate(lams):
+        stream = rng if k == len(lams) - 1 else copy.deepcopy(rng)
+        try:
+            solution = score_statistics(
+                solve_ridge(X_tilde, w_tilde, lam, x_bar, w_bar, gram=gram), v)
+            fits[lam] = solution, empirical_efficacy(solution, v, m_test, stream)
+        except PoisonRidgeError as exc:
+            fits[lam] = exc
+    return fits
 
 
 def make_record(
@@ -306,6 +383,55 @@ def make_record(
     )
 
 
+def error_record(params: ModelParams, shape: SimShape, centering: Centering,
+                 grid_index: int, trial_index: int) -> SweepRecord:
+    """The row of a failed trial: NaN empirical columns, theory columns if they exist."""
+    try:
+        pred = theory.predict(params)
+    except PoisonRidgeError:
+        pred = None
+    return make_record(params, shape, pred, centering, grid_index, trial_index)
+
+
+def path_records(points, shape: SimShape, centering: Centering, trial_index: int, fits: dict,
+                 predict=theory.predict) -> list[SweepRecord]:
+    """The rows of one trial at each (grid_index, params) of `points`.
+
+    `fits` is `fit_poisoned_path`'s result.  A lambda whose fit failed, or
+    whose closed-form prediction fails, gives an error row.
+    """
+    records = []
+    for grid_index, params in points:
+        fit = fits[params.lam]
+        try:
+            if isinstance(fit, PoisonRidgeError):
+                raise fit
+            records.append(make_record(params, shape, predict(params), centering, grid_index,
+                                       trial_index, *fit))
+        except PoisonRidgeError:
+            records.append(error_record(params, shape, centering, grid_index, trial_index))
+    return records
+
+
+def run_trial_path(points, shape: SimShape, *, centering: Centering = Centering.POPULATION,
+                   trial_index: int = 0, m_test: int = 10000) -> list[SweepRecord]:
+    """One synthetic trial at each (grid_index, params) of `points`, one row each.
+
+    The points differ only in lambda.  The data are drawn, poisoned and
+    centered and the Gram formed once (`fit_poisoned_path`); each row equals
+    bit for bit what `run_trial` gives at its point from shape.seed.
+    """
+    params = points[0][1]
+    v = default_trigger(shape.p, params.v_norm)
+    # one Philox stream per trial: generation, poison flips and the efficacy
+    # hit count all advance the same counter
+    rng = _rng_from(shape.seed)
+    X, y = generate_clean(shape, rng)
+    lams = [point.lam for _, point in points]
+    fits = fit_poisoned_path(X, y, params.theta, lams, v, rng, centering, m_test)
+    return path_records(points, shape, centering, trial_index, fits)
+
+
 def run_trial(
     params: ModelParams,
     shape: SimShape,
@@ -315,12 +441,10 @@ def run_trial(
     trial_index: int = 0,
     m_test: int = 10000,
 ) -> SweepRecord:
-    """One full synthetic trial: generate, poison, center, solve, join with theory."""
-    v = default_trigger(shape.p, params.v_norm)
-    # one Philox stream per trial: generation, poison flips and the efficacy
-    # hit count all advance the same counter
-    rng = _rng_from(shape.seed)
-    X, y = generate_clean(shape, rng)
-    solution, eta_mc = fit_poisoned(X, y, params, v, rng, centering, m_test)
-    return make_record(params, shape, theory.predict(params), centering, grid_index,
-                       trial_index, solution, eta_mc)
+    """One full synthetic trial: generate, poison, center, solve, join with theory.
+
+    The one-point case of `run_trial_path`; a failed trial is an error row.
+    """
+    (record,) = run_trial_path(((grid_index, params),), shape, centering=centering,
+                               trial_index=trial_index, m_test=m_test)
+    return record

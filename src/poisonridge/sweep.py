@@ -6,9 +6,13 @@ run with is refused before any trial, so the command exits 2 and writes
 nothing; a trial that fails becomes an error row, and the command exits 1.
 The built-in grid covers seven aspect ratios, six penalties, four poison
 fractions and nine trigger norms, with p = 500 and 100 trials per point.
-Records are reproducible from (master_seed, grid_index, trial_index) alone,
-and every process runs its BLAS on one thread, so neither the worker count,
-the core count nor the execution order changes the bytes on disk.
+Grid points that differ only in lambda form a group, and one trial of a
+group solves its whole lambda path from one draw and one Gram, with the
+seed of the group's first grid point: its rows are common random numbers.
+Records are reproducible from (master_seed, first grid_index of the group,
+trial_index) alone, and every process runs its BLAS on one thread, so
+neither the worker count, the core count nor the execution order changes
+the bytes on disk.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import simulator, theory
+from . import simulator
 from .blas import one_thread
 from .errors import (
     EmptyGroup, InvalidLambda, InvalidTestCount, InvalidTrialCount, InvalidWorkerCount,
@@ -79,25 +83,38 @@ class SweepGrid:
         return pts
 
 
-def _run_one(job, trial=None, centering: Centering = Centering.POPULATION) -> SweepRecord:
-    """One timed job of `run_grid`.
+def lambda_groups(points: dict[int, ModelParams]) -> list[tuple]:
+    """The grid points that differ only in lambda, identical points included.
 
-    `trial` None means `simulator.run_trial`, looked up here so that a pooled
-    job pickles by name.
+    Each group is a tuple of (grid_index, params) in grid order; the groups
+    are in the order of their first grid index.
     """
-    params, p, master_seed, grid_index, trial_index, m_test = job
-    shape = simulator.shape_for(p, params.c, trial_seed(master_seed, grid_index, trial_index))
+    groups = {}
+    for gi in sorted(points):
+        params = points[gi]
+        groups.setdefault((params.c, params.theta, params.v_norm), []).append((gi, params))
+    return [tuple(group) for group in groups.values()]
+
+
+def _run_one(job, trial=None, centering: Centering = Centering.POPULATION) -> list[SweepRecord]:
+    """One timed job of `run_grid`: one trial of one group, a record per point.
+
+    `trial` None means `simulator.run_trial_path`, looked up here so that a
+    pooled job pickles by name.  Each record's wall time is its share of the
+    job's.
+    """
+    group, p, master_seed, trial_index, m_test = job
+    first_index, params = group[0]
+    shape = simulator.shape_for(p, params.c, trial_seed(master_seed, first_index, trial_index))
     t0 = time.perf_counter()
     try:
-        record = (trial or simulator.run_trial)(params, shape, centering=centering, m_test=m_test,
-                                                grid_index=grid_index, trial_index=trial_index)
+        records = (trial or simulator.run_trial_path)(group, shape, centering=centering,
+                                                      m_test=m_test, trial_index=trial_index)
     except PoisonRidgeError:
-        try:
-            pred = theory.predict(params)
-        except PoisonRidgeError:
-            pred = None
-        record = simulator.make_record(params, shape, pred, centering, grid_index, trial_index)
-    return dataclasses.replace(record, wall_time_ms=(time.perf_counter() - t0) * 1e3)
+        records = [simulator.error_record(point, shape, centering, gi, trial_index)
+                   for gi, point in group]
+    share_ms = (time.perf_counter() - t0) * 1e3 / len(records)
+    return [dataclasses.replace(r, wall_time_ms=share_ms) for r in records]
 
 
 def run_grid(points: dict[int, ModelParams], p: int, trials: int, master_seed: int, m_test: int,
@@ -106,13 +123,16 @@ def run_grid(points: dict[int, ModelParams], p: int, trials: int, master_seed: i
     """Every (grid point, trial) record of a Monte Carlo run, in (grid, trial) order.
 
     `points` maps a grid index to its parameters, run at n = round(p/c).
-    Trial t of point g is `trial(params, shape, centering=, m_test=,
-    grid_index=g, trial_index=t)`, default `simulator.run_trial`, with
-    shape.seed = trial_seed(master_seed, g, t).  A `PoisonRidgeError` from it
-    becomes an error row (NaN empirical columns) instead of ending the run:
-    near-singular solves at tiny lambda and c near 1 are expected.  This
-    process and every pool worker run their BLAS on one thread
-    (`one_thread`), so the records do not depend on the core count.
+    The points that differ only in lambda form a group (`lambda_groups`),
+    and trial t of a group whose first grid index is g is one job:
+    `trial(group, shape, centering=, m_test=, trial_index=t)`, default
+    `simulator.run_trial_path`, with shape.seed = trial_seed(master_seed, g,
+    t), which returns a record for each point of the group.  A
+    `PoisonRidgeError` from it makes every row of the job an error row (NaN
+    empirical columns) instead of ending the run; near-singular solves at
+    tiny lambda and c near 1 are expected.  This process and every pool
+    worker run their BLAS on one thread (`one_thread`), so the records do not
+    depend on the core count.
     """
     if workers < 1:
         raise InvalidWorkerCount(f"workers must be >= 1, got {workers}")
@@ -124,16 +144,19 @@ def run_grid(points: dict[int, ModelParams], p: int, trials: int, master_seed: i
     for params in points.values():
         if not params.lam > 0.0:
             raise InvalidLambda(f"the ridge solve requires lambda > 0, got {params.lam}")
-    jobs = [(points[gi], p, master_seed, gi, ti, m_test)
-            for gi in sorted(points) for ti in range(trials)]
+    jobs = [(group, p, master_seed, ti, m_test)
+            for group in lambda_groups(points) for ti in range(trials)]
     run = functools.partial(_run_one, trial=trial, centering=centering)
     one_thread()
     if workers > 1:
         # workers pin themselves: under the spawn and forkserver start methods
         # they do not inherit this process's BLAS settings
         with ProcessPoolExecutor(max_workers=workers, initializer=one_thread) as pool:
-            return list(pool.map(run, jobs, chunksize=4))
-    return [run(job) for job in jobs]
+            done = list(pool.map(run, jobs, chunksize=4))
+    else:
+        done = [run(job) for job in jobs]
+    return sorted(itertools.chain.from_iterable(done),
+                  key=lambda r: (r.grid_index, r.trial_index))
 
 
 def run_sweep(grid: SweepGrid, axis_mode: AxisMode = AxisMode.ONE_AT_A_TIME,

@@ -206,6 +206,9 @@ def test_bad_shapes_exit_2(tmp_path, capsys, argv):
     # finite, but the Gram of the spiked matrix overflows
     (("resolvent-check", "--p", "10", "--seeds", "1", "--tau=1e200", "--out", "{tmp}/o"),
      "SolveFailure"),
+    # m~'(-lambda) overflows: (1-c)/lambda^2 is inf, and lambda^2 is 0 at 1e-300
+    (("theory", "--c", "0.5", "--lambda", "1e-160"), "NonFiniteTransform"),
+    (("theory", "--c", "0.5", "--lambda", "1e-300"), "NonFiniteTransform"),
 ])
 def test_bad_inputs_exit_2(tmp_path, capsys, argv, error):
     _write_idx_pair(tmp_path)
@@ -260,6 +263,17 @@ def test_failed_trial_is_an_error_row(tmp_path, capsys, monkeypatch, command):
     assert not np.isnan(rows[1].mu_theory)
 
 
+def test_tiny_lambda_simulate_writes_error_rows(tmp_path, capsys):
+    # the solve succeeds, but the closed form is not finite: every row is an
+    # error row, and the run exits 1 without a traceback
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--p", "20", "--c", "0.5", "--lambda", "1e-300",
+                   "--trials", "2", "--m-test", "50", "--out", str(out)) == 1
+    assert "2 records, 2 error rows" in capsys.readouterr().out
+    rows = sweep.read_records(out / "simulate.csv")
+    assert all(r.is_error and math.isnan(r.sigma2_theory) for r in rows)
+
+
 def test_mnist_grid_order(tmp_path, capsys):
     # theta x lambda x subsample-n, last factor fastest, trials innermost
     img, lbl = _write_idx_pair(tmp_path)
@@ -273,7 +287,13 @@ def test_mnist_grid_order(tmp_path, capsys):
         (g, t) for g in range(8) for t in range(2)]
     assert [(r.theta, r.lam, r.n) for r in rows[::2]] == [
         (th, lam, n) for th in (0.1, 0.2) for lam in (0.1, 1.0) for n in (20, 30)]
-    assert all(r.seed == simulator.trial_seed(0, r.grid_index, r.trial_index) for r in rows)
+    # points differing only in lambda share the seed of the first of them
+    first = {}
+    for r in rows:
+        first.setdefault((r.theta, r.n, r.trial_index), r.grid_index)
+    assert all(r.seed == simulator.trial_seed(0, first[r.theta, r.n, r.trial_index],
+                                              r.trial_index) for r in rows)
+    assert first[0.1, 20, 0] == 0 and rows[4].grid_index == 2 and rows[4].seed == rows[0].seed
 
 
 def test_rerun_of_manifest_without_worker_count(tmp_path, capsys):
@@ -346,15 +366,21 @@ def test_seed_column_reproduces_row(tmp_path, capsys, command):
     assert run_cli(*argv) == 0
     capsys.readouterr()
     rows = sweep.read_records(out / f"{command}.csv")
-    assert len({r.seed for r in rows}) == len(rows)
-    for row in rows[:3]:
+    # rows share a seed exactly when they differ at most in lambda
+    key = [(r.c_target, r.theta, r.v_norm, r.trial_index) for r in rows]
+    seeds = [r.seed for r in rows]
+    assert len(set(zip(key, seeds))) == len(set(key)) == len(set(seeds))
+    if command == "sweep":
+        assert len(set(seeds)) < len(rows)  # the lambda axis is one group
+    if command == "mnist":
+        images, labels = mnist.load_pair(img, lbl)
+        task = mnist.build_binary_task(images, labels)
+        v = mnist.make_patch_trigger(offset=(2, 2), size=3, v_norm_target=1.0).v
+    for row in rows:
         params = ModelParams(c=row.c_target, lam=row.lam, theta=row.theta, v_norm=row.v_norm)
         centering = simulator.Centering(row.centering_mode)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(row.seed)))
         if command == "mnist":
-            images, labels = mnist.load_pair(img, lbl)
-            task = mnist.build_binary_task(images, labels)
-            v = mnist.make_patch_trigger(offset=(2, 2), size=3, v_norm_target=1.0).v
             idx = rng.choice(task.X.shape[1], size=row.n, replace=False)
             X, y = task.X[:, idx], task.y[idx].copy()
         else:
@@ -362,6 +388,7 @@ def test_seed_column_reproduces_row(tmp_path, capsys, command):
             X, y = simulator.generate_clean(simulator.SimShape(row.p, row.n, row.seed), rng)
         sol, eta = simulator.fit_poisoned(X, y, params, v, rng, centering, m_test)
         assert sol.mu_emp == row.mu_emp
+        assert sol.sigma_sq_emp == row.sigma2_emp
         assert eta == row.eta_emp_mc
 
 

@@ -1,14 +1,16 @@
 """Sweep harness tests: grid enumeration, aggregation, CSV round-trip, determinism."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from poisonridge import simulator, sweep, theory
-from poisonridge.errors import EmptyGroup, SchemaMismatch
+from poisonridge.errors import EmptyGroup, SchemaMismatch, SolveFailure
 from poisonridge.records import FIELD_NAMES, SweepRecord
 from poisonridge.sweep import AxisMode, SweepGrid
+from poisonridge.theory import ModelParams
 
 TINY = SweepGrid(
     c_values=(0.5, 2.0),
@@ -126,6 +128,71 @@ def test_run_sweep_worker_count_invariance(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+# several lambda values, so one-at-a-time points form groups: the centre
+# point's lambda axis and its repeats on the other axes
+PATH_GRID = dataclasses.replace(TINY, c_values=(0.1, 2.0), lambda_values=(0.01, 0.1, 1.0),
+                                theta_values=(0.1, 0.2))
+
+
+def test_lambda_groups():
+    points = dict(enumerate(PATH_GRID.points(AxisMode.ONE_AT_A_TIME)))
+    groups = sweep.lambda_groups(points)
+    assert [[gi for gi, _ in g] for g in groups] == [[0, 2, 3, 4, 5, 7], [1], [6]]
+    assert [params.lam for _, params in groups[0]] == [0.1, 0.01, 0.1, 1.0, 0.1, 0.1]
+    full = sweep.lambda_groups(dict(enumerate(PATH_GRID.points(AxisMode.FULL))))
+    assert [len(g) for g in full] == [3] * 4
+
+
+def test_lambda_path_worker_count_invariance(tmp_path):
+    serial = sweep.run_sweep(PATH_GRID, AxisMode.ONE_AT_A_TIME, m_test=50, workers=1)
+    parallel = sweep.run_sweep(PATH_GRID, AxisMode.ONE_AT_A_TIME, m_test=50, workers=2)
+    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    sweep.write_records(p1, serial)
+    sweep.write_records(p2, parallel)
+    assert p1.read_bytes() == p2.read_bytes()
+    assert [(r.grid_index, r.trial_index) for r in serial] == [
+        (g, t) for g in range(8) for t in range(PATH_GRID.trials)]
+    # repeats of a point are the same trial
+    assert all(serial[i].mu_emp == serial[i + 3 * PATH_GRID.trials].mu_emp for i in range(3))
+
+
+def test_lambda_path_rows_equal_one_lambda_trials():
+    points = dict(enumerate(PATH_GRID.points(AxisMode.ONE_AT_A_TIME)))
+    records = sweep.run_grid(points, 30, 2, 5, 50)
+    for r in records:
+        shape = simulator.shape_for(30, r.c_target, r.seed)
+        params = ModelParams(c=r.c_target, lam=r.lam, theta=r.theta, v_norm=r.v_norm)
+        alone = simulator.run_trial(params, shape, grid_index=r.grid_index,
+                                    trial_index=r.trial_index, m_test=50)
+        assert dataclasses.replace(alone, wall_time_ms=r.wall_time_ms) == r
+
+
+def test_solve_failure_at_one_lambda_is_one_error_row(monkeypatch):
+    points = {0: ModelParams(c=0.5, lam=0.1, theta=0.1, v_norm=1.0)}
+    points.update({g: dataclasses.replace(points[0], lam=lam)
+                   for g, lam in ((1, 0.01), (2, 1.0), (3, 0.1))})
+    clean = sweep.run_grid(points, 20, 2, 0, 50)
+    solve = simulator.solve_ridge
+
+    def fail_at(lam_bad):
+        def solve_ridge(X_tilde, w_tilde, lam, *args, **kwargs):
+            if lam == lam_bad:
+                raise SolveFailure("injected")
+            return solve(X_tilde, w_tilde, lam, *args, **kwargs)
+        return solve_ridge
+
+    # a failure at the first, a middle and the last lambda of the path
+    for lam_bad in (0.1, 0.01, 1.0):
+        monkeypatch.setattr(simulator, "solve_ridge", fail_at(lam_bad))
+        records = sweep.run_grid(points, 20, 2, 0, 50)
+        for got, want in zip(records, clean, strict=True):
+            got = dataclasses.replace(got, wall_time_ms=want.wall_time_ms)
+            if got.lam == lam_bad:
+                assert got.is_error and got.mu_theory == want.mu_theory
+            else:
+                assert got == want
+
+
 def test_csv_round_trip(tmp_path):
     records = sweep.run_sweep(TINY, AxisMode.ONE_AT_A_TIME, m_test=50)
     path = tmp_path / "records.csv"
@@ -177,7 +244,7 @@ def test_failed_trial_becomes_error_row():
 
     # lambda = 0 fails both the ridge solve and the closed-form prediction
     params = ModelParams(c=0.5, lam=0.0, theta=0.1, v_norm=1.0)
-    rec = sweep._run_one((params, 10, 0, 4, 2, 50))
+    (rec,) = sweep._run_one((((4, params),), 10, 0, 2, 50))
     assert rec.is_error
     assert math.isnan(rec.mu_theory) and math.isnan(rec.eta_emp_mc)
     assert (rec.grid_index, rec.trial_index, rec.n) == (4, 2, 20)
