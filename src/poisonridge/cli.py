@@ -7,9 +7,10 @@ therefore writes nothing.  `rerun <manifest>` reproduces the primary CSVs
 byte for byte on any core count, for the OpenBLAS builds that the numpy and
 scipy wheels bundle: every run computes with one BLAS thread per process.
 `simulate`, `sweep` and `mnist` run their trials through `sweep.run_grid`:
-grid points that differ only in lambda share each trial's data, Gram and
-seed (that of the group's first grid point), so their rows are common
-random numbers, and the `seed` column of any row redoes that row alone.
+grid points that share c share each trial's draw and seed (that of the
+group's first grid point), those that also share theta and ||v|| share its
+Gram, so their rows are common random numbers, and the `seed` column of any
+row redoes that row alone.
 """
 
 from __future__ import annotations

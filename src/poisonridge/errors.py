@@ -23,10 +23,6 @@ class NonFiniteTransform(PoisonRidgeError):
     """A transform value overflows double precision: |z| (lambda) is too small."""
 
 
-class SingularDerivativeDenominator(PoisonRidgeError):
-    """Implicit-differentiation denominator vanished (cannot occur for z < 0)."""
-
-
 # --- closed-form predictions ---
 
 class InvalidLambda(PoisonRidgeError):

@@ -3,7 +3,8 @@
 The IDX container is big-endian: a 4-byte magic (0x00000803 for images,
 0x00000801 for labels), 32-bit dimension fields, then row-major unsigned
 bytes.  Runs on real data use empirical centering because the defender
-cannot know theta or the trigger.
+cannot know theta or the trigger.  A trial subsamples once for all the grid
+points that share subsample_n, and its seed is that of the first of them.
 """
 
 from __future__ import annotations
@@ -172,19 +173,24 @@ def _grid_params(task: BinaryTask, trigger: PatchTrigger, theta: float, lam: flo
 
 def _trial(task, trigger, swap_classes, predict, points, shape, *, centering, trial_index,
            m_test) -> list[SweepRecord]:
-    """One trial at each (grid_index, params) of `points`, which differ only in lambda.
+    """One trial at each (grid_index, params) of `points`, which share subsample_n.
 
-    Subsamples shape.n images, poisons and centers them once and solves at
-    each lambda, all from shape.seed's stream.  The subsample is a fresh
-    p x n copy, which `fit_poisoned_path` poisons and centers in place.
+    Subsamples shape.n images once, from shape.seed's stream; each theta then
+    poisons and centers them and solves at each of its lambdas
+    (`simulator.subgroup_records`).  Each theta gathers its own fresh p x n
+    copy of the subsample, which `fit_poisoned_path` poisons and centers in
+    place and drops before the next theta gathers again.
     """
     rng = simulator._rng_from(shape.seed)
     idx = rng.choice(task.X.shape[1], size=shape.n, replace=False)
     y = -task.y[idx] if swap_classes else task.y[idx]
-    fits = simulator.fit_poisoned_path(task.X[:, idx], y, points[0][1].theta,
-                                       [params.lam for _, params in points], trigger.v, rng,
-                                       centering, m_test)
-    return simulator.path_records(points, shape, centering, trial_index, fits, predict)
+
+    def fit(k, subgroup, stream):
+        return simulator.fit_poisoned_path(task.X[:, idx], y, subgroup[0][1].theta,
+                                           [params.lam for _, params in subgroup], trigger.v,
+                                           stream, centering, m_test)
+
+    return simulator.subgroup_records(points, shape, centering, trial_index, rng, fit, predict)
 
 
 def run_mnist_grid(task: BinaryTask, trigger: PatchTrigger, points: dict, trials: int, seed: int,
@@ -196,8 +202,8 @@ def run_mnist_grid(task: BinaryTask, trigger: PatchTrigger, points: dict, trials
     theta (the positive class with swap_classes), solves the ridge problem
     and joins with the closed-form prediction at c = p/subsample_n, computed
     once per point; its n is round(p/c) = subsample_n.  The points that
-    differ only in lambda share each trial's subsample, poison flips and
-    Gram, and its seed.
+    share subsample_n share each trial's subsample and its seed, and those
+    that also share theta share its poison flips and Gram.
     """
     grid = {gi: _grid_params(task, trigger, *point) for gi, point in points.items()}
     trial = functools.partial(_trial, task, trigger, swap_classes, functools.cache(theory.predict))

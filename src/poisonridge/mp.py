@@ -12,12 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    NonFiniteTransform,
-    NonNegativeZ,
-    NumericalBranchFailure,
-    SingularDerivativeDenominator,
-)
+from .errors import NonFiniteTransform, NonNegativeZ, NumericalBranchFailure
 
 
 @dataclass(frozen=True)
@@ -44,61 +39,64 @@ def _finite(value: float, name: str, c: float, z: float) -> float:
     return value
 
 
-def mp_stieltjes(c: float, z: float) -> float:
-    """Stieltjes transform m(z) of the MP law, positive branch for z < 0.
+def _positive_root(a: float, head: float, c: float, z: float, name: str) -> tuple[float, float]:
+    """The positive root of z*a*w^2 - head*w + 1 = 0 at z < 0, and the square root it takes.
 
-    m(z) = (1 - c - z - sqrt((1-c-z)^2 - 4cz)) / (2cz).  Since cz < 0 the
-    root exceeds |1-c-z|, so head - root cancels when head = 1-c-z >= 0 and
-    head + root cancels when head < 0; each case uses the form without it.
-    The root is hypot(head, 2 sqrt(-cz)), which never squares head, so a
-    large |z| does not overflow it.
+    w = (head - sqrt(head^2 - 4az)) / (2az).  Since az < 0 the root exceeds
+    |head|, so head - root cancels when head >= 0 and head + root cancels
+    when head < 0; each case uses the form without it.  The root is
+    hypot(head, 2 sqrt(-az)), which never squares head, so a large |z| does
+    not overflow it.
     """
     _check_args(c, z)
-    head = 1.0 - c - z
-    root = math.hypot(head, 2.0 * math.sqrt(-c * z))
+    root = math.hypot(head, 2.0 * math.sqrt(-a * z))
     if head >= 0.0:
-        # (head - root)/(2cz) multiplied through by (head + root)
-        m = 2.0 / (head + root)
+        # (head - root)/(2az) multiplied through by (head + root)
+        w = 2.0 / (head + root)
     else:
-        m = (head - root) / (2.0 * c * z)
-    if m <= 0.0:
+        w = (head - root) / (2.0 * a * z)
+    if w <= 0.0:
         raise NumericalBranchFailure(
-            f"m(z) = {m} <= 0 at c={c}, z={z}: wrong branch or overflow"
+            f"{name}(z) = {w} <= 0 at c={c}, z={z}: wrong branch or overflow"
         )
-    return _finite(m, "m", c, z)
+    return _finite(w, name, c, z), root
+
+
+def mp_stieltjes(c: float, z: float) -> float:
+    """Stieltjes transform m(z) of the MP law: the positive root of z*c*m^2 - (1-c-z)*m + 1 = 0."""
+    return _positive_root(c, 1.0 - c - z, c, z, "m")[0]
 
 
 def mp_companion(c: float, z: float) -> float:
     """Companion (Gram-side) transform mtilde(z) = c*m(z) - (1-c)/z.
 
     For c > 1 the two terms cancel as z -> 0, so there mtilde is the
-    transform of the n x n side's own MP law, scaled: m_{1/c}(z/c)/c.
+    positive root of its own equation z*mtilde^2 - (c-1-z)*mtilde + 1 = 0,
+    whose c - 1 is exact near c = 1.
     """
     if c > 1.0:
-        return _finite(mp_stieltjes(1.0 / c, z / c) / c, "mtilde", c, z)
+        return _positive_root(1.0, c - 1.0 - z, c, z, "mtilde")[0]
     m = mp_stieltjes(c, z)
     return _finite(c * m - (1.0 - c) / z, "mtilde", c, z)
 
 
 def mp_stieltjes_derivative(c: float, z: float) -> float:
-    """m'(z) by implicit differentiation of z*c*m^2 - (1-c-z)*m + 1 = 0.
+    """m'(z) = m(cm + 1)/root, by implicit differentiation of z*c*m^2 - (1-c-z)*m + 1 = 0.
 
-    Avoids differentiating the square-root formula, which cancels badly
-    near the support edge.
+    The implicit derivative is -(cm^2 + m)/(2zcm + c + z - 1), and on the
+    positive branch 2zcm = head - root, so its denominator is -root
+    (`_positive_root`).  Nothing in m(cm + 1)/root cancels, also near c = 1
+    at tiny |z|, where 2zcm + c + z - 1 summed term by term would.
     """
-    m = mp_stieltjes(c, z)
-    denom = 2.0 * z * c * m + c + z - 1.0
-    if abs(denom) < 1e-14:
-        raise SingularDerivativeDenominator(
-            f"implicit-derivative denominator {denom} at c={c}, z={z}"
-        )
-    return _finite(-(c * m * m + m) / denom, "m'", c, z)
+    m, root = _positive_root(c, 1.0 - c - z, c, z, "m")
+    return _finite(m * (c * m + 1.0) / root, "m'", c, z)
 
 
 def mp_companion_derivative(c: float, z: float) -> float:
-    """mtilde'(z) = c*m'(z) + (1-c)/z^2; m'_{1/c}(z/c)/c^2 for c > 1, as in `mp_companion`."""
+    """mtilde'(z) = c*m'(z) + (1-c)/z^2; for c > 1, mtilde(mtilde + 1)/root as in `mp_companion`."""
     if c > 1.0:
-        return _finite(mp_stieltjes_derivative(1.0 / c, z / c) / (c * c), "mtilde'", c, z)
+        mt, root = _positive_root(1.0, c - 1.0 - z, c, z, "mtilde")
+        return _finite(mt * (mt + 1.0) / root, "mtilde'", c, z)
     z_sq = z * z  # 0 below |z| ~ 1.6e-162, where the transform is not finite
     pole = (1.0 - c) / z_sq if z_sq > 0.0 else math.inf
     return _finite(c * mp_stieltjes_derivative(c, z) + pole, "mtilde'", c, z)

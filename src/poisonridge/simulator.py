@@ -3,15 +3,15 @@
 Each trial draws from one Philox counter stream seeded by its per-trial
 seed, which is derived statelessly from (master_seed, grid_index,
 trial_index), where grid_index is the first grid point of the trial's
-group: the points that differ only in lambda.  One trial of a group draws,
-poisons and centers its data and forms its Gram once, then solves at each
-lambda (`run_trial_path`), so rows that differ only in lambda are common
-random numbers.  Sweeps are therefore bit-reproducible regardless of
-execution order or worker count, and the seed stored in a row reproduces
-that row byte for byte, through the one-lambda `run_trial` or
-`fit_poisoned`, on any core count, for the OpenBLAS builds that the numpy
-and scipy wheels bundle: `sweep.run_grid` runs every trial with one BLAS
-thread.
+group: the points that share c.  One trial of a group draws its data once;
+each (theta, ||v||) subgroup of it poisons and centers the data and forms
+its Gram once, then solves at each lambda (`run_trial_path`), so the rows
+of a group are common random numbers.  Sweeps are therefore
+bit-reproducible regardless of execution order or worker count, and the
+seed stored in a row reproduces that row byte for byte, through the
+one-point `run_trial` or `fit_poisoned`, on any core count, for the
+OpenBLAS builds that the numpy and scipy wheels bundle: `sweep.run_grid`
+runs every trial with one BLAS thread.
 """
 
 from __future__ import annotations
@@ -413,23 +413,61 @@ def path_records(points, shape: SimShape, centering: Centering, trial_index: int
     return records
 
 
+def subgroup_records(points, shape: SimShape, centering: Centering, trial_index: int,
+                     rng: np.random.Generator, fit, predict=theory.predict) -> list[SweepRecord]:
+    """The rows of one trial at each (grid_index, params) of `points`, which share one draw.
+
+    The points are split by (theta, ||v||) into subgroups in grid order, and
+    `fit(k, subgroup, stream)` poisons, centers and solves the k-th of them
+    from the drawn data (`fit_poisoned_path`'s result).  Each subgroup's
+    stream is a copy of `rng` as the draw left it, except the last
+    subgroup's, which is `rng` itself, so one subgroup copies no stream.  A
+    `PoisonRidgeError` from `fit` makes that subgroup's rows error rows.
+    """
+    subgroups = {}
+    for grid_index, params in points:
+        subgroups.setdefault((params.theta, params.v_norm), []).append((grid_index, params))
+    records = []
+    for k, subgroup in enumerate(subgroups.values()):
+        stream = rng if k == len(subgroups) - 1 else copy.deepcopy(rng)
+        try:
+            fits = fit(k, subgroup, stream)
+        except PoisonRidgeError as exc:
+            fits = {params.lam: exc for _, params in subgroup}
+        records += path_records(subgroup, shape, centering, trial_index, fits, predict)
+    return records
+
+
 def run_trial_path(points, shape: SimShape, *, centering: Centering = Centering.POPULATION,
                    trial_index: int = 0, m_test: int = 10000) -> list[SweepRecord]:
     """One synthetic trial at each (grid_index, params) of `points`, one row each.
 
-    The points differ only in lambda.  The data are drawn, poisoned and
-    centered and the Gram formed once (`fit_poisoned_path`); each row equals
-    bit for bit what `run_trial` gives at its point from shape.seed.
+    The points share c.  The data are drawn once; each (theta, ||v||)
+    subgroup poisons and centers them in place and forms its Gram once
+    (`fit_poisoned_path`), and the rows it wrote are restored before the next
+    subgroup (`subgroup_records`).  Each row equals bit for bit what
+    `run_trial` gives at its point from shape.seed.
     """
-    params = points[0][1]
-    v = default_trigger(shape.p, params.v_norm)
     # one Philox stream per trial: generation, poison flips and the efficacy
     # hit count all advance the same counter
     rng = _rng_from(shape.seed)
     X, y = generate_clean(shape, rng)
-    lams = [point.lam for _, point in points]
-    fits = fit_poisoned_path(X, y, params.theta, lams, v, rng, centering, m_test)
-    return path_records(points, shape, centering, trial_index, fits)
+    triggers = {params.v_norm: default_trigger(shape.p, params.v_norm) for _, params in points}
+    if len({(params.theta, params.v_norm) for _, params in points}) > 1:
+        # empirical centering writes every row; poisoning and population
+        # centering write the triggers' rows and add +-0.0 to the others
+        rows = (np.arange(shape.p) if centering is Centering.EMPIRICAL
+                else np.flatnonzero(np.any(list(triggers.values()), axis=0)))
+        clean = X[rows]
+
+    def fit(k, subgroup, stream):
+        if k:
+            X[rows] = clean
+        params = subgroup[0][1]
+        return fit_poisoned_path(X, y, params.theta, [point.lam for _, point in subgroup],
+                                 triggers[params.v_norm], stream, centering, m_test)
+
+    return subgroup_records(points, shape, centering, trial_index, rng, fit)
 
 
 def run_trial(

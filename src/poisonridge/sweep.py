@@ -6,13 +6,13 @@ run with is refused before any trial, so the command exits 2 and writes
 nothing; a trial that fails becomes an error row, and the command exits 1.
 The built-in grid covers seven aspect ratios, six penalties, four poison
 fractions and nine trigger norms, with p = 500 and 100 trials per point.
-Grid points that differ only in lambda form a group, and one trial of a
-group solves its whole lambda path from one draw and one Gram, with the
-seed of the group's first grid point: its rows are common random numbers.
-Records are reproducible from (master_seed, first grid_index of the group,
-trial_index) alone, and every process runs its BLAS on one thread, so
-neither the worker count, the core count nor the execution order changes
-the bytes on disk.
+Grid points that share an aspect ratio c form a group, and one trial of a
+group draws its data once, with the seed of the group's first grid point,
+and runs every (theta, ||v||, lambda) point of the group from that draw:
+its rows are common random numbers.  Records are reproducible from
+(master_seed, first grid_index of the group, trial_index) alone, and every
+process runs its BLAS on one thread, so neither the worker count, the core
+count nor the execution order changes the bytes on disk.
 """
 
 from __future__ import annotations
@@ -83,16 +83,15 @@ class SweepGrid:
         return pts
 
 
-def lambda_groups(points: dict[int, ModelParams]) -> list[tuple]:
-    """The grid points that differ only in lambda, identical points included.
+def draw_groups(points: dict[int, ModelParams]) -> list[tuple]:
+    """The grid points that share an aspect ratio c, identical points included.
 
     Each group is a tuple of (grid_index, params) in grid order; the groups
     are in the order of their first grid index.
     """
     groups = {}
     for gi in sorted(points):
-        params = points[gi]
-        groups.setdefault((params.c, params.theta, params.v_norm), []).append((gi, params))
+        groups.setdefault(points[gi].c, []).append((gi, points[gi]))
     return [tuple(group) for group in groups.values()]
 
 
@@ -123,16 +122,16 @@ def run_grid(points: dict[int, ModelParams], p: int, trials: int, master_seed: i
     """Every (grid point, trial) record of a Monte Carlo run, in (grid, trial) order.
 
     `points` maps a grid index to its parameters, run at n = round(p/c).
-    The points that differ only in lambda form a group (`lambda_groups`),
-    and trial t of a group whose first grid index is g is one job:
+    The points that share c form a group (`draw_groups`), and trial t of a
+    group whose first grid index is g is one job:
     `trial(group, shape, centering=, m_test=, trial_index=t)`, default
     `simulator.run_trial_path`, with shape.seed = trial_seed(master_seed, g,
     t), which returns a record for each point of the group.  A
-    `PoisonRidgeError` from it makes every row of the job an error row (NaN
-    empirical columns) instead of ending the run; near-singular solves at
-    tiny lambda and c near 1 are expected.  This process and every pool
-    worker run their BLAS on one thread (`one_thread`), so the records do not
-    depend on the core count.
+    `PoisonRidgeError` that escapes it makes every row of the job an error
+    row (NaN empirical columns) instead of ending the run; near-singular
+    solves at tiny lambda and c near 1 are expected.  This process and every
+    pool worker run their BLAS on one thread (`one_thread`), so the records
+    do not depend on the core count.
     """
     if workers < 1:
         raise InvalidWorkerCount(f"workers must be >= 1, got {workers}")
@@ -145,14 +144,16 @@ def run_grid(points: dict[int, ModelParams], p: int, trials: int, master_seed: i
         if not params.lam > 0.0:
             raise InvalidLambda(f"the ridge solve requires lambda > 0, got {params.lam}")
     jobs = [(group, p, master_seed, ti, m_test)
-            for group in lambda_groups(points) for ti in range(trials)]
+            for group in draw_groups(points) for ti in range(trials)]
     run = functools.partial(_run_one, trial=trial, centering=centering)
     one_thread()
     if workers > 1:
         # workers pin themselves: under the spawn and forkserver start methods
         # they do not inherit this process's BLAS settings
         with ProcessPoolExecutor(max_workers=workers, initializer=one_thread) as pool:
-            done = list(pool.map(run, jobs, chunksize=4))
+            # one job at a time: the groups differ in cost, and a chunk could hand
+            # one worker the trials of the costliest group
+            done = list(pool.map(run, jobs, chunksize=1))
     else:
         done = [run(job) for job in jobs]
     return sorted(itertools.chain.from_iterable(done),

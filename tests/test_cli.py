@@ -287,13 +287,14 @@ def test_mnist_grid_order(tmp_path, capsys):
         (g, t) for g in range(8) for t in range(2)]
     assert [(r.theta, r.lam, r.n) for r in rows[::2]] == [
         (th, lam, n) for th in (0.1, 0.2) for lam in (0.1, 1.0) for n in (20, 30)]
-    # points differing only in lambda share the seed of the first of them
+    # points sharing subsample-n share the seed of the first of them
     first = {}
     for r in rows:
-        first.setdefault((r.theta, r.n, r.trial_index), r.grid_index)
-    assert all(r.seed == simulator.trial_seed(0, first[r.theta, r.n, r.trial_index],
+        first.setdefault((r.n, r.trial_index), r.grid_index)
+    assert all(r.seed == simulator.trial_seed(0, first[r.n, r.trial_index],
                                               r.trial_index) for r in rows)
-    assert first[0.1, 20, 0] == 0 and rows[4].grid_index == 2 and rows[4].seed == rows[0].seed
+    assert first[20, 0] == 0 and first[30, 0] == 1
+    assert rows[8].grid_index == 4 and rows[8].theta == 0.2 and rows[8].seed == rows[0].seed
 
 
 def test_rerun_of_manifest_without_worker_count(tmp_path, capsys):
@@ -358,7 +359,7 @@ def test_seed_column_reproduces_row(tmp_path, capsys, command):
     if command == "mnist":
         img, lbl = _write_idx_pair(tmp_path)
         argv = ["mnist", "--images", str(img), "--labels", str(lbl),
-                "--subsample-n", "30", *common]
+                "--theta", "0.1,0.2", "--lambda", "0.1,1.0", "--subsample-n", "30", *common]
     elif command == "sweep":
         argv = ["sweep", "--p", "10", *common]
     else:
@@ -366,12 +367,14 @@ def test_seed_column_reproduces_row(tmp_path, capsys, command):
     assert run_cli(*argv) == 0
     capsys.readouterr()
     rows = sweep.read_records(out / f"{command}.csv")
-    # rows share a seed exactly when they differ at most in lambda
-    key = [(r.c_target, r.theta, r.v_norm, r.trial_index) for r in rows]
+    # rows share a seed exactly when they share c and the trial
+    key = [(r.c_target, r.trial_index) for r in rows]
     seeds = [r.seed for r in rows]
     assert len(set(zip(key, seeds))) == len(set(key)) == len(set(seeds))
-    if command == "sweep":
-        assert len(set(seeds)) < len(rows)  # the lambda axis is one group
+    if command != "simulate":
+        # one draw group holds points that differ in theta and in lambda
+        assert len(set(seeds)) < len(rows)
+        assert len({(r.theta, r.lam) for r in rows if r.seed == rows[0].seed}) > 2
     if command == "mnist":
         images, labels = mnist.load_pair(img, lbl)
         task = mnist.build_binary_task(images, labels)

@@ -105,25 +105,28 @@ def test_stieltjes_matches_decimal_reference():
             assert rel <= Decimal("1e-15"), (c, lam, float(rel))
 
 
-def _companion_reference(c: float, z: float) -> tuple[Decimal, Decimal]:
-    """mtilde(z) and mtilde'(z) in 50-digit decimal arithmetic, by the c*m - (1-c)/z relation.
+def _companion_reference(c: float, z: float) -> tuple[Decimal, Decimal, Decimal]:
+    """m'(z), mtilde(z) and mtilde'(z) in 50-digit decimal arithmetic, by the c*m - (1-c)/z relation.
 
-    50 digits leave more than 25 after the cancellation of c*m against (1-c)/z at c > 1.
+    50 digits leave more than 25 after the cancellation of c*m against (1-c)/z at c > 1,
+    and of the implicit derivative's denominator near c = 1.
     """
     with localcontext() as ctx:
         ctx.prec = 50
         m = _stieltjes_reference(c, z)
         c, z = Decimal(c), Decimal(z)
         m_prime = -(c * m * m + m) / (2 * z * c * m + c + z - 1)
-        return c * m - (1 - c) / z, c * m_prime + (1 - c) / (z * z)
+        return m_prime, c * m - (1 - c) / z, c * m_prime + (1 - c) / (z * z)
 
 
 def test_companion_matches_decimal_reference():
-    # at c > 1 the two terms of c*m - (1-c)/z cancel as lambda -> 0
-    for c in (0.1, 0.5, 0.9, 1.25, 1.5, 2.0, 4.0):
+    # at c > 1 the two terms of c*m - (1-c)/z cancel as lambda -> 0, and near
+    # c = 1 the implicit derivative's denominator 2zcm + c + z - 1 does
+    for c in (0.1, 0.5, 0.9, 1.0, 1.001, 1.25, 1.5, 2.0, 4.0):
         for lam in (1.0, 1e-1, 1e-3, 1e-5, 1e-7, 1e-9, 1e-12):
-            ref, ref_prime = _companion_reference(c, -lam)
-            for got, want in ((mp.mp_companion(c, -lam), ref),
+            ref_m_prime, ref, ref_prime = _companion_reference(c, -lam)
+            for got, want in ((mp.mp_stieltjes_derivative(c, -lam), ref_m_prime),
+                              (mp.mp_companion(c, -lam), ref),
                               (mp.mp_companion_derivative(c, -lam), ref_prime)):
                 rel = abs((Decimal(got) - want) / want)
                 assert rel <= Decimal("1e-15"), (c, lam, float(rel))

@@ -134,13 +134,15 @@ PATH_GRID = dataclasses.replace(TINY, c_values=(0.1, 2.0), lambda_values=(0.01, 
                                 theta_values=(0.1, 0.2))
 
 
-def test_lambda_groups():
+def test_draw_groups():
     points = dict(enumerate(PATH_GRID.points(AxisMode.ONE_AT_A_TIME)))
-    groups = sweep.lambda_groups(points)
-    assert [[gi for gi, _ in g] for g in groups] == [[0, 2, 3, 4, 5, 7], [1], [6]]
-    assert [params.lam for _, params in groups[0]] == [0.1, 0.01, 0.1, 1.0, 0.1, 0.1]
-    full = sweep.lambda_groups(dict(enumerate(PATH_GRID.points(AxisMode.FULL))))
-    assert [len(g) for g in full] == [3] * 4
+    groups = sweep.draw_groups(points)
+    assert [[gi for gi, _ in g] for g in groups] == [[0, 2, 3, 4, 5, 6, 7], [1]]
+    assert [params.lam for _, params in groups[0]] == [0.1, 0.01, 0.1, 1.0, 0.1, 0.1, 0.1]
+    assert [params.theta for _, params in groups[0]] == [0.1] * 5 + [0.2, 0.1]
+    full = sweep.draw_groups(dict(enumerate(PATH_GRID.points(AxisMode.FULL))))
+    assert [len(g) for g in full] == [6] * 2
+    assert [{params.c for _, params in g} for g in full] == [{0.1}, {2.0}]
 
 
 def test_lambda_path_worker_count_invariance(tmp_path):
@@ -191,6 +193,74 @@ def test_solve_failure_at_one_lambda_is_one_error_row(monkeypatch):
                 assert got.is_error and got.mu_theory == want.mu_theory
             else:
                 assert got == want
+
+
+# every theta and trigger norm, the degenerate 0 and 1 included, at two
+# aspect ratios: one draw group per c, nine (theta, ||v||) subgroups in each
+DRAW_GRID = SweepGrid(c_values=(0.5, 2.0), lambda_values=(0.01, 0.1, 1.0),
+                      theta_values=(0.0, 0.1, 1.0), vnorm_values=(0.0, 1.0, 2.0),
+                      p=20, trials=2, master_seed=4)
+
+
+def _run_draw_grid(centering, workers=1):
+    points = dict(enumerate(DRAW_GRID.points(AxisMode.FULL)))
+    return sweep.run_grid(points, DRAW_GRID.p, DRAW_GRID.trials, DRAW_GRID.master_seed, 50,
+                          centering=centering, workers=workers)
+
+
+def _persisted(record):
+    # repr of the persisted columns, so NaN columns of error rows compare equal
+    return repr(record.to_row())
+
+
+@pytest.mark.parametrize("centering", list(simulator.Centering))
+def test_draw_group_rows_equal_one_point_trials(centering):
+    records = _run_draw_grid(centering)
+    assert len(records) == 2 * 3 * 3 * 3 * DRAW_GRID.trials
+    # one seed, so one draw, per (c, trial)
+    assert {(r.c_target, r.trial_index): r.seed for r in records} == {
+        (c, t): simulator.trial_seed(DRAW_GRID.master_seed, 27 * k, t)
+        for k, c in enumerate(DRAW_GRID.c_values) for t in range(DRAW_GRID.trials)}
+    assert not all(r.is_error for r in records)
+    for r in records:
+        shape = simulator.shape_for(DRAW_GRID.p, r.c_target, r.seed)
+        params = ModelParams(c=r.c_target, lam=r.lam, theta=r.theta, v_norm=r.v_norm)
+        alone = simulator.run_trial(params, shape, centering=centering, grid_index=r.grid_index,
+                                    trial_index=r.trial_index, m_test=50)
+        assert _persisted(alone) == _persisted(r)
+
+
+@pytest.mark.parametrize("centering", list(simulator.Centering))
+def test_draw_group_worker_count_invariance(tmp_path, centering):
+    paths = [tmp_path / "serial.csv", tmp_path / "pool.csv"]
+    for path, workers in zip(paths, (1, 2)):
+        sweep.write_records(path, _run_draw_grid(centering, workers))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("centering", list(simulator.Centering))
+def test_failure_at_one_theta_is_that_subgroups_error_rows(monkeypatch, centering):
+    clean = _run_draw_grid(centering)
+    center = simulator._center
+
+    def fail_at(theta_bad):
+        def center_then_fail(X, y, v, theta, mode):
+            out = center(X, y, v, theta, mode)  # X is poisoned and centered before the failure
+            if theta == theta_bad:
+                raise SolveFailure("injected")
+            return out
+        return center_then_fail
+
+    # the first, a middle and the last subgroups of each draw group
+    for theta_bad in DRAW_GRID.theta_values:
+        monkeypatch.setattr(simulator, "_center", fail_at(theta_bad))
+        records = _run_draw_grid(centering)
+        for got, want in zip(records, clean, strict=True):
+            if got.theta == theta_bad:
+                assert got.is_error
+                assert repr(got.sigma2_theory) == repr(want.sigma2_theory)
+            else:
+                assert _persisted(got) == _persisted(want)
 
 
 def test_csv_round_trip(tmp_path):
