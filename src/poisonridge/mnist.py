@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import simulator, sweep, theory
+from . import simulator, sweep
 from .errors import (
     BadMagic,
     CountMismatch,
@@ -171,26 +171,21 @@ def _grid_params(task: BinaryTask, trigger: PatchTrigger, theta: float, lam: flo
     )
 
 
-def _trial(task, trigger, swap_classes, predict, points, shape, *, centering, trial_index,
+def _trial(task, trigger, swap_classes, points, shape, *, centering, trial_index,
            m_test) -> list[SweepRecord]:
     """One trial at each (grid_index, params) of `points`, which share subsample_n.
 
     Subsamples shape.n images once, from shape.seed's stream; each theta then
     poisons and centers them and solves at each of its lambdas
     (`simulator.subgroup_records`).  Each theta gathers its own fresh p x n
-    copy of the subsample, which `fit_poisoned_path` poisons and centers in
-    place and drops before the next theta gathers again.
+    copy of the subsample, which the fit poisons and centers in place and
+    drops before the next theta gathers again.
     """
     rng = simulator._rng_from(shape.seed)
     idx = rng.choice(task.X.shape[1], size=shape.n, replace=False)
     y = -task.y[idx] if swap_classes else task.y[idx]
-
-    def fit(k, subgroup, stream):
-        return simulator.fit_poisoned_path(task.X[:, idx], y, subgroup[0][1].theta,
-                                           [params.lam for _, params in subgroup], trigger.v,
-                                           stream, centering, m_test)
-
-    return simulator.subgroup_records(points, shape, centering, trial_index, rng, fit, predict)
+    return simulator.subgroup_records(points, shape, centering, trial_index, m_test, rng,
+                                      lambda k, params: (task.X[:, idx], y, trigger.v))
 
 
 def run_mnist_grid(task: BinaryTask, trigger: PatchTrigger, points: dict, trials: int, seed: int,
@@ -200,13 +195,13 @@ def run_mnist_grid(task: BinaryTask, trigger: PatchTrigger, points: dict, trials
     `points` maps a grid index to its (theta, lambda, subsample_n).  Each
     trial subsamples without replacement, poisons the negative class at rate
     theta (the positive class with swap_classes), solves the ridge problem
-    and joins with the closed-form prediction at c = p/subsample_n, computed
-    once per point; its n is round(p/c) = subsample_n.  The points that
-    share subsample_n share each trial's subsample and its seed, and those
-    that also share theta share its poison flips and Gram.
+    and joins with the closed-form prediction at c = p/subsample_n; its n is
+    round(p/c) = subsample_n.  The points that share subsample_n share each
+    trial's subsample and its seed, and those that also share theta share
+    its poison flips and Gram.
     """
     grid = {gi: _grid_params(task, trigger, *point) for gi, point in points.items()}
-    trial = functools.partial(_trial, task, trigger, swap_classes, functools.cache(theory.predict))
+    trial = functools.partial(_trial, task, trigger, swap_classes)
     return sweep.run_grid(grid, task.X.shape[0], trials, seed, m_test, trial=trial,
                           centering=simulator.Centering.EMPIRICAL)
 

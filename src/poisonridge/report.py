@@ -51,9 +51,13 @@ def _scale(values, lo, hi, out_lo, out_hi):
 
 
 def render_panel(agg_rows: list[dict], axis: str, kind: str) -> str:
-    """One SVG panel: theory line, median markers, q25-q75 shaded band."""
+    """One SVG panel: theory line, median markers, q25-q75 shaded band.
+
+    A point without a finite median (every trial of it failed) is left out.
+    """
     emp_col, th_col, label = KINDS[kind]
-    rows = _select_axis_rows(agg_rows, axis)
+    rows = [r for r in _select_axis_rows(agg_rows, axis)
+            if math.isfinite(r[f"{emp_col}_median"])]
     if not rows:
         raise SchemaMismatch(f"no aggregate rows vary along axis {axis!r}")
     xcol = AXES[axis]

@@ -278,15 +278,6 @@ def spiked_draw_checks(c: float, tau: float, z: float, p: int, seed: int) -> dic
     return rows
 
 
-def quadratic_form_check(
-    check_name: str, c: float, tau: float, z: float, p: int, seed: int
-) -> dict:
-    """One check's row of `spiked_draw_checks` at (p, seed)."""
-    if check_name not in _EQUIVALENTS:
-        raise ValueError(f"unknown check {check_name!r}")
-    return spiked_draw_checks(c, tau, z, p, seed)[check_name]
-
-
 def convergence_table(
     c: float, tau: float, z: float, sizes, n_seeds: int, master_seed: int = 0
 ) -> list[dict]:

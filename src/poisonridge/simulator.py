@@ -166,69 +166,70 @@ def _center(X, y, v, theta: float, centering: Centering):
     return X, y - w_bar, x_bar, w_bar
 
 
-class GramPath:
-    """scale A A^T, formed once and factored at one shift after another.
+def _forks(obj, count: int):
+    """`count` uses of obj, one at a time: a deep copy for every use but the
+    last, and obj itself for the last, so a single use copies nothing.
 
-    The constructor is the "form once" half of `gram_cholesky`: syrk forms
-    only the upper triangle, F-ordered.  `factor(shift)` is the "factor at a
-    shift" half.  Of the `shifts` factorizations, every one but the last
-    works on a copy in the Gram's memory order and the last overwrites the
-    Gram itself, so a Gram factored at one shift is never copied.
+    The one copy-or-consume rule of a shared draw: the Gram of a lambda path,
+    which each solve factors in place, and the Philox stream that each lambda
+    and each (theta, ||v||) subgroup continues from the same state.
     """
+    for _ in range(count - 1):
+        yield copy.deepcopy(obj)
+    yield obj
 
-    def __init__(self, A, scale: float, shifts: int = 1):
-        A = np.asarray(A, dtype=np.float64)
-        trans = int(not A.flags.f_contiguous)  # syrk reads A.T of a C-ordered A without a copy
-        self._gram = blas.dsyrk(scale, A.T if trans else A, trans=trans)
-        self._left = shifts
 
-    def factor(self, shift: float):
-        """x -> (scale A A^T + shift I)^-1 x, by one Cholesky factorization.
+def _gram(A, scale: float) -> np.ndarray:
+    """The upper triangle of scale A A^T, F-ordered, by syrk."""
+    A = np.asarray(A, dtype=np.float64)
+    trans = int(not A.flags.f_contiguous)  # syrk reads A.T of a C-ordered A without a copy
+    return blas.dsyrk(scale, A.T if trans else A, trans=trans)
 
-        A matrix that is not finite or not positive definite is a `SolveFailure`.
-        """
-        self._left -= 1
-        if self._left > 0:
-            G = self._gram.copy(order="K")
-        else:
-            G, self._gram = self._gram, None  # the last shift: factored in place
-        G[np.diag_indices_from(G)] += shift
-        try:
-            factor = cho_factor(G, lower=False, overwrite_a=True)
-        except (np.linalg.LinAlgError, ValueError) as exc:  # ValueError: G is not finite
-            raise SolveFailure(
-                f"regularized Gram at shift={shift} is not finite and positive definite") from exc
-        return lambda rhs: cho_solve(factor, rhs)
+
+def _factor(G, shift: float):
+    """x -> (G + shift I)^-1 x, by one Cholesky factorization of the upper triangle G.
+
+    Factors G in place.  A matrix that is not finite or not positive definite
+    is a `SolveFailure`.
+    """
+    G[np.diag_indices_from(G)] += shift
+    try:
+        factor = cho_factor(G, lower=False, overwrite_a=True)
+    except (np.linalg.LinAlgError, ValueError) as exc:  # ValueError: G is not finite
+        raise SolveFailure(
+            f"regularized Gram at shift={shift} is not finite and positive definite") from exc
+    return lambda rhs: cho_solve(factor, rhs)
 
 
 def gram_cholesky(A, scale: float, shift: float):
     """x -> (scale A A^T + shift I)^-1 x, by one Cholesky factorization.
 
     The one place that forms and factors a regularized Gram: the ridge
-    solve's primal and dual systems and the resolvent's (1/n) Z Z^T - z I.
-    A path of shifts forms one `GramPath` and factors it at each shift.
+    solve's primal and dual systems (through `ridge_gram`) and the
+    resolvent's (1/n) Z Z^T - z I.
     """
-    return GramPath(A, scale).factor(shift)
+    return _factor(_gram(A, scale), shift)
 
 
-def ridge_gram(X_tilde, shifts: int = 1) -> GramPath:
-    """The Gram that `solve_ridge` factors, for `shifts` values of lambda.
+def ridge_gram(X_tilde) -> np.ndarray:
+    """The upper triangle of the Gram that `solve_ridge` factors.
 
     (1/n) X X^T (p x p, primal) when p <= n and (1/n) X^T X (n x n, dual)
     otherwise.
     """
     X_tilde = np.asarray(X_tilde, dtype=np.float64)
     p, n = X_tilde.shape
-    return GramPath(X_tilde if p <= n else X_tilde.T, 1.0 / n, shifts)
+    return _gram(X_tilde if p <= n else X_tilde.T, 1.0 / n)
 
 
 def solve_ridge(X_tilde, w_tilde, lam: float, x_bar, w_bar: float, *,
-                gram: GramPath | None = None) -> RidgeSolution:
+                gram: np.ndarray | None = None) -> RidgeSolution:
     """Exact centered ridge solve: beta = (1/n)((1/n)XX^T + lam I)^-1 X w.
 
     Uses the p x p primal system when p <= n and the equivalent n x n dual
     system otherwise; both are SPD Cholesky solves of `ridge_gram(X_tilde)`.
-    A path of lambda passes the one `gram` it formed for all of them.
+    A given `gram` is that array, and the solve consumes it: it is factored
+    in place, so a path of lambda passes each solve its own copy.
     """
     if lam <= 0.0:
         raise InvalidLambda(f"ridge solve requires lambda > 0, got {lam}")
@@ -236,7 +237,7 @@ def solve_ridge(X_tilde, w_tilde, lam: float, x_bar, w_bar: float, *,
     w_tilde = np.asarray(w_tilde, dtype=np.float64)
     p, n = X_tilde.shape
     rhs = X_tilde @ w_tilde / n
-    solve = (gram or ridge_gram(X_tilde)).factor(lam)
+    solve = _factor(ridge_gram(X_tilde) if gram is None else gram, lam)
     if p <= n:
         beta = solve(rhs)
     else:
@@ -300,37 +301,37 @@ def fit_poisoned(
     single p x n array.  y is not modified.  Every stage draws from `rng` in
     turn, so one stream covers the trial.
     """
-    fit = fit_poisoned_path(X, y, params.theta, (params.lam,), v, rng, centering,
+    fit = fit_poisoned_path(X, y, v, params.theta, (params.lam,), rng, centering,
                             m_test)[params.lam]
     if isinstance(fit, PoisonRidgeError):
         raise fit
     return fit
 
 
-def fit_poisoned_path(X, y, theta: float, lams, v, rng: np.random.Generator,
+def fit_poisoned_path(X, y, v, theta: float, lams, rng: np.random.Generator,
                       centering: Centering, m_test: int) -> dict:
     """`fit_poisoned` at each lambda of `lams`, from one poisoned, centered set and one Gram.
 
     Returns {lambda: (solution, eta_mc)}, or the `PoisonRidgeError` of that
     lambda's solve or efficacy in place of the pair, so a failure at one
     lambda leaves the others.  Each pair is bit for bit what `fit_poisoned`
-    gives at that lambda alone from the same stream: every lambda factors the
-    same Gram (`ridge_gram`), and draws its efficacy count from a copy of the
-    post-poison stream, except the last, which draws from `rng` itself.  One
-    lambda copies neither the Gram nor the stream.
+    gives at that lambda alone from the same stream: each lambda's solve
+    factors its own fork of the one `ridge_gram`, and its efficacy count
+    draws from its own fork of the post-poison stream (`_forks`).
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.array(y, dtype=np.float64)
     _, v = _poison(X, y, theta, v, rng)
     X_tilde, w_tilde, x_bar, w_bar = _center(X, y, v, theta, centering)
     lams = list(dict.fromkeys(lams))
-    gram = ridge_gram(X_tilde, len(lams))
+    grams = _forks(ridge_gram(X_tilde), len(lams))
     fits = {}
-    for k, lam in enumerate(lams):
-        stream = rng if k == len(lams) - 1 else copy.deepcopy(rng)
+    for lam, stream in zip(lams, _forks(rng, len(lams))):
         try:
+            # the fork goes straight into the solve, which consumes it before
+            # the next one is copied
             solution = score_statistics(
-                solve_ridge(X_tilde, w_tilde, lam, x_bar, w_bar, gram=gram), v)
+                solve_ridge(X_tilde, w_tilde, lam, x_bar, w_bar, gram=next(grams)), v)
             fits[lam] = solution, empirical_efficacy(solution, v, m_test, stream)
         except PoisonRidgeError as exc:
             fits[lam] = exc
@@ -393,48 +394,42 @@ def error_record(params: ModelParams, shape: SimShape, centering: Centering,
     return make_record(params, shape, pred, centering, grid_index, trial_index)
 
 
-def path_records(points, shape: SimShape, centering: Centering, trial_index: int, fits: dict,
-                 predict=theory.predict) -> list[SweepRecord]:
-    """The rows of one trial at each (grid_index, params) of `points`.
-
-    `fits` is `fit_poisoned_path`'s result.  A lambda whose fit failed, or
-    whose closed-form prediction fails, gives an error row.
-    """
-    records = []
-    for grid_index, params in points:
-        fit = fits[params.lam]
-        try:
-            if isinstance(fit, PoisonRidgeError):
-                raise fit
-            records.append(make_record(params, shape, predict(params), centering, grid_index,
-                                       trial_index, *fit))
-        except PoisonRidgeError:
-            records.append(error_record(params, shape, centering, grid_index, trial_index))
-    return records
-
-
 def subgroup_records(points, shape: SimShape, centering: Centering, trial_index: int,
-                     rng: np.random.Generator, fit, predict=theory.predict) -> list[SweepRecord]:
+                     m_test: int, rng: np.random.Generator, data) -> list[SweepRecord]:
     """The rows of one trial at each (grid_index, params) of `points`, which share one draw.
 
-    The points are split by (theta, ||v||) into subgroups in grid order, and
-    `fit(k, subgroup, stream)` poisons, centers and solves the k-th of them
-    from the drawn data (`fit_poisoned_path`'s result).  Each subgroup's
-    stream is a copy of `rng` as the draw left it, except the last
-    subgroup's, which is `rng` itself, so one subgroup copies no stream.  A
-    `PoisonRidgeError` from `fit` makes that subgroup's rows error rows.
+    The points are split by (theta, ||v||) into subgroups in grid order.
+    `data(k, params)` returns the (X, y, v) that the k-th subgroup, at the
+    theta and ||v|| of params, poisons and centers in place; `fit_poisoned_path`
+    then solves it at each lambda of the subgroup, from a fork of `rng` as
+    the draw left it (`_forks`).  A row has NaN empirical columns when its
+    lambda's fit or its closed-form prediction failed, and NaN theory
+    columns when the prediction failed.
     """
     subgroups = {}
     for grid_index, params in points:
         subgroups.setdefault((params.theta, params.v_norm), []).append((grid_index, params))
     records = []
-    for k, subgroup in enumerate(subgroups.values()):
-        stream = rng if k == len(subgroups) - 1 else copy.deepcopy(rng)
+    for k, (subgroup, stream) in enumerate(zip(subgroups.values(),
+                                               _forks(rng, len(subgroups)))):
+        first = subgroup[0][1]
         try:
-            fits = fit(k, subgroup, stream)
-        except PoisonRidgeError as exc:
-            fits = {params.lam: exc for _, params in subgroup}
-        records += path_records(subgroup, shape, centering, trial_index, fits, predict)
+            # the data go straight into the fit, so a subgroup's copy of them
+            # is dropped before the next subgroup asks for its own
+            fits = fit_poisoned_path(*data(k, first), first.theta,
+                                     [params.lam for _, params in subgroup], stream,
+                                     centering, m_test)
+        except PoisonRidgeError:
+            fits = {}
+        for grid_index, params in subgroup:
+            fit = fits.get(params.lam)
+            try:
+                pred = theory.predict(params)
+            except PoisonRidgeError:
+                pred = fit = None
+            solved = fit if isinstance(fit, tuple) else ()  # a failure leaves NaN columns
+            records.append(make_record(params, shape, pred, centering, grid_index, trial_index,
+                                       *solved))
     return records
 
 
@@ -444,9 +439,9 @@ def run_trial_path(points, shape: SimShape, *, centering: Centering = Centering.
 
     The points share c.  The data are drawn once; each (theta, ||v||)
     subgroup poisons and centers them in place and forms its Gram once
-    (`fit_poisoned_path`), and the rows it wrote are restored before the next
-    subgroup (`subgroup_records`).  Each row equals bit for bit what
-    `run_trial` gives at its point from shape.seed.
+    (`subgroup_records`), and the rows it wrote are restored before the next
+    subgroup.  Each row equals bit for bit what `run_trial` gives at its
+    point from shape.seed.
     """
     # one Philox stream per trial: generation, poison flips and the efficacy
     # hit count all advance the same counter
@@ -460,14 +455,12 @@ def run_trial_path(points, shape: SimShape, *, centering: Centering = Centering.
                 else np.flatnonzero(np.any(list(triggers.values()), axis=0)))
         clean = X[rows]
 
-    def fit(k, subgroup, stream):
+    def data(k, params):
         if k:
             X[rows] = clean
-        params = subgroup[0][1]
-        return fit_poisoned_path(X, y, params.theta, [point.lam for _, point in subgroup],
-                                 triggers[params.v_norm], stream, centering, m_test)
+        return X, y, triggers[params.v_norm]
 
-    return subgroup_records(points, shape, centering, trial_index, rng, fit)
+    return subgroup_records(points, shape, centering, trial_index, m_test, rng, data)
 
 
 def run_trial(

@@ -21,6 +21,7 @@ import dataclasses
 import enum
 import functools
 import itertools
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -182,18 +183,18 @@ def aggregate(records: list[SweepRecord]) -> list[dict]:
     """Per grid point: mean, median, q25, q75 of each empirical column.
 
     Quantiles use linear interpolation between closest ranks (numpy's
-    default convention).  Error rows are excluded from all statistics.
+    default convention).  Error rows are excluded from all statistics, so a
+    point whose every trial failed has n_errors == n_trials and NaN
+    statistics.  Only a run without a single valid record is refused.
     """
-    if not records:
-        raise EmptyGroup("no records to aggregate")
+    if all(r.is_error for r in records):
+        raise EmptyGroup("no valid records to aggregate")
     rows = []
     keyfn = lambda r: r.grid_index
     for gi, group_iter in itertools.groupby(sorted(records, key=keyfn), key=keyfn):
         group = list(group_iter)
         valid = [r for r in group if not r.is_error]
-        if not valid:
-            raise EmptyGroup(f"grid point {gi} has no valid trials")
-        first = valid[0]
+        first = (valid or group)[0]
         row = {
             "grid_index": gi,
             "c_target": first.c_target,
@@ -206,7 +207,7 @@ def aggregate(records: list[SweepRecord]) -> list[dict]:
             "n_errors": len(group) - len(valid),
         }
         for col in _EMPIRICAL_FIELDS:
-            vals = np.array([getattr(r, col) for r in valid])
+            vals = np.array([getattr(r, col) for r in valid] or [math.nan])
             row[f"{col}_mean"] = float(vals.mean())
             row[f"{col}_median"] = float(np.percentile(vals, 50))
             row[f"{col}_q25"] = float(np.percentile(vals, 25))

@@ -108,13 +108,16 @@ def spike_scalars(c: float, tau_sq: float, z: float) -> SpikeAuxiliary:
 
     With a = tau^2/c: B = 1 + a(1 + z mtilde), S = mtilde + z mtilde',
     T = ((a + 1) mtilde' - a mtilde^2) / B^2.  The closed-form variance and
-    the Gram-side deterministic equivalents both read them from here.
+    the Gram-side deterministic equivalents both read them from here.  For
+    c <= 1, S is formed as the identical c(m + z m'): the (1 - c)/z terms of
+    mtilde and z mtilde' cancel, and summed term by term they lose every
+    digit of S as z -> 0.
     """
     a = tau_sq / c
     t = mp.transforms(c, z)
     mt, mtp = t.m_tilde, t.m_tilde_prime
     B = 1.0 + a * (1.0 + z * mt)
-    S = mt + z * mtp
+    S = c * (t.m + z * t.m_prime) if c <= 1.0 else mt + z * mtp
     T = ((a + 1.0) * mtp - a * mt * mt) / (B * B)
     return SpikeAuxiliary(tau_sq=tau_sq, B=B, S=S, T=T)
 

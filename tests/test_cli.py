@@ -263,6 +263,35 @@ def test_failed_trial_is_an_error_row(tmp_path, capsys, monkeypatch, command):
     assert not np.isnan(rows[1].mu_theory)
 
 
+def test_sweep_with_one_all_error_point_writes_both_csvs(tmp_path, capsys, monkeypatch):
+    # every trial of the lambda = 0.001 point fails: the run keeps it as an
+    # all-error aggregate row, exits 1, and the report leaves it out
+    solve = simulator.solve_ridge
+
+    def fail_at_smallest_lambda(X_tilde, w_tilde, lam, *args, **kwargs):
+        if lam == 0.001:
+            raise SolveFailure("injected")
+        return solve(X_tilde, w_tilde, lam, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, "solve_ridge", fail_at_smallest_lambda)
+    out = tmp_path / "w"
+    assert run_cli("sweep", "--p", "20", "--trials", "2", "--m-test", "50",
+                   "--out", str(out)) == 1
+    capsys.readouterr()
+    agg = {row["grid_index"]: row for row in sweep.read_aggregates(out / "sweep_agg.csv")}
+    assert len(agg) == len(sweep.read_records(out / "sweep.csv")) // 2
+    (bad,) = [row for row in agg.values() if row["lambda"] == 0.001]
+    assert bad["n_errors"] == bad["n_trials"] == 2 and math.isnan(bad["mu_emp_median"])
+    assert all(row["n_errors"] == 0 for row in agg.values() if row is not bad)
+
+    for kind in ("mu", "sigma", "eta"):
+        assert run_cli("report", "--input", str(out / "sweep.csv"), "--kind", kind) == 0
+    capsys.readouterr()
+    svgs = sorted(out.glob("sweep_*_vs_*.svg"))
+    assert len(svgs) == 12
+    assert not any("nan" in path.read_text() for path in svgs)
+
+
 def test_tiny_lambda_simulate_writes_error_rows(tmp_path, capsys):
     # the solve succeeds, but the closed form is not finite: every row is an
     # error row, and the run exits 1 without a traceback

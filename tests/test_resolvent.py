@@ -85,8 +85,9 @@ def test_gram_squared_matches_spike_auxiliary():
 
 def test_quadratic_forms_concentrate():
     # single largish draw of every check lands near its predicted limit
+    rows = resolvent.spiked_draw_checks(c=0.5, tau=1.0, z=-0.5, p=300, seed=3)
     for check in resolvent.ALL_CHECKS:
-        row = resolvent.quadratic_form_check(check, c=0.5, tau=1.0, z=-0.5, p=300, seed=3)
+        row = rows[check]
         scale = max(1.0, abs(row["predicted"]))
         assert row["abs_error"] < 0.3 * scale
         assert row["n"] == 600
@@ -109,8 +110,9 @@ def test_quadratic_form_check_matches_dense_inverse(c):
                 "gram": exp.b @ Qt @ exp.b,
                 "gram_sq": exp.b @ (Qt @ Qt) @ exp.b,
             }
+            rows = resolvent.spiked_draw_checks(c, tau, z, p, seed)
             for check in resolvent.ALL_CHECKS:
-                row = resolvent.quadratic_form_check(check, c, tau, z, p, seed)
+                row = rows[check]
                 assert row["n"] == n
                 assert row["observed"] == pytest.approx(dense[check], rel=1e-12)
 
@@ -118,9 +120,8 @@ def test_quadratic_form_check_matches_dense_inverse(c):
 def test_quadratic_form_check_residual_guard(monkeypatch):
     # every solve is checked; a residual above the tolerance is a SolveFailure
     monkeypatch.setattr(resolvent, "_RESOLVENT_RESIDUAL_TOL", 0.0)
-    for check in resolvent.ALL_CHECKS:
-        with pytest.raises(SolveFailure):
-            resolvent.quadratic_form_check(check, 0.5, 1.0, -0.5, 20, 0)
+    with pytest.raises(SolveFailure):
+        resolvent.spiked_draw_checks(0.5, 1.0, -0.5, 20, 0)
 
 
 def test_convergence_table_rejects_bad_shapes():
@@ -129,11 +130,6 @@ def test_convergence_table_rejects_bad_shapes():
             resolvent.convergence_table(c=c, tau=1.0, z=-0.5, sizes=[10], n_seeds=1)
     with pytest.raises(InvalidShape):
         resolvent.convergence_table(c=0.5, tau=1.0, z=-0.5, sizes=[10, 0], n_seeds=1)
-
-
-def test_quadratic_form_check_unknown_name():
-    with pytest.raises(ValueError):
-        resolvent.quadratic_form_check("bogus", 0.5, 1.0, -0.5, 50, 0)
 
 
 def test_woodbury_sherman_morrison():
@@ -228,8 +224,8 @@ def test_convergence_table_rows_are_draw_lookups():
     c, tau, z, sizes, n_seeds = 0.5, 1.0, -0.5, (40, 80), 3
     rows = resolvent.convergence_table(c, tau, z, sizes, n_seeds, master_seed=1)
     for row in rows:
-        assert row == resolvent.quadratic_form_check(
-            row["check_name"], c, tau, z, row["p"], row["seed"])
+        assert row == resolvent.spiked_draw_checks(
+            c, tau, z, row["p"], row["seed"])[row["check_name"]]
     # rows run check, then p, then seed; the four checks at one (p, s) share a draw
     per_check = len(sizes) * n_seeds
     assert [r["check_name"] for r in rows] == [

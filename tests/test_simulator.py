@@ -176,6 +176,26 @@ def test_fit_poisoned_allocates_no_copy_of_x():
         assert peak < 0.25 * X.nbytes
 
 
+def test_lambda_path_holds_at_most_one_gram_fork():
+    # each solve consumes its fork of the Gram before the next is copied, so
+    # a 4-lambda path holds the Gram and one fork, not four Grams
+    p, n = 200, 2000
+    X, y = simulator.generate_clean(SimShape(p=p, n=n, seed=21))
+    v = simulator.default_trigger(p, 1.0)
+
+    def peak(lams):
+        X_run = X.copy()
+        tracemalloc.start()
+        try:
+            simulator.fit_poisoned_path(X_run, y, v, 0.2, lams, simulator._rng_from(22),
+                                        Centering.POPULATION, 1000)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak((0.01, 0.1, 1.0, 10.0)) - peak((0.1,)) < 1.5 * p * p * 8
+
+
 def test_solve_ridge_explicit_inverse():
     rng = np.random.default_rng(21)
     X = rng.standard_normal((3, 5))

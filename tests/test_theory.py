@@ -67,6 +67,18 @@ def test_ridgeless_matches_small_lambda():
                 assert p_lam.sigma_sq == pytest.approx(p_rl.sigma_sq, rel=1e-3)
 
 
+@pytest.mark.parametrize("lam", [1e-12, 1e-14])
+@pytest.mark.parametrize("c", [0.1, 0.5, 0.9])
+def test_tiny_lambda_matches_ridgeless(c, lam):
+    # S = mtilde + z mtilde' summed term by term cancels two (1 - c)/lambda
+    # terms; at lambda = 1e-14 that put sigma^2 16% off its ridgeless limit
+    for th, vn in ((0.0, 1.0), (0.05, 0.1), (0.1, 1.0), (0.2, 2.5), (0.5, 4.0), (1.0, 1.0)):
+        p_lam = theory.predict(ModelParams(c=c, lam=lam, theta=th, v_norm=vn))
+        p_rl = theory.predict_ridgeless(ModelParams(c=c, lam=0.0, theta=th, v_norm=vn))
+        for field in ("mu", "sigma_sq", "eta", "C_align"):
+            assert getattr(p_lam, field) == pytest.approx(getattr(p_rl, field), rel=1e-9, abs=0.0)
+
+
 def test_alignment_coefficient_shape():
     # C = 0 at theta = 0, increases with theta, decreases with lambda
     base = ModelParams(c=0.1, lam=0.1, theta=0.0, v_norm=1.0)
