@@ -9,8 +9,9 @@ scipy wheels bundle: every run computes with one BLAS thread per process.
 `simulate`, `sweep` and `mnist` run their trials through `sweep.run_grid`:
 grid points that share c share each trial's draw and seed (that of the
 group's first grid point), those that also share theta and ||v|| share its
-Gram, so their rows are common random numbers, and the `seed` column of any
-row redoes that row alone.
+poison flips and Gram, and under population centering at c <= 1 all of them
+share the syrk of the Gram's rows 1: (`simulator.ridge_gram`).  Their rows are
+common random numbers, and the `seed` column of any row redoes that row alone.
 """
 
 from __future__ import annotations

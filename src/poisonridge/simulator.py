@@ -6,7 +6,11 @@ trial_index), where grid_index is the first grid point of the trial's
 group: the points that share c.  One trial of a group draws its data once;
 each (theta, ||v||) subgroup of it poisons and centers the data and forms
 its Gram once, then solves at each lambda (`run_trial_path`), so the rows
-of a group are common random numbers.  Sweeps are therefore
+of a group are common random numbers.  Under population centering the
+subgroups' centered data differ only in the trigger's row 0, so at p <= n
+they share one syrk of the Gram's rows 1: and each adds its row 0 by a
+matvec (`ridge_gram`), which every primal Gram of C-ordered data does, shared
+or not.  Sweeps are therefore
 bit-reproducible regardless of execution order or worker count, and the
 seed stored in a row reproduces that row byte for byte, through the
 one-point `run_trial` or `fit_poisoned`, on any core count, for the
@@ -133,10 +137,13 @@ def _poison(X, y, theta: float, v, rng: np.random.Generator):
     v = np.asarray(v, dtype=np.float64)
     if not np.all(np.isfinite(v)):
         raise ValueError("trigger vector must be finite")
+    if v.shape != X.shape[:1]:
+        raise ValueError(f"trigger vector has shape {v.shape}, expected ({X.shape[0]},)")
     u = np.zeros(y.shape[0], dtype=np.int64)
     neg = y < 0
     u[neg] = rng.random(int(neg.sum())) < theta
-    X[:, u == 1] += v[:, None]
+    rows = np.flatnonzero(v)  # the shift writes only the trigger's rows
+    X[np.ix_(rows, np.flatnonzero(u))] += v[rows, None]
     y[u == 1] = 1.0
     return u, v
 
@@ -154,14 +161,19 @@ def center(dataset: PoisonedDataset, theta: float):
 
 
 def _center(X, y, v, theta: float, centering: Centering):
-    """The centering stage: subtracts x_bar from float64 X in place."""
+    """The centering stage: subtracts x_bar from float64 X in place.
+
+    Population centering writes only the rows where x_bar, a multiple of the
+    trigger, is nonzero.
+    """
     if centering is Centering.POPULATION:
         moments = theory.population_moments(theta)
         x_bar = moments.x_bar_coeff * v
-        w_bar = moments.w_bar
-    else:
-        x_bar = X.mean(axis=1)
-        w_bar = float(y.mean())
+        rows = np.flatnonzero(x_bar)
+        X[rows] -= x_bar[rows, None]
+        return X, y - moments.w_bar, x_bar, moments.w_bar
+    x_bar = X.mean(axis=1)
+    w_bar = float(y.mean())
     X -= x_bar[:, None]
     return X, y - w_bar, x_bar, w_bar
 
@@ -211,15 +223,37 @@ def gram_cholesky(A, scale: float, shift: float):
     return _factor(_gram(A, scale), shift)
 
 
-def ridge_gram(X_tilde) -> np.ndarray:
+def _splits(X) -> bool:
+    """Whether `ridge_gram` forms X's Gram in two parts: X is C-ordered and primal."""
+    p, n = X.shape
+    return 1 < p <= n and X.flags.c_contiguous
+
+
+def _tail_gram(X) -> np.ndarray:
+    """(1/n) X[1:] X[1:]^T by syrk: the part of a split Gram that row 0 does not enter."""
+    return _gram(X[1:], 1.0 / X.shape[1])
+
+
+def ridge_gram(X_tilde, tail: np.ndarray | None = None) -> np.ndarray:
     """The upper triangle of the Gram that `solve_ridge` factors.
 
     (1/n) X X^T (p x p, primal) when p <= n and (1/n) X^T X (n x n, dual)
-    otherwise.
+    otherwise.  A C-ordered primal Gram is formed in two parts: rows 1: by
+    syrk (`_tail_gram`) and row 0 by one matvec, so inputs that differ only
+    in row 0, which holds every synthetic trigger (`default_trigger`), can
+    share the syrk: a given `tail` is that part, which is copied, not
+    consumed.  Every such Gram is split, shared or not, so its bits do not
+    depend on whether its syrk was shared.  The dual form and F-ordered
+    inputs take one syrk.
     """
     X_tilde = np.asarray(X_tilde, dtype=np.float64)
     p, n = X_tilde.shape
-    return _gram(X_tilde if p <= n else X_tilde.T, 1.0 / n)
+    if not _splits(X_tilde):
+        return _gram(X_tilde if p <= n else X_tilde.T, 1.0 / n)
+    G = np.zeros((p, p), order="F")
+    G[1:, 1:] = _tail_gram(X_tilde) if tail is None else tail
+    G[0] = (X_tilde @ X_tilde[0]) * (1.0 / n)
+    return G
 
 
 def solve_ridge(X_tilde, w_tilde, lam: float, x_bar, w_bar: float, *,
@@ -309,7 +343,7 @@ def fit_poisoned(
 
 
 def fit_poisoned_path(X, y, v, theta: float, lams, rng: np.random.Generator,
-                      centering: Centering, m_test: int) -> dict:
+                      centering: Centering, m_test: int, tail: np.ndarray | None = None) -> dict:
     """`fit_poisoned` at each lambda of `lams`, from one poisoned, centered set and one Gram.
 
     Returns {lambda: (solution, eta_mc)}, or the `PoisonRidgeError` of that
@@ -317,14 +351,16 @@ def fit_poisoned_path(X, y, v, theta: float, lams, rng: np.random.Generator,
     lambda leaves the others.  Each pair is bit for bit what `fit_poisoned`
     gives at that lambda alone from the same stream: each lambda's solve
     factors its own fork of the one `ridge_gram`, and its efficacy count
-    draws from its own fork of the post-poison stream (`_forks`).
+    draws from its own fork of the post-poison stream (`_forks`).  A given
+    `tail` is the `_tail_gram` of the centered X, formed by the caller
+    (`run_trial_path` shares one across (theta, ||v||) subgroups).
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.array(y, dtype=np.float64)
     _, v = _poison(X, y, theta, v, rng)
     X_tilde, w_tilde, x_bar, w_bar = _center(X, y, v, theta, centering)
     lams = list(dict.fromkeys(lams))
-    grams = _forks(ridge_gram(X_tilde), len(lams))
+    grams = _forks(ridge_gram(X_tilde, tail), len(lams))
     fits = {}
     for lam, stream in zip(lams, _forks(rng, len(lams))):
         try:
@@ -395,16 +431,18 @@ def error_record(params: ModelParams, shape: SimShape, centering: Centering,
 
 
 def subgroup_records(points, shape: SimShape, centering: Centering, trial_index: int,
-                     m_test: int, rng: np.random.Generator, data) -> list[SweepRecord]:
+                     m_test: int, rng: np.random.Generator, data,
+                     tail: np.ndarray | None = None) -> list[SweepRecord]:
     """The rows of one trial at each (grid_index, params) of `points`, which share one draw.
 
     The points are split by (theta, ||v||) into subgroups in grid order.
     `data(k, params)` returns the (X, y, v) that the k-th subgroup, at the
     theta and ||v|| of params, poisons and centers in place; `fit_poisoned_path`
     then solves it at each lambda of the subgroup, from a fork of `rng` as
-    the draw left it (`_forks`).  A row has NaN empirical columns when its
-    lambda's fit or its closed-form prediction failed, and NaN theory
-    columns when the prediction failed.
+    the draw left it (`_forks`), with the `_tail_gram` `tail` that every
+    subgroup's centered X shares, if given.  A row has NaN empirical columns
+    when its lambda's fit or its closed-form prediction failed, and NaN
+    theory columns when the prediction failed.
     """
     subgroups = {}
     for grid_index, params in points:
@@ -418,7 +456,7 @@ def subgroup_records(points, shape: SimShape, centering: Centering, trial_index:
             # is dropped before the next subgroup asks for its own
             fits = fit_poisoned_path(*data(k, first), first.theta,
                                      [params.lam for _, params in subgroup], stream,
-                                     centering, m_test)
+                                     centering, m_test, tail)
         except PoisonRidgeError:
             fits = {}
         for grid_index, params in subgroup:
@@ -438,29 +476,34 @@ def run_trial_path(points, shape: SimShape, *, centering: Centering = Centering.
     """One synthetic trial at each (grid_index, params) of `points`, one row each.
 
     The points share c.  The data are drawn once; each (theta, ||v||)
-    subgroup poisons and centers them in place and forms its Gram once
-    (`subgroup_records`), and the rows it wrote are restored before the next
-    subgroup.  Each row equals bit for bit what `run_trial` gives at its
-    point from shape.seed.
+    subgroup poisons and centers them in place (`subgroup_records`), and the
+    rows it wrote are restored before the next subgroup.  Under population
+    centering those are the trigger's row 0 alone, so the subgroups' Grams
+    share one syrk of rows 1: (`ridge_gram`), formed once per draw.  Each row
+    equals bit for bit what `run_trial` gives at its point from shape.seed.
     """
     # one Philox stream per trial: generation, poison flips and the efficacy
     # hit count all advance the same counter
     rng = _rng_from(shape.seed)
     X, y = generate_clean(shape, rng)
     triggers = {params.v_norm: default_trigger(shape.p, params.v_norm) for _, params in points}
+    tail = None
     if len({(params.theta, params.v_norm) for _, params in points}) > 1:
         # empirical centering writes every row; poisoning and population
-        # centering write the triggers' rows and add +-0.0 to the others
+        # centering write the triggers' rows only
         rows = (np.arange(shape.p) if centering is Centering.EMPIRICAL
                 else np.flatnonzero(np.any(list(triggers.values()), axis=0)))
         clean = X[rows]
+        if rows.max(initial=0) == 0 and _splits(X):
+            # rows 1: of every subgroup's centered X are the draw's own
+            tail = _tail_gram(X)
 
     def data(k, params):
         if k:
             X[rows] = clean
         return X, y, triggers[params.v_norm]
 
-    return subgroup_records(points, shape, centering, trial_index, m_test, rng, data)
+    return subgroup_records(points, shape, centering, trial_index, m_test, rng, data, tail)
 
 
 def run_trial(

@@ -178,23 +178,27 @@ def predict(params: ModelParams) -> TheoryPrediction:
     if params.lam <= 0.0:
         raise InvalidLambda(
             "predict requires lambda > 0; use predict_ridgeless for the "
-            "vanishing-regularization limit (c < 1)"
+            "vanishing-regularization limit (c != 1)"
         )
     return _prediction(params, alignment_coefficient(params),
                        spike_auxiliary(params, -params.lam))
 
 
 def predict_ridgeless(params: ModelParams) -> TheoryPrediction:
-    """Vanishing-regularization limit; valid only below the interpolation threshold.
+    """Vanishing-regularization limit on either side of the interpolation threshold.
 
-    `predict` as lambda -> 0 with c < 1: m/(1 + cm) -> 1, lambda m -> 0,
-    S -> c/(1 - c) and B -> 1 + tau^2.
+    `predict` as lambda -> 0.  For c < 1: m/(1 + cm) -> 1, lambda m -> 0,
+    S -> c/(1 - c) and B -> 1 + tau^2.  For c > 1, the minimum-norm
+    interpolator: m/(1 + cm) -> 1/c, lambda m -> 1 - 1/c, S -> 1/(c - 1)
+    and B -> 1 + tau^2/c.  The variance diverges at c = 1.
     """
-    if params.c >= 1.0:
-        raise InterpolationThreshold(
-            f"ridgeless variance diverges for c >= 1 (got c={params.c})"
-        )
+    c = params.c
+    if c == 1.0:
+        raise InterpolationThreshold("ridgeless variance diverges at c = 1")
     tau_sq = tau_squared(params)
-    limits = SpikeAuxiliary(tau_sq=tau_sq, B=1.0 + tau_sq, S=params.c / (1.0 - params.c),
-                            T=math.nan)
-    return _prediction(params, _alignment(params.theta, params.v_norm, 1.0, 0.0, 0.0), limits)
+    if c < 1.0:
+        cm, lam_m, B, S = 0.0, 0.0, 1.0 + tau_sq, c / (1.0 - c)
+    else:
+        cm, lam_m, B, S = c - 1.0, 1.0 - 1.0 / c, 1.0 + tau_sq / c, 1.0 / (c - 1.0)
+    return _prediction(params, _alignment(params.theta, params.v_norm, 1.0, cm, lam_m),
+                       SpikeAuxiliary(tau_sq=tau_sq, B=B, S=S, T=math.nan))

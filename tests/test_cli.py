@@ -42,7 +42,13 @@ def test_theory_ridgeless_and_errors(capsys):
     rc = run_cli("theory", "--c", "0.5", "--ridgeless")
     assert rc == 0
     assert "ridgeless" in capsys.readouterr().out
-    rc = run_cli("theory", "--c", "1.5", "--ridgeless")
+    # above the threshold, the minimum-norm interpolator: sigma^2 = 1/(c - 1) at theta = 0
+    rc = run_cli("theory", "--c", "1.5", "--ridgeless", "--theta", "0")
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert float(next(line.split()[1] for line in out.splitlines()
+                      if line.startswith("sigma_sq"))) == pytest.approx(2.0, rel=1e-15)
+    rc = run_cli("theory", "--c", "1", "--ridgeless")
     assert rc == 2
     assert "InterpolationThreshold" in capsys.readouterr().err
 

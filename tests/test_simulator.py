@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from poisonridge import mnist, simulator, theory
+from poisonridge import mnist, simulator, sweep, theory
 from poisonridge.errors import InvalidLambda, ThetaOutOfRange
 from poisonridge.simulator import Centering, SimShape
 from poisonridge.theory import ModelParams
@@ -59,6 +59,10 @@ def test_apply_poison_rate_and_support():
     assert abs(k - n_neg * theta) < 5.0 * sd
     with pytest.raises(ThetaOutOfRange):
         simulator.apply_poison(X, y, 1.5, ds.v, seed=6)
+    # the shift writes only the trigger's rows, so a trigger of the wrong length is refused
+    for v in (simulator.default_trigger(2, 1.0), simulator.default_trigger(4, 1.0)):
+        with pytest.raises(ValueError):
+            simulator.apply_poison(X, y, theta, v, seed=6)
 
 
 def test_population_centering_identity():
@@ -194,6 +198,46 @@ def test_lambda_path_holds_at_most_one_gram_fork():
             tracemalloc.stop()
 
     assert peak((0.01, 0.1, 1.0, 10.0)) - peak((0.1,)) < 1.5 * p * p * 8
+
+
+def test_sweep_c01_draw_group_forms_one_syrk_per_trial(monkeypatch):
+    # the 12 (theta, ||v||) subgroups of the sweep's c = 0.1 group differ only
+    # in the trigger's row 0 under population centering, so one syrk of rows
+    # 1: serves them all; each subgroup's row 0 is a matvec
+    grid = sweep.SweepGrid.builtin(p=40, trials=1)
+    (group,) = [g for g in sweep.draw_groups(dict(enumerate(grid.points(
+        sweep.AxisMode.ONE_AT_A_TIME)))) if g[0][1].c == 0.1]
+    assert len({(params.theta, params.v_norm) for _, params in group}) == 12
+    calls = []
+    gram = simulator._gram
+    monkeypatch.setattr(simulator, "_gram", lambda A, scale: calls.append(A.shape) or gram(A, scale))
+    records = simulator.run_trial_path(group, simulator.shape_for(40, 0.1, seed=5), m_test=50)
+    assert calls == [(39, 400)]
+    assert len(records) == len(group) and not any(r.is_error for r in records)
+
+
+def test_shared_tail_gram_equals_fresh_gram():
+    X, _ = simulator.generate_clean(SimShape(p=60, n=300, seed=23))
+    tail = simulator._tail_gram(X)
+    for v_norm in (0.0, 1.0, 3.0):
+        Xt = X.copy()
+        Xt[0] += v_norm * 0.5  # subgroups differ only in row 0
+        fresh, shared = simulator.ridge_gram(Xt), simulator.ridge_gram(Xt, tail)
+        assert fresh.flags.f_contiguous and shared.flags.f_contiguous
+        assert np.array_equal(fresh, shared)
+        dense = np.triu(Xt @ Xt.T / 300)
+        assert np.max(np.abs(np.triu(fresh) - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("X", [
+    simulator.generate_clean(SimShape(p=90, n=40, seed=24))[0],  # dual form, p > n
+    _f_ordered_subsample(25)[0],
+])
+def test_unsplit_ridge_gram_is_one_syrk(X):
+    p, n = X.shape
+    assert not simulator._splits(X)
+    want = simulator._gram(X if p <= n else X.T, 1.0 / n)
+    assert np.array_equal(simulator.ridge_gram(X), want)
 
 
 def test_solve_ridge_explicit_inverse():
