@@ -3,15 +3,17 @@
 Every writing command computes all of its outputs in memory and then hands
 them to `_save`, which creates --out, writes each file and a manifest.json
 with the full configuration, master seed and package version.  A refused run
-therefore writes nothing.  `rerun <manifest>` reproduces the primary CSVs
-byte for byte on any core count, for the OpenBLAS builds that the numpy and
-scipy wheels bundle: every run computes with one BLAS thread per process.
-`simulate`, `sweep` and `mnist` run their trials through `sweep.run_grid`:
-grid points that share c share each trial's draw and seed (that of the
+therefore writes nothing, and neither does one that cannot allocate its
+arrays.  `rerun <manifest>` reproduces the primary CSVs byte for byte on any
+core count, for the OpenBLAS builds that the numpy and scipy wheels bundle:
+every run computes with one BLAS thread per process.  `simulate`, `sweep`
+and `mnist` run their trials through `sweep.run_grid`: grid points that
+share c share each trial's draw, flip uniforms and seed (that of the
 group's first grid point), those that also share theta and ||v|| share its
-poison flips and Gram, and under population centering at c <= 1 all of them
-share the syrk of the Gram's rows 1: (`simulator.ridge_gram`).  Their rows are
-common random numbers, and the `seed` column of any row redoes that row alone.
+poisoned data and Gram, and under population centering at c <= 1 all of
+them share the syrk of the Gram's rows 1: (`simulator.ridge_gram`).  Their
+rows are common random numbers, and the `seed` column of any row redoes
+that row alone.
 """
 
 from __future__ import annotations
@@ -278,7 +280,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PoisonRidgeError, OSError) as exc:
+    except (PoisonRidgeError, OSError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

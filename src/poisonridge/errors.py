@@ -42,7 +42,7 @@ class ThetaOutOfRange(PoisonRidgeError):
 
 
 class InvalidTriggerNorm(PoisonRidgeError, ValueError):
-    """Trigger norm must be nonnegative and finite."""
+    """Trigger norm must be nonnegative and finite, with a finite square for the closed form."""
 
 
 # --- simulator ---

@@ -3,8 +3,9 @@
 The IDX container is big-endian: a 4-byte magic (0x00000803 for images,
 0x00000801 for labels), 32-bit dimension fields, then row-major unsigned
 bytes.  Runs on real data use empirical centering because the defender
-cannot know theta or the trigger.  A trial subsamples once for all the grid
-points that share subsample_n, and its seed is that of the first of them.
+cannot know theta or the trigger.  A trial subsamples and draws its poison
+flip uniforms once for all the grid points that share subsample_n, and its
+seed is that of the first of them.
 """
 
 from __future__ import annotations
@@ -46,15 +47,11 @@ class IdxImages:
 class BinaryTask:
     X: np.ndarray  # p x n, p = rows*cols
     y: np.ndarray  # -1/+1 labels
-    preprocessing: str  # "raw" or "unit"
 
 
 @dataclass(frozen=True)
 class PatchTrigger:
-    offset: tuple
-    patch: np.ndarray
-    v: np.ndarray
-    v_norm_target: float
+    v: np.ndarray  # the patch image, flattened and scaled to the requested norm
 
 
 def parse_idx_images(data: bytes) -> IdxImages:
@@ -126,7 +123,7 @@ def build_binary_task(
         selected /= 255.0
     X = selected.reshape(selected.shape[0], -1).T  # p x n
     y = np.where(labels[mask] == digit_pos, 1.0, -1.0)
-    return BinaryTask(X=X, y=y, preprocessing=scale)
+    return BinaryTask(X=X, y=y)
 
 
 def make_patch_trigger(
@@ -148,13 +145,7 @@ def make_patch_trigger(
     grid = np.zeros((rows, cols))
     grid[r0:r0 + size, c0:c0 + size] = 1.0
     flat = grid.ravel()
-    flat = flat * (v_norm_target / float(np.linalg.norm(flat)))
-    return PatchTrigger(
-        offset=(r0, c0),
-        patch=flat.reshape(rows, cols)[r0:r0 + size, c0:c0 + size].copy(),
-        v=flat,
-        v_norm_target=v_norm_target,
-    )
+    return PatchTrigger(v=flat * (v_norm_target / float(np.linalg.norm(flat))))
 
 
 def _grid_params(task: BinaryTask, trigger: PatchTrigger, theta: float, lam: float,
@@ -175,17 +166,18 @@ def _trial(task, trigger, swap_classes, points, shape, *, centering, trial_index
            m_test) -> list[SweepRecord]:
     """One trial at each (grid_index, params) of `points`, which share subsample_n.
 
-    Subsamples shape.n images once, from shape.seed's stream; each theta then
-    poisons and centers them and solves at each of its lambdas
-    (`simulator.subgroup_records`).  Each theta gathers its own fresh p x n
-    copy of the subsample, which the fit poisons and centers in place and
-    drops before the next theta gathers again.
+    Subsamples shape.n images once, from shape.seed's stream, which then
+    draws the flip uniforms once; each theta poisons and centers the
+    subsample and solves at each of its lambdas (`simulator.subgroup_records`).
+    Each theta gathers its own fresh p x n copy of the subsample, which the
+    fit poisons and centers in place and drops before the next theta gathers
+    again.
     """
     rng = simulator._rng_from(shape.seed)
     idx = rng.choice(task.X.shape[1], size=shape.n, replace=False)
     y = -task.y[idx] if swap_classes else task.y[idx]
-    return simulator.subgroup_records(points, shape, centering, trial_index, m_test, rng,
-                                      lambda k, params: (task.X[:, idx], y, trigger.v))
+    return simulator.subgroup_records(points, shape, centering, trial_index, m_test, rng, y,
+                                      lambda k, params: (task.X[:, idx], trigger.v))
 
 
 def run_mnist_grid(task: BinaryTask, trigger: PatchTrigger, points: dict, trials: int, seed: int,
@@ -197,8 +189,8 @@ def run_mnist_grid(task: BinaryTask, trigger: PatchTrigger, points: dict, trials
     theta (the positive class with swap_classes), solves the ridge problem
     and joins with the closed-form prediction at c = p/subsample_n; its n is
     round(p/c) = subsample_n.  The points that share subsample_n share each
-    trial's subsample and its seed, and those that also share theta share
-    its poison flips and Gram.
+    trial's subsample, flip uniforms and seed, and those that also share
+    theta share its poisoned subsample and Gram.
     """
     grid = {gi: _grid_params(task, trigger, *point) for gi, point in points.items()}
     trial = functools.partial(_trial, task, trigger, swap_classes)

@@ -3,16 +3,18 @@
 Each trial draws from one Philox counter stream seeded by its per-trial
 seed, which is derived statelessly from (master_seed, grid_index,
 trial_index), where grid_index is the first grid point of the trial's
-group: the points that share c.  One trial of a group draws its data once;
-each (theta, ||v||) subgroup of it poisons and centers the data and forms
-its Gram once, then solves at each lambda (`run_trial_path`), so the rows
-of a group are common random numbers.  Under population centering the
-subgroups' centered data differ only in the trigger's row 0, so at p <= n
-they share one syrk of the Gram's rows 1: and each adds its row 0 by a
-matvec (`ridge_gram`), which every primal Gram of C-ordered data does, shared
-or not.  Sweeps are therefore
-bit-reproducible regardless of execution order or worker count, and the
-seed stored in a row reproduces that row byte for byte, through the
+group: the points that share c.  One trial of a group draws its data once
+and then its poison flip uniforms once, one per -1 label; each (theta,
+||v||) subgroup of it poisons the -1 samples whose uniform is below theta,
+centers the data and forms its Gram once, then solves at each lambda, and
+each row draws its efficacy count from a copy of the stream as the flips
+left it (`run_trial_path`, `subgroup_records`), so the rows of a group are
+common random numbers.  Under population centering the subgroups' centered
+data differ only in the trigger's row 0, so at p <= n they share one syrk
+of the Gram's rows 1: and each adds its row 0 by a matvec (`ridge_gram`),
+which every primal Gram of C-ordered data does, shared or not.  Sweeps are
+therefore bit-reproducible regardless of execution order or worker count,
+and the seed stored in a row reproduces that row byte for byte, through the
 one-point `run_trial` or `fit_poisoned`, on any core count, for the
 OpenBLAS builds that the numpy and scipy wheels bundle: `sweep.run_grid`
 runs every trial with one BLAS thread.
@@ -95,8 +97,9 @@ def _rng_from(seed) -> np.random.Generator:
 
 def shape_for(p: int, c: float, seed: int) -> SimShape:
     """Derive n = round(p/c) at fixed p, recording the seed."""
-    if not p * (p / c) <= np.iinfo(np.intp).max:  # also refuses p/c = inf
-        raise InvalidShape(f"a p x p/c matrix exceeds the index range at p={p}, c={c}")
+    # numpy bounds an array's size in bytes, 8 to a float64
+    if not 8 * p * (p / c) <= np.iinfo(np.intp).max:  # also refuses p/c = inf
+        raise InvalidShape(f"a float64 p x p/c matrix exceeds the array size limit at p={p}, c={c}")
     return SimShape(p=p, n=max(1, round(p / c)), seed=seed)
 
 
@@ -123,15 +126,25 @@ def generate_clean(shape: SimShape, rng: np.random.Generator | None = None):
 def apply_poison(X, y, theta: float, v, seed, centering: Centering = Centering.POPULATION) -> PoisonedDataset:
     """Shift a theta-fraction of the -1 class by v and flip those labels to +1.
 
-    Works on a float64 copy of X in X's memory order; X and y are left as they are.
+    Draws the flip uniforms from `seed`, a seed or a stream, first.  Works on
+    a float64 copy of X in X's memory order; X and y are left as they are.
     """
     Xp, yp = np.array(X, dtype=np.float64, order="K"), np.array(y, dtype=np.float64)
-    u, v = _poison(Xp, yp, theta, v, _rng_from(seed))
+    u, v = _poison(Xp, yp, theta, v, _flip_uniforms(yp, _rng_from(seed)))
     return PoisonedDataset(X=Xp, y=yp, u=u, v=v, centering=centering)
 
 
-def _poison(X, y, theta: float, v, rng: np.random.Generator):
-    """The poison stage, in place on float64 X and y; returns (u, v)."""
+def _flip_uniforms(y, rng: np.random.Generator) -> np.ndarray:
+    """One U(0, 1) draw per -1 label of y, in sample order: the flips of every theta."""
+    return rng.random(int(np.count_nonzero(np.asarray(y) < 0)))
+
+
+def _poison(X, y, theta: float, v, uniforms: np.ndarray):
+    """The poison stage, in place on float64 X and y; returns (u, v).
+
+    Poisons the -1 samples whose uniform (`_flip_uniforms`) is below theta,
+    so a smaller theta's poisoned set lies inside a larger one's.
+    """
     if not (0.0 <= theta <= 1.0):
         raise ThetaOutOfRange(f"theta must be in [0, 1], got {theta}")
     v = np.asarray(v, dtype=np.float64)
@@ -140,8 +153,7 @@ def _poison(X, y, theta: float, v, rng: np.random.Generator):
     if v.shape != X.shape[:1]:
         raise ValueError(f"trigger vector has shape {v.shape}, expected ({X.shape[0]},)")
     u = np.zeros(y.shape[0], dtype=np.int64)
-    neg = y < 0
-    u[neg] = rng.random(int(neg.sum())) < theta
+    u[y < 0] = uniforms < theta
     rows = np.flatnonzero(v)  # the shift writes only the trigger's rows
     X[np.ix_(rows, np.flatnonzero(u))] += v[rows, None]
     y[u == 1] = 1.0
@@ -182,9 +194,7 @@ def _forks(obj, count: int):
     """`count` uses of obj, one at a time: a deep copy for every use but the
     last, and obj itself for the last, so a single use copies nothing.
 
-    The one copy-or-consume rule of a shared draw: the Gram of a lambda path,
-    which each solve factors in place, and the Philox stream that each lambda
-    and each (theta, ||v||) subgroup continues from the same state.
+    The Gram of a lambda path, which each solve factors in place.
     """
     for _ in range(count - 1):
         yield copy.deepcopy(obj)
@@ -329,46 +339,45 @@ def fit_poisoned(
 ) -> tuple[RidgeSolution, float]:
     """Poison, center, solve and score one training set; also the MC efficacy.
 
-    The one-lambda case of `fit_poisoned_path`, whose failure it raises.
+    The one-row case of `subgroup_records`: draws the flip uniforms from
+    `rng`, fits at params.lam by `fit_poisoned_path`, whose failure it
+    raises, and draws the efficacy count from `rng` as the flips left it.
+    Consumes X as `fit_poisoned_path` does; y is not modified.
+    """
+    solution = fit_poisoned_path(X, y, v, params.theta, (params.lam,),
+                                 _flip_uniforms(y, rng), centering)[params.lam]
+    if isinstance(solution, PoisonRidgeError):
+        raise solution
+    return solution, empirical_efficacy(solution, v, m_test, rng)
+
+
+def fit_poisoned_path(X, y, v, theta: float, lams, uniforms: np.ndarray, centering: Centering,
+                      tail: np.ndarray | None = None) -> dict:
+    """Each lambda's scored ridge solution, from one poisoned, centered X and one Gram.
+
+    Poisons the -1 samples whose flip uniform is below theta (`_poison`).
     Consumes X: the poison shift and the centering are done in place on X
     (on one float64 conversion of it if X is not float64), so a trial holds a
-    single p x n array.  y is not modified.  Every stage draws from `rng` in
-    turn, so one stream covers the trial.
-    """
-    fit = fit_poisoned_path(X, y, v, params.theta, (params.lam,), rng, centering,
-                            m_test)[params.lam]
-    if isinstance(fit, PoisonRidgeError):
-        raise fit
-    return fit
-
-
-def fit_poisoned_path(X, y, v, theta: float, lams, rng: np.random.Generator,
-                      centering: Centering, m_test: int, tail: np.ndarray | None = None) -> dict:
-    """`fit_poisoned` at each lambda of `lams`, from one poisoned, centered set and one Gram.
-
-    Returns {lambda: (solution, eta_mc)}, or the `PoisonRidgeError` of that
-    lambda's solve or efficacy in place of the pair, so a failure at one
-    lambda leaves the others.  Each pair is bit for bit what `fit_poisoned`
-    gives at that lambda alone from the same stream: each lambda's solve
-    factors its own fork of the one `ridge_gram`, and its efficacy count
-    draws from its own fork of the post-poison stream (`_forks`).  A given
-    `tail` is the `_tail_gram` of the centered X, formed by the caller
+    single p x n array; y is not modified.  Returns {lambda: solution}, or
+    the `PoisonRidgeError` of that lambda's solve in place of the solution,
+    so a failure at one lambda leaves the others.  Each lambda's solve
+    factors its own fork of the one `ridge_gram` (`_forks`).  A given `tail`
+    is the `_tail_gram` of the centered X, formed by the caller
     (`run_trial_path` shares one across (theta, ||v||) subgroups).
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.array(y, dtype=np.float64)
-    _, v = _poison(X, y, theta, v, rng)
+    _, v = _poison(X, y, theta, v, uniforms)
     X_tilde, w_tilde, x_bar, w_bar = _center(X, y, v, theta, centering)
     lams = list(dict.fromkeys(lams))
     grams = _forks(ridge_gram(X_tilde, tail), len(lams))
     fits = {}
-    for lam, stream in zip(lams, _forks(rng, len(lams))):
+    for lam in lams:
         try:
             # the fork goes straight into the solve, which consumes it before
             # the next one is copied
-            solution = score_statistics(
+            fits[lam] = score_statistics(
                 solve_ridge(X_tilde, w_tilde, lam, x_bar, w_bar, gram=next(grams)), v)
-            fits[lam] = solution, empirical_efficacy(solution, v, m_test, stream)
         except PoisonRidgeError as exc:
             fits[lam] = exc
     return fits
@@ -420,52 +429,45 @@ def make_record(
     )
 
 
-def error_record(params: ModelParams, shape: SimShape, centering: Centering,
-                 grid_index: int, trial_index: int) -> SweepRecord:
-    """The row of a failed trial: NaN empirical columns, theory columns if they exist."""
-    try:
-        pred = theory.predict(params)
-    except PoisonRidgeError:
-        pred = None
-    return make_record(params, shape, pred, centering, grid_index, trial_index)
-
-
 def subgroup_records(points, shape: SimShape, centering: Centering, trial_index: int,
-                     m_test: int, rng: np.random.Generator, data,
+                     m_test: int, rng: np.random.Generator, y, data,
                      tail: np.ndarray | None = None) -> list[SweepRecord]:
     """The rows of one trial at each (grid_index, params) of `points`, which share one draw.
 
-    The points are split by (theta, ||v||) into subgroups in grid order.
-    `data(k, params)` returns the (X, y, v) that the k-th subgroup, at the
-    theta and ||v|| of params, poisons and centers in place; `fit_poisoned_path`
-    then solves it at each lambda of the subgroup, from a fork of `rng` as
-    the draw left it (`_forks`), with the `_tail_gram` `tail` that every
-    subgroup's centered X shares, if given.  A row has NaN empirical columns
-    when its lambda's fit or its closed-form prediction failed, and NaN
+    Draws the flip uniforms of the labels `y` once, from `rng` as the draw
+    left it.  The points are split by (theta, ||v||) into subgroups in grid
+    order.  `data(k, params)` returns the (X, v) that the k-th subgroup, at
+    the theta and ||v|| of params, poisons and centers in place;
+    `fit_poisoned_path` then solves it at each lambda of the subgroup, with
+    the `_tail_gram` `tail` that every subgroup's centered X shares, if
+    given.  Each row with a solution draws its efficacy count from a copy of
+    `rng` as the flips left it.  A row has NaN empirical columns when its
+    lambda's fit or efficacy or its closed-form prediction failed, and NaN
     theory columns when the prediction failed.
     """
     subgroups = {}
     for grid_index, params in points:
         subgroups.setdefault((params.theta, params.v_norm), []).append((grid_index, params))
+    uniforms = _flip_uniforms(y, rng)
     records = []
-    for k, (subgroup, stream) in enumerate(zip(subgroups.values(),
-                                               _forks(rng, len(subgroups)))):
+    for k, subgroup in enumerate(subgroups.values()):
         first = subgroup[0][1]
+        X, v = data(k, first)
         try:
-            # the data go straight into the fit, so a subgroup's copy of them
-            # is dropped before the next subgroup asks for its own
-            fits = fit_poisoned_path(*data(k, first), first.theta,
-                                     [params.lam for _, params in subgroup], stream,
-                                     centering, m_test, tail)
+            fits = fit_poisoned_path(X, y, v, first.theta, [params.lam for _, params in subgroup],
+                                     uniforms, centering, tail)
         except PoisonRidgeError:
             fits = {}
+        del X  # consumed by the fit: dropped before the next subgroup asks for its own
         for grid_index, params in subgroup:
             fit = fits.get(params.lam)
+            pred, solved = None, ()  # a failure leaves NaN columns
             try:
                 pred = theory.predict(params)
+                if isinstance(fit, RidgeSolution):
+                    solved = fit, empirical_efficacy(fit, v, m_test, copy.deepcopy(rng))
             except PoisonRidgeError:
-                pred = fit = None
-            solved = fit if isinstance(fit, tuple) else ()  # a failure leaves NaN columns
+                pass
             records.append(make_record(params, shape, pred, centering, grid_index, trial_index,
                                        *solved))
     return records
@@ -478,32 +480,32 @@ def run_trial_path(points, shape: SimShape, *, centering: Centering = Centering.
     The points share c.  The data are drawn once; each (theta, ||v||)
     subgroup poisons and centers them in place (`subgroup_records`), and the
     rows it wrote are restored before the next subgroup.  Under population
-    centering those are the trigger's row 0 alone, so the subgroups' Grams
+    centering that is the trigger's row 0 alone, so the subgroups' Grams
     share one syrk of rows 1: (`ridge_gram`), formed once per draw.  Each row
     equals bit for bit what `run_trial` gives at its point from shape.seed.
     """
     # one Philox stream per trial: generation, poison flips and the efficacy
-    # hit count all advance the same counter
+    # hit counts all continue the same counter
     rng = _rng_from(shape.seed)
     X, y = generate_clean(shape, rng)
     triggers = {params.v_norm: default_trigger(shape.p, params.v_norm) for _, params in points}
     tail = None
     if len({(params.theta, params.v_norm) for _, params in points}) > 1:
-        # empirical centering writes every row; poisoning and population
-        # centering write the triggers' rows only
-        rows = (np.arange(shape.p) if centering is Centering.EMPIRICAL
-                else np.flatnonzero(np.any(list(triggers.values()), axis=0)))
+        # poisoning and population centering write row 0 alone, where
+        # `default_trigger` puts every trigger; empirical centering writes every row
+        population = centering is Centering.POPULATION
+        rows = [0] if population else np.arange(shape.p)
         clean = X[rows]
-        if rows.max(initial=0) == 0 and _splits(X):
+        if population and _splits(X):
             # rows 1: of every subgroup's centered X are the draw's own
             tail = _tail_gram(X)
 
     def data(k, params):
         if k:
             X[rows] = clean
-        return X, y, triggers[params.v_norm]
+        return X, triggers[params.v_norm]
 
-    return subgroup_records(points, shape, centering, trial_index, m_test, rng, data, tail)
+    return subgroup_records(points, shape, centering, trial_index, m_test, rng, y, data, tail)
 
 
 def run_trial(

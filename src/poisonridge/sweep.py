@@ -7,12 +7,12 @@ nothing; a trial that fails becomes an error row, and the command exits 1.
 The built-in grid covers seven aspect ratios, six penalties, four poison
 fractions and nine trigger norms, with p = 500 and 100 trials per point.
 Grid points that share an aspect ratio c form a group, and one trial of a
-group draws its data once, with the seed of the group's first grid point,
-and runs every (theta, ||v||, lambda) point of the group from that draw:
-its rows are common random numbers.  Records are reproducible from
-(master_seed, first grid_index of the group, trial_index) alone, and every
-process runs its BLAS on one thread, so neither the worker count, the core
-count nor the execution order changes the bytes on disk.
+group draws its data and its poison flip uniforms once, with the seed of
+the group's first grid point, and runs every (theta, ||v||, lambda) point
+of the group from them: its rows are common random numbers.  Records are
+reproducible from (master_seed, first grid_index of the group, trial_index)
+alone, and every process runs its BLAS on one thread, so neither the worker
+count, the core count nor the execution order changes the bytes on disk.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from . import simulator
 from .blas import one_thread
 from .errors import (
     EmptyGroup, InvalidLambda, InvalidTestCount, InvalidTrialCount, InvalidWorkerCount,
-    PoisonRidgeError,
 )
 from .records import _EMPIRICAL_FIELDS, FIELD_NAMES, SweepRecord, read_csv, write_csv
 from .simulator import Centering, trial_seed
@@ -107,12 +106,8 @@ def _run_one(job, trial=None, centering: Centering = Centering.POPULATION) -> li
     first_index, params = group[0]
     shape = simulator.shape_for(p, params.c, trial_seed(master_seed, first_index, trial_index))
     t0 = time.perf_counter()
-    try:
-        records = (trial or simulator.run_trial_path)(group, shape, centering=centering,
-                                                      m_test=m_test, trial_index=trial_index)
-    except PoisonRidgeError:
-        records = [simulator.error_record(point, shape, centering, gi, trial_index)
-                   for gi, point in group]
+    records = (trial or simulator.run_trial_path)(group, shape, centering=centering,
+                                                  m_test=m_test, trial_index=trial_index)
     share_ms = (time.perf_counter() - t0) * 1e3 / len(records)
     return [dataclasses.replace(r, wall_time_ms=share_ms) for r in records]
 
@@ -127,12 +122,12 @@ def run_grid(points: dict[int, ModelParams], p: int, trials: int, master_seed: i
     group whose first grid index is g is one job:
     `trial(group, shape, centering=, m_test=, trial_index=t)`, default
     `simulator.run_trial_path`, with shape.seed = trial_seed(master_seed, g,
-    t), which returns a record for each point of the group.  A
-    `PoisonRidgeError` that escapes it makes every row of the job an error
-    row (NaN empirical columns) instead of ending the run; near-singular
-    solves at tiny lambda and c near 1 are expected.  This process and every
-    pool worker run their BLAS on one thread (`one_thread`), so the records
-    do not depend on the core count.
+    t), which returns a record for each point of the group.  It turns each
+    failure of a fit or a prediction into an error row (NaN empirical
+    columns) instead of ending the run; near-singular solves at tiny lambda
+    and c near 1 are expected.  This process and every pool worker run their
+    BLAS on one thread (`one_thread`), so the records do not depend on the
+    core count.
     """
     if workers < 1:
         raise InvalidWorkerCount(f"workers must be >= 1, got {workers}")

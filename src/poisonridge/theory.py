@@ -9,6 +9,7 @@ probability a fresh triggered sample crosses the zero threshold.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -21,6 +22,9 @@ from .errors import (
 # sigma^2 slightly below zero from cancellation is clamped; anything worse
 # signals a formula bug.
 _VARIANCE_CLAMP = -1e-10
+
+# the largest float whose square is finite, 1.34e154
+_SQRT_MAX = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -37,8 +41,9 @@ class ModelParams:
             raise InvalidShape(f"c must be positive and finite, got {self.c}")
         if not (0.0 <= self.theta <= 1.0):
             raise ThetaOutOfRange(f"theta must be in [0, 1], got {self.theta}")
-        if not (self.v_norm >= 0.0 and math.isfinite(self.v_norm)):
-            raise InvalidTriggerNorm(f"v_norm must be nonnegative and finite, got {self.v_norm}")
+        if not (0.0 <= self.v_norm <= _SQRT_MAX):
+            raise InvalidTriggerNorm(
+                f"v_norm must be nonnegative with a finite square, got {self.v_norm}")
         if not (self.lam >= 0.0 and math.isfinite(self.lam)):
             raise InvalidLambda(f"lambda must be nonnegative and finite, got {self.lam}")
 
@@ -161,7 +166,9 @@ def _prediction(params: ModelParams, align: float, aux: SpikeAuxiliary) -> Theor
     mu = align * vn ** 2
     bracket = (1.0 - theta ** 2)
     if theta > 0.0:
-        spike_gain = (1.0 + aux.tau_sq / params.c) / aux.B ** 2 - 1.0
+        # past B = 1.34e154, B^2 overflows and the gain is -1 to double precision
+        spike_gain = (-1.0 if aux.B > _SQRT_MAX
+                      else (1.0 + aux.tau_sq / params.c) / aux.B ** 2 - 1.0)
         bracket += spike_gain * theta * (1.0 - theta) ** 2 / (2.0 - theta)
     sigma_sq = aux.S * bracket
     if sigma_sq < 0.0:

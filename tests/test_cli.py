@@ -139,8 +139,9 @@ def test_resolvent_check_beyond_dense_cap(tmp_path, capsys):
     ("simulate", "--c", "0", "--p", "10", "--trials", "1", "--m-test", "10"),
     ("simulate", "--p", "0", "--trials", "1", "--m-test", "10"),
     ("resolvent-check", "--p", "10", "--seeds", "0"),
-    # n = round(p/c) past the index range, or p/c not finite
+    # a p x n float64 array past numpy's size limit in bytes, or p/c not finite
     ("simulate", "--c", "1e-300", "--p", "10", "--trials", "1", "--m-test", "10"),
+    ("simulate", "--c", "2e-18", "--p", "2", "--trials", "1", "--m-test", "10"),
     ("simulate", "--c", "1e-320", "--p", "10", "--trials", "1", "--m-test", "10"),
     ("resolvent-check", "--c", "1e-320", "--p", "10", "--seeds", "1"),
 ])
@@ -215,6 +216,13 @@ def test_bad_shapes_exit_2(tmp_path, capsys, argv):
     # m~'(-lambda) overflows: (1-c)/lambda^2 is inf, and lambda^2 is 0 at 1e-300
     (("theory", "--c", "0.5", "--lambda", "1e-160"), "NonFiniteTransform"),
     (("theory", "--c", "0.5", "--lambda", "1e-300"), "NonFiniteTransform"),
+    # ||v||^2 overflows
+    (("theory", "--c", "0.5", "--vnorm", "1e160"), "InvalidTriggerNorm"),
+    (("simulate", "--p", "20", "--c", "0.5", "--vnorm", "1e160", "--trials", "1",
+      "--m-test", "10", "--out", "{tmp}/o"), "InvalidTriggerNorm"),
+    # 64 PiB, past any 48-bit address space: refused without touching memory
+    (("simulate", "--p", "3", "--c", "1e-15", "--trials", "1", "--m-test", "10",
+      "--out", "{tmp}/o"), "MemoryError"),
 ])
 def test_bad_inputs_exit_2(tmp_path, capsys, argv, error):
     _write_idx_pair(tmp_path)

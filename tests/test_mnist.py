@@ -1,6 +1,7 @@
 """IDX parsing, binary task construction, patch triggers, real-data experiment."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,3 +196,24 @@ def test_run_mnist_experiment_theta_orders_mu():
         return float(np.median([r.mu_emp for r in records]))
 
     assert median_mu(0.2) > median_mu(0.01)
+
+
+def test_multi_theta_trial_holds_one_subsample_copy():
+    # each theta gathers its own copy of the subsample, which its fit consumes;
+    # the previous copy is dropped before the next one is gathered
+    pixels, labels = _fake_mnist(2500, 2500, seed=8, rows=6, cols=5)
+    task = mnist.build_binary_task(mnist.IdxImages(count=5000, rows=6, cols=5, pixels=pixels),
+                                   labels)
+    trigger = mnist.make_patch_trigger(offset=(1, 1), size=2, v_norm_target=1.0, rows=6, cols=5)
+    n = 4000
+    points = [(gi, mnist._grid_params(task, trigger, theta, 0.1, n))
+              for gi, theta in enumerate((0.05, 0.1, 0.2))]
+    tracemalloc.start()
+    try:
+        records = mnist._trial(task, trigger, False, points, simulator.SimShape(p=30, n=n, seed=9),
+                               centering=simulator.Centering.EMPIRICAL, trial_index=0, m_test=50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 3 and not any(r.is_error for r in records)
+    assert peak < 1.5 * 30 * n * 8

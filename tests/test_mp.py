@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poisonridge import mp
+from poisonridge import mp, theory
 from poisonridge.errors import NonNegativeZ
 
 C_GRID = (0.1, 0.3, 0.5, 0.75, 1.25, 1.5, 2.0)
@@ -105,29 +105,33 @@ def test_stieltjes_matches_decimal_reference():
             assert rel <= Decimal("1e-15"), (c, lam, float(rel))
 
 
-def _companion_reference(c: float, z: float) -> tuple[Decimal, Decimal, Decimal]:
-    """m'(z), mtilde(z) and mtilde'(z) in 50-digit decimal arithmetic, by the c*m - (1-c)/z relation.
+def _companion_reference(c: float, z: float) -> tuple[Decimal, Decimal, Decimal, Decimal]:
+    """m'(z), mtilde(z), mtilde'(z) and S = mtilde + z mtilde' in 50-digit decimal arithmetic.
 
-    50 digits leave more than 25 after the cancellation of c*m against (1-c)/z at c > 1,
-    and of the implicit derivative's denominator near c = 1.
+    By the c*m - (1-c)/z relation.  50 digits leave more than 25 after the
+    cancellation of c*m against (1-c)/z at c > 1, of the implicit derivative's
+    denominator near c = 1, and of the two (1-c)/z terms of S at lambda = 1e-15.
     """
     with localcontext() as ctx:
         ctx.prec = 50
         m = _stieltjes_reference(c, z)
         c, z = Decimal(c), Decimal(z)
         m_prime = -(c * m * m + m) / (2 * z * c * m + c + z - 1)
-        return m_prime, c * m - (1 - c) / z, c * m_prime + (1 - c) / (z * z)
+        m_tilde, m_tilde_prime = c * m - (1 - c) / z, c * m_prime + (1 - c) / (z * z)
+        return m_prime, m_tilde, m_tilde_prime, m_tilde + z * m_tilde_prime
 
 
 def test_companion_matches_decimal_reference():
-    # at c > 1 the two terms of c*m - (1-c)/z cancel as lambda -> 0, and near
-    # c = 1 the implicit derivative's denominator 2zcm + c + z - 1 does
-    for c in (0.1, 0.5, 0.9, 1.0, 1.001, 1.25, 1.5, 2.0, 4.0):
-        for lam in (1.0, 1e-1, 1e-3, 1e-5, 1e-7, 1e-9, 1e-12):
-            ref_m_prime, ref, ref_prime = _companion_reference(c, -lam)
+    # at c > 1 the two terms of c*m - (1-c)/z cancel as lambda -> 0, near
+    # c = 1 the implicit derivative's denominator 2zcm + c + z - 1 does, and
+    # at c < 1 the two (1-c)/lambda terms of S = mtilde + z mtilde' do
+    for c in (0.1, 0.5, 0.9, 1.0, 1.001, 1.25, 1.5, 2.0, 4.0, 5.0):
+        for lam in (1.0, 1e-1, 1e-3, 1e-5, 1e-7, 1e-9, 1e-12, 1e-13, 1e-14, 1e-15):
+            ref_m_prime, ref, ref_prime, ref_S = _companion_reference(c, -lam)
             for got, want in ((mp.mp_stieltjes_derivative(c, -lam), ref_m_prime),
                               (mp.mp_companion(c, -lam), ref),
-                              (mp.mp_companion_derivative(c, -lam), ref_prime)):
+                              (mp.mp_companion_derivative(c, -lam), ref_prime),
+                              (theory.spike_scalars(c, 1.0, -lam).S, ref_S)):
                 rel = abs((Decimal(got) - want) / want)
                 assert rel <= Decimal("1e-15"), (c, lam, float(rel))
 

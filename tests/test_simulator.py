@@ -186,13 +186,13 @@ def test_lambda_path_holds_at_most_one_gram_fork():
     p, n = 200, 2000
     X, y = simulator.generate_clean(SimShape(p=p, n=n, seed=21))
     v = simulator.default_trigger(p, 1.0)
+    uniforms = simulator._flip_uniforms(y, simulator._rng_from(22))
 
     def peak(lams):
         X_run = X.copy()
         tracemalloc.start()
         try:
-            simulator.fit_poisoned_path(X_run, y, v, 0.2, lams, simulator._rng_from(22),
-                                        Centering.POPULATION, 1000)
+            simulator.fit_poisoned_path(X_run, y, v, 0.2, lams, uniforms, Centering.POPULATION)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -200,19 +200,44 @@ def test_lambda_path_holds_at_most_one_gram_fork():
     assert peak((0.01, 0.1, 1.0, 10.0)) - peak((0.1,)) < 1.5 * p * p * 8
 
 
-def test_sweep_c01_draw_group_forms_one_syrk_per_trial(monkeypatch):
-    # the 12 (theta, ||v||) subgroups of the sweep's c = 0.1 group differ only
-    # in the trigger's row 0 under population centering, so one syrk of rows
-    # 1: serves them all; each subgroup's row 0 is a matvec
+def _sweep_c01_group():
+    """The sweep's c = 0.1 draw group, at p = 40: 12 (theta, ||v||) subgroups."""
     grid = sweep.SweepGrid.builtin(p=40, trials=1)
     (group,) = [g for g in sweep.draw_groups(dict(enumerate(grid.points(
         sweep.AxisMode.ONE_AT_A_TIME)))) if g[0][1].c == 0.1]
     assert len({(params.theta, params.v_norm) for _, params in group}) == 12
+    return group
+
+
+def test_sweep_c01_draw_group_forms_one_syrk_per_trial(monkeypatch):
+    # the 12 (theta, ||v||) subgroups of the sweep's c = 0.1 group differ only
+    # in the trigger's row 0 under population centering, so one syrk of rows
+    # 1: serves them all; each subgroup's row 0 is a matvec
+    group = _sweep_c01_group()
     calls = []
     gram = simulator._gram
     monkeypatch.setattr(simulator, "_gram", lambda A, scale: calls.append(A.shape) or gram(A, scale))
     records = simulator.run_trial_path(group, simulator.shape_for(40, 0.1, seed=5), m_test=50)
     assert calls == [(39, 400)]
+    assert len(records) == len(group) and not any(r.is_error for r in records)
+
+
+def test_sweep_c01_draw_group_draws_its_flips_once(monkeypatch):
+    # the labels are common to every (theta, ||v||) subgroup, and so are the
+    # flip uniforms: one trial draws them once, and each subgroup poisons the
+    # -1 samples whose uniform is below its theta
+    group = _sweep_c01_group()
+    seen = []
+    poison = simulator._poison
+
+    def record_poison(X, y, theta, v, uniforms):
+        seen.append(uniforms)
+        return poison(X, y, theta, v, uniforms)
+
+    monkeypatch.setattr(simulator, "_poison", record_poison)
+    records = simulator.run_trial_path(group, simulator.shape_for(40, 0.1, seed=5), m_test=50)
+    assert len(seen) == 12
+    assert all(uniforms is seen[0] for uniforms in seen)
     assert len(records) == len(group) and not any(r.is_error for r in records)
 
 
@@ -238,6 +263,22 @@ def test_unsplit_ridge_gram_is_one_syrk(X):
     assert not simulator._splits(X)
     want = simulator._gram(X if p <= n else X.T, 1.0 / n)
     assert np.array_equal(simulator.ridge_gram(X), want)
+
+
+def test_tiny_lambda_dual_solve_matches_interpolator_theory():
+    # c = 2 at lambda = 1e-10: the n x n dual solve, near the minimum-norm
+    # interpolator, against the ridgeless limit above c = 1, with the
+    # tolerances of acceptance criteria 4 (mu) and 5 (sigma^2)
+    params = ModelParams(c=2.0, lam=1e-10, theta=0.1, v_norm=1.0)
+    limit = theory.predict_ridgeless(ModelParams(c=2.0, lam=0.0, theta=0.1, v_norm=1.0))
+    records = sweep.run_grid({0: params}, 400, 40, 0, 50)
+    assert records[0].n == 200 and not any(r.is_error for r in records)
+    mus = np.array([r.mu_emp for r in records])
+    s2s = np.array([r.sigma2_emp for r in records])
+    se_mu = mus.std(ddof=1) / math.sqrt(len(mus))
+    se_s2 = s2s.std(ddof=1) / math.sqrt(len(s2s))
+    assert abs(mus.mean() - limit.mu) <= max(4.0 * se_mu, 0.02 * limit.mu)
+    assert abs(s2s.mean() - limit.sigma_sq) <= max(4.0 * se_s2, 0.05 * limit.sigma_sq)
 
 
 def test_solve_ridge_explicit_inverse():

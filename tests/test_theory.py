@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from poisonridge import mp, theory
-from poisonridge.errors import InterpolationThreshold, InvalidLambda, ThetaOutOfRange
+from poisonridge.errors import (
+    InterpolationThreshold, InvalidLambda, InvalidTriggerNorm, ThetaOutOfRange,
+)
 from poisonridge.theory import ModelParams
 
 DEFAULTS = ModelParams(c=0.1, lam=0.1, theta=0.1, v_norm=1.0)
@@ -222,6 +224,20 @@ def test_parameter_validation():
         ModelParams(c=0.1, lam=0.1, theta=0.1, v_norm=-1.0)
     with pytest.raises(InvalidLambda):
         theory.predict(ModelParams(c=0.1, lam=0.0, theta=0.1, v_norm=1.0))
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0])
+def test_huge_trigger_norm_reaches_its_limit(c):
+    # past ||v|| of about 1e77, B^2 overflows; the spike gain is then -1 to
+    # double precision, so mu and sigma^2 stay at their large-||v|| limits
+    # up to the largest norm whose square is finite
+    preds = [theory.predict(ModelParams(c=c, lam=0.1, theta=0.1, v_norm=vn))
+             for vn in (1e50, 1e100, 1e154, theory._SQRT_MAX)]
+    for pred in preds:
+        assert pred.mu == pytest.approx(preds[0].mu, rel=1e-12)
+        assert pred.sigma_sq == pytest.approx(preds[0].sigma_sq, rel=1e-12)
+    with pytest.raises(InvalidTriggerNorm):
+        ModelParams(c=c, lam=0.1, theta=0.1, v_norm=math.nextafter(theory._SQRT_MAX, math.inf))
 
 
 def test_efficacy_degenerate_variance():
