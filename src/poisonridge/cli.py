@@ -11,7 +11,8 @@ and `mnist` run their trials through `sweep.run_grid`: grid points that
 share c share each trial's draw, flip uniforms and seed (that of the
 group's first grid point), those that also share theta and ||v|| share its
 poisoned data and Gram, and under population centering at c <= 1 all of
-them share the syrk of the Gram's rows 1: (`simulator.ridge_gram`).  Their
+them share one factor per lambda of the Gram's rows 1:, onto which each
+borders its row 0 (`simulator.solve_ridge` solves the same way).  Their
 rows are common random numbers, and the `seed` column of any row redoes
 that row alone.
 """

@@ -9,10 +9,12 @@ and then its poison flip uniforms once, one per -1 label; each (theta,
 centers the data and forms its Gram once, then solves at each lambda, and
 each row draws its efficacy count from a copy of the stream as the flips
 left it (`run_trial_path`, `subgroup_records`), so the rows of a group are
-common random numbers.  Under population centering the subgroups' centered
-data differ only in the trigger's row 0, so at p <= n they share one syrk
-of the Gram's rows 1: and each adds its row 0 by a matvec (`ridge_gram`),
-which every primal Gram of C-ordered data does, shared or not.  Sweeps are
+common random numbers.  A primal system of C-ordered data is solved
+split: each lambda factors the Gram's tail, its rows 1:, and row 0 is
+bordered on as the last pivot (`_solve`).  Under population centering the
+subgroups' centered data differ only in the trigger's row 0, so one tail
+factor per lambda serves them all; a lone system, as in `solve_ridge`, is
+solved the same way, so sharing the factor changes no bit.  Sweeps are
 therefore bit-reproducible regardless of execution order or worker count,
 and the seed stored in a row reproduces that row byte for byte, through the
 one-point `run_trial` or `fit_poisoned`, on any core count, for the
@@ -28,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, cho_factor, cho_solve
+from scipy.linalg import blas, cho_factor, cho_solve, solve_triangular
 
 from . import theory
 from .errors import (
@@ -194,7 +196,7 @@ def _forks(obj, count: int):
     """`count` uses of obj, one at a time: a deep copy for every use but the
     last, and obj itself for the last, so a single use copies nothing.
 
-    The Gram of a lambda path, which each solve factors in place.
+    The Gram of a lambda path, which each lambda's factorization consumes.
     """
     for _ in range(count - 1):
         yield copy.deepcopy(obj)
@@ -209,99 +211,222 @@ def _gram(A, scale: float) -> np.ndarray:
 
 
 def _factor(G, shift: float):
-    """x -> (G + shift I)^-1 x, by one Cholesky factorization of the upper triangle G.
+    """cho_factor's upper Cholesky factor of G + shift I, from the upper triangle G.
 
     Factors G in place.  A matrix that is not finite or not positive definite
     is a `SolveFailure`.
     """
     G[np.diag_indices_from(G)] += shift
     try:
-        factor = cho_factor(G, lower=False, overwrite_a=True)
+        return cho_factor(G, lower=False, overwrite_a=True)
     except (np.linalg.LinAlgError, ValueError) as exc:  # ValueError: G is not finite
         raise SolveFailure(
             f"regularized Gram at shift={shift} is not finite and positive definite") from exc
-    return lambda rhs: cho_solve(factor, rhs)
 
 
 def gram_cholesky(A, scale: float, shift: float):
     """x -> (scale A A^T + shift I)^-1 x, by one Cholesky factorization.
 
-    The one place that forms and factors a regularized Gram: the ridge
-    solve's primal and dual systems (through `ridge_gram`) and the
-    resolvent's (1/n) Z Z^T - z I.
+    The one place that forms and factors a whole regularized Gram: the
+    resolvent's (1/n) Z Z^T - z I.  The ridge solve factors the same way
+    (`_solve_path`), the Gram of a split system without its row 0.
     """
-    return _factor(_gram(A, scale), shift)
+    factor = _factor(_gram(A, scale), shift)
+    return lambda rhs: cho_solve(factor, rhs)
 
 
 def _splits(X) -> bool:
-    """Whether `ridge_gram` forms X's Gram in two parts: X is C-ordered and primal."""
+    """Whether X's ridge system is solved split: X is C-ordered and primal.
+
+    Its Gram's rows 1:, the tail (1/n) X[1:] X[1:]^T, are then factored by
+    themselves, and row 0 is bordered onto that factor (`_solve`).
+    """
     p, n = X.shape
     return 1 < p <= n and X.flags.c_contiguous
 
 
-def _tail_gram(X) -> np.ndarray:
-    """(1/n) X[1:] X[1:]^T by syrk: the part of a split Gram that row 0 does not enter."""
-    return _gram(X[1:], 1.0 / X.shape[1])
+def _rows_gram(rows) -> np.ndarray:
+    """(1/n) rows rows^T when rows has at most n rows, else (1/n) rows^T rows: one syrk."""
+    m, n = rows.shape
+    return _gram(rows if m <= n else rows.T, 1.0 / n)
 
 
-def ridge_gram(X_tilde, tail: np.ndarray | None = None) -> np.ndarray:
+def ridge_gram(X_tilde) -> np.ndarray:
     """The upper triangle of the Gram that `solve_ridge` factors.
 
     (1/n) X X^T (p x p, primal) when p <= n and (1/n) X^T X (n x n, dual)
-    otherwise.  A C-ordered primal Gram is formed in two parts: rows 1: by
-    syrk (`_tail_gram`) and row 0 by one matvec, so inputs that differ only
-    in row 0, which holds every synthetic trigger (`default_trigger`), can
-    share the syrk: a given `tail` is that part, which is copied, not
-    consumed.  Every such Gram is split, shared or not, so its bits do not
-    depend on whether its syrk was shared.  The dual form and F-ordered
-    inputs take one syrk.
+    otherwise; of a split X (`_splits`), only its tail (1/n) X[1:] X[1:]^T,
+    which inputs that differ only in row 0 share.
     """
     X_tilde = np.asarray(X_tilde, dtype=np.float64)
-    p, n = X_tilde.shape
-    if not _splits(X_tilde):
-        return _gram(X_tilde if p <= n else X_tilde.T, 1.0 / n)
-    G = np.zeros((p, p), order="F")
-    G[1:, 1:] = _tail_gram(X_tilde) if tail is None else tail
-    G[0] = (X_tilde @ X_tilde[0]) * (1.0 / n)
-    return G
+    return _rows_gram(X_tilde[1:] if _splits(X_tilde) else X_tilde)
 
 
-def solve_ridge(X_tilde, w_tilde, lam: float, x_bar, w_bar: float, *,
-                gram: np.ndarray | None = None) -> RidgeSolution:
+@dataclass(frozen=True)
+class _System:
+    """One centered ridge system, as its solve and its residual guard read it.
+
+    A split X~ (`_splits`) is kept as its row 0, `head`, and its rows 1:,
+    `rows`, from which the Gram's tail comes; `border` is (1/n) X~ [x~_0, w~],
+    the Gram's row 0 and the right-hand side side by side.  Otherwise head
+    and border are None and rows is X~.  `rhs` is (1/n) X~ w~.
+    """
+    rows: np.ndarray
+    head: np.ndarray | None
+    border: np.ndarray | None
+    rhs: np.ndarray
+    w_tilde: np.ndarray
+    x_bar: np.ndarray
+    w_bar: float
+
+
+def _system(X_tilde, w_tilde, x_bar, w_bar: float) -> _System:
+    """The `_System` of float64 X_tilde and w_tilde, holding a view of X_tilde's rows."""
+    n = X_tilde.shape[1]
+    if _splits(X_tilde):
+        border = X_tilde @ np.stack((X_tilde[0], w_tilde), axis=1) / n
+        return _System(rows=X_tilde[1:], head=X_tilde[0].copy(), border=border,
+                       rhs=border[:, 1], w_tilde=w_tilde, x_bar=x_bar, w_bar=w_bar)
+    return _System(rows=X_tilde, head=None, border=None, rhs=X_tilde @ w_tilde / n,
+                   w_tilde=w_tilde, x_bar=x_bar, w_bar=w_bar)
+
+
+def _solve(system: _System, factor, lam: float) -> np.ndarray:
+    """beta of one system at lam, from `factor`, cho_factor's factor of its Gram + lam I.
+
+    A split system's factor R is its tail's, and row 0 is bordered on as the
+    last pivot: R^T [r, z] = [g_1, rhs_1], delta^2 = g_0 + lam - r.r,
+    beta_0 = (rhs_0 - r.z) / delta^2 and R beta_1 = z - r beta_0, where
+    [g, rhs] is its border.  A pivot delta^2 that is not finite and positive
+    is a `SolveFailure`.
+    """
+    if system.head is None:
+        m, n = system.rows.shape
+        if m <= n:
+            return cho_solve(factor, system.rhs)
+        return system.rows @ cho_solve(factor, system.w_tilde) / n
+    R = factor[0]
+    r, z = solve_triangular(R, system.border[1:], trans="T", check_finite=False).T
+    g0, rhs0 = system.border[0]
+    pivot = g0 + lam - r @ r
+    if not 0.0 < pivot < math.inf:
+        raise SolveFailure(f"bordered pivot {pivot!r} at lambda={lam} is not finite and positive")
+    beta0 = (rhs0 - r @ z) / pivot
+    return np.concatenate(([beta0], solve_triangular(R, z - r * beta0, check_finite=False)))
+
+
+def _solve_at(lam: float, gram, systems) -> list:
+    """Each system's beta at lam, or the `PoisonRidgeError` of its solve, from
+    one factorization of gram + lam I, which consumes gram."""
+    try:
+        if not lam > 0.0:
+            raise InvalidLambda(f"ridge solve requires lambda > 0, got {lam}")
+        factor = _factor(gram, lam)
+    except PoisonRidgeError as exc:
+        return [exc] * len(systems)
+    betas = []
+    for system in systems:
+        try:
+            betas.append(_solve(system, factor, lam))
+        except PoisonRidgeError as exc:
+            betas.append(exc)
+    return betas
+
+
+def _check_residuals(solved) -> list:
+    """Each (system, lam, beta) of `solved`: beta, or a `SolveFailure` if its
+    normal-equations residual is not finite or exceeds the tolerance.
+
+    The residual (1/n) X~ (X~^T beta) + lam beta - rhs guards against
+    ill-conditioning; it is matrix-free and its bound is 1e-8 (1 + ||w~||).
+    The systems share their rows, so the betas are checked a column block at
+    a time, with two gemm passes over the rows per block; of split systems,
+    X~^T beta = rows^T beta_1 + head beta_0.  A block's n-row temporaries
+    take at most 1/8 of the rows' bytes.
+    """
+    if not solved:
+        return []
+    rows = solved[0][0].rows
+    n = rows.shape[1]
+    own = int(solved[0][0].head is not None)  # the rows of X~ that each system keeps apart
+    block = max(1, rows.shape[0] // 8)
+    out = []
+    for start in range(0, len(solved), block):
+        chunk = solved[start:start + block]
+        B = np.stack([beta for _, _, beta in chunk], axis=1)
+        U = rows.T @ B[own:]
+        XU = np.empty_like(B)
+        for j, (system, _, _) in enumerate(chunk):
+            if own:
+                U[:, j] += system.head * B[0, j]
+                XU[0, j] = system.head @ U[:, j]
+        XU[own:] = rows @ U
+        for j, (system, lam, beta) in enumerate(chunk):
+            norm = float(np.linalg.norm(XU[:, j] / n + lam * beta - system.rhs))
+            bound = _RESIDUAL_TOL * (1.0 + float(np.linalg.norm(system.w_tilde)))
+            out.append(beta if norm <= bound else SolveFailure(
+                f"normal-equations residual {norm:.3e} exceeds {bound:.3e}"))
+    return out
+
+
+def _solve_path(paths) -> list[dict]:
+    """Each (system, lambdas) of `paths` solved at each of its lambdas.
+
+    The systems share their rows, and so their Gram (`ridge_gram`: the
+    tail, of split systems), which is formed once and factored once per
+    distinct lambda, each lambda consuming its own fork (`_forks`): a path
+    holds the Gram and at most one factor.  Every solution's residual is
+    then checked at once (`_check_residuals`).  Returns, per path, {lambda:
+    solution, or that lambda's `PoisonRidgeError`}; the solutions' mu_emp is
+    NaN.
+    """
+    systems = [system for system, _ in paths]
+    lams = list(dict.fromkeys(lam for _, path in paths for lam in path))
+    grams = _forks(_rows_gram(systems[0].rows), len(lams))
+    betas = {}
+    for lam in lams:
+        at = [k for k, (_, path) in enumerate(paths) if lam in path]
+        # the fork goes straight into the factorization, which is dropped
+        # before the next one is copied
+        betas.update(zip([(k, lam) for k in at],
+                         _solve_at(lam, next(grams), [systems[k] for k in at])))
+    solved = [key for key, beta in betas.items() if isinstance(beta, np.ndarray)]
+    betas.update(zip(solved, _check_residuals([(systems[k], lam, betas[k, lam])
+                                               for k, lam in solved])))
+    return [{lam: _solution(system, betas[k, lam]) for lam in path}
+            for k, (system, path) in enumerate(paths)]
+
+
+def _solution(system: _System, beta):
+    """The `RidgeSolution` of beta, or beta's error as it is."""
+    if isinstance(beta, PoisonRidgeError):
+        return beta
+    return RidgeSolution(
+        beta=beta,
+        b0=float(system.w_bar - beta @ system.x_bar),
+        mu_emp=float("nan"),  # filled by callers that know the trigger
+        sigma_sq_emp=float(beta @ beta),
+    )
+
+
+def solve_ridge(X_tilde, w_tilde, lam: float, x_bar, w_bar: float) -> RidgeSolution:
     """Exact centered ridge solve: beta = (1/n)((1/n)XX^T + lam I)^-1 X w.
 
     Uses the p x p primal system when p <= n and the equivalent n x n dual
-    system otherwise; both are SPD Cholesky solves of `ridge_gram(X_tilde)`.
-    A given `gram` is that array, and the solve consumes it: it is factored
-    in place, so a path of lambda passes each solve its own copy.
+    system otherwise; both are SPD Cholesky solves of `ridge_gram(X_tilde)`,
+    the primal Gram of C-ordered data by its tail and a bordered row 0.  The
+    one-system, one-lambda case of `_solve_path`, so a trial's row equals it
+    bit for bit.  Raises the solve's failure.
     """
     if lam <= 0.0:
         raise InvalidLambda(f"ridge solve requires lambda > 0, got {lam}")
     X_tilde = np.asarray(X_tilde, dtype=np.float64)
     w_tilde = np.asarray(w_tilde, dtype=np.float64)
-    p, n = X_tilde.shape
-    rhs = X_tilde @ w_tilde / n
-    solve = _factor(ridge_gram(X_tilde) if gram is None else gram, lam)
-    if p <= n:
-        beta = solve(rhs)
-    else:
-        beta = X_tilde @ solve(w_tilde) / n
-
-    # normal-equations residual guards against ill-conditioning
-    resid = X_tilde @ (X_tilde.T @ beta) / n + lam * beta - rhs
-    bound = _RESIDUAL_TOL * (1.0 + float(np.linalg.norm(w_tilde)))
-    if float(np.linalg.norm(resid)) > bound:
-        raise SolveFailure(
-            f"normal-equations residual {np.linalg.norm(resid):.3e} exceeds {bound:.3e}"
-        )
-
-    b0 = float(w_bar - beta @ x_bar)
-    return RidgeSolution(
-        beta=beta,
-        b0=b0,
-        mu_emp=float("nan"),  # filled by callers that know the trigger
-        sigma_sq_emp=float(beta @ beta),
-    )
+    (fits,) = _solve_path([(_system(X_tilde, w_tilde, x_bar, w_bar), (lam,))])
+    solution = fits[lam]
+    if isinstance(solution, PoisonRidgeError):
+        raise solution
+    return solution
 
 
 def score_statistics(solution: RidgeSolution, v) -> RidgeSolution:
@@ -312,6 +437,12 @@ def score_statistics(solution: RidgeSolution, v) -> RidgeSolution:
         mu_emp=float(solution.beta @ np.asarray(v)),
         sigma_sq_emp=solution.sigma_sq_emp,
     )
+
+
+def _scored(fits: dict, v) -> dict:
+    """fits with mu_emp = beta . v attached to each solution."""
+    return {lam: score_statistics(fit, v) if isinstance(fit, RidgeSolution) else fit
+            for lam, fit in fits.items()}
 
 
 def empirical_efficacy(solution: RidgeSolution, v, m_test: int, seed) -> float:
@@ -351,8 +482,17 @@ def fit_poisoned(
     return solution, empirical_efficacy(solution, v, m_test, rng)
 
 
-def fit_poisoned_path(X, y, v, theta: float, lams, uniforms: np.ndarray, centering: Centering,
-                      tail: np.ndarray | None = None) -> dict:
+def _poisoned_system(X, y, v, theta: float, uniforms: np.ndarray, centering: Centering):
+    """The poison and centering stages, in place on X, and X~'s `_System`; also the float64 v."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.array(y, dtype=np.float64)
+    _, v = _poison(X, y, theta, v, uniforms)
+    X_tilde, w_tilde, x_bar, w_bar = _center(X, y, v, theta, centering)
+    return _system(X_tilde, w_tilde, x_bar, w_bar), v
+
+
+def fit_poisoned_path(X, y, v, theta: float, lams, uniforms: np.ndarray,
+                      centering: Centering) -> dict:
     """Each lambda's scored ridge solution, from one poisoned, centered X and one Gram.
 
     Poisons the -1 samples whose flip uniform is below theta (`_poison`).
@@ -360,27 +500,11 @@ def fit_poisoned_path(X, y, v, theta: float, lams, uniforms: np.ndarray, centeri
     (on one float64 conversion of it if X is not float64), so a trial holds a
     single p x n array; y is not modified.  Returns {lambda: solution}, or
     the `PoisonRidgeError` of that lambda's solve in place of the solution,
-    so a failure at one lambda leaves the others.  Each lambda's solve
-    factors its own fork of the one `ridge_gram` (`_forks`).  A given `tail`
-    is the `_tail_gram` of the centered X, formed by the caller
-    (`run_trial_path` shares one across (theta, ||v||) subgroups).
+    so a failure at one lambda leaves the others (`_solve_path`).
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.array(y, dtype=np.float64)
-    _, v = _poison(X, y, theta, v, uniforms)
-    X_tilde, w_tilde, x_bar, w_bar = _center(X, y, v, theta, centering)
-    lams = list(dict.fromkeys(lams))
-    grams = _forks(ridge_gram(X_tilde, tail), len(lams))
-    fits = {}
-    for lam in lams:
-        try:
-            # the fork goes straight into the solve, which consumes it before
-            # the next one is copied
-            fits[lam] = score_statistics(
-                solve_ridge(X_tilde, w_tilde, lam, x_bar, w_bar, gram=next(grams)), v)
-        except PoisonRidgeError as exc:
-            fits[lam] = exc
-    return fits
+    system, v = _poisoned_system(X, y, v, theta, uniforms, centering)
+    (fits,) = _solve_path([(system, lams)])
+    return _scored(fits, v)
 
 
 def make_record(
@@ -430,42 +554,59 @@ def make_record(
 
 
 def subgroup_records(points, shape: SimShape, centering: Centering, trial_index: int,
-                     m_test: int, rng: np.random.Generator, y, data,
-                     tail: np.ndarray | None = None) -> list[SweepRecord]:
+                     m_test: int, rng: np.random.Generator, y, data) -> list[SweepRecord]:
     """The rows of one trial at each (grid_index, params) of `points`, which share one draw.
 
     Draws the flip uniforms of the labels `y` once, from `rng` as the draw
     left it.  The points are split by (theta, ||v||) into subgroups in grid
     order.  `data(k, params)` returns the (X, v) that the k-th subgroup, at
-    the theta and ||v|| of params, poisons and centers in place;
-    `fit_poisoned_path` then solves it at each lambda of the subgroup, with
-    the `_tail_gram` `tail` that every subgroup's centered X shares, if
-    given.  Each row with a solution draws its efficacy count from a copy of
-    `rng` as the flips left it.  A row has NaN empirical columns when its
-    lambda's fit or efficacy or its closed-form prediction failed, and NaN
-    theory columns when the prediction failed.
+    the theta and ||v|| of params, poisons and centers in place; every X it
+    returns holds the same rows 1:.  A population-centered split system
+    (`_splits`) whose trigger lies in row 0 keeps X's rows 1: as they are, so
+    all such subgroups are solved together after the last one, from one
+    factor of the Gram's tail per lambda (`_solve_path`); any other subgroup
+    is solved at each of its lambdas before the next one asks for its X.
+    Each row with a solution draws its efficacy count from a copy of `rng`
+    as the flips left it.  A row has NaN empirical columns when its lambda's
+    fit or efficacy or its closed-form prediction failed, and NaN theory
+    columns when the prediction failed.
     """
     subgroups = {}
     for grid_index, params in points:
         subgroups.setdefault((params.theta, params.v_norm), []).append((grid_index, params))
     uniforms = _flip_uniforms(y, rng)
-    records = []
+    fits, triggers, shared = [], [], []
     for k, subgroup in enumerate(subgroups.values()):
         first = subgroup[0][1]
+        lams = [params.lam for _, params in subgroup]
         X, v = data(k, first)
         try:
-            fits = fit_poisoned_path(X, y, v, first.theta, [params.lam for _, params in subgroup],
-                                     uniforms, centering, tail)
+            system, v = _poisoned_system(X, y, v, first.theta, uniforms, centering)
         except PoisonRidgeError:
-            fits = {}
-        del X  # consumed by the fit: dropped before the next subgroup asks for its own
+            system = None
+        del X  # the system holds the rows it needs
+        triggers.append(v)
+        fits.append({})
+        if system is None:
+            continue
+        if centering is Centering.POPULATION and system.head is not None and not v[1:].any():
+            shared.append((k, (system, lams)))
+        else:
+            (fits[k],) = _solve_path([(system, lams)])
+        del system  # dropped before the next subgroup asks for its X
+    if shared:
+        for (k, _), fit in zip(shared, _solve_path([path for _, path in shared])):
+            fits[k] = fit
+    records = []
+    for k, subgroup in enumerate(subgroups.values()):
+        scored = _scored(fits[k], triggers[k])
         for grid_index, params in subgroup:
-            fit = fits.get(params.lam)
+            fit = scored.get(params.lam)
             pred, solved = None, ()  # a failure leaves NaN columns
             try:
                 pred = theory.predict(params)
                 if isinstance(fit, RidgeSolution):
-                    solved = fit, empirical_efficacy(fit, v, m_test, copy.deepcopy(rng))
+                    solved = fit, empirical_efficacy(fit, triggers[k], m_test, copy.deepcopy(rng))
             except PoisonRidgeError:
                 pass
             records.append(make_record(params, shape, pred, centering, grid_index, trial_index,
@@ -480,32 +621,28 @@ def run_trial_path(points, shape: SimShape, *, centering: Centering = Centering.
     The points share c.  The data are drawn once; each (theta, ||v||)
     subgroup poisons and centers them in place (`subgroup_records`), and the
     rows it wrote are restored before the next subgroup.  Under population
-    centering that is the trigger's row 0 alone, so the subgroups' Grams
-    share one syrk of rows 1: (`ridge_gram`), formed once per draw.  Each row
-    equals bit for bit what `run_trial` gives at its point from shape.seed.
+    centering that is the trigger's row 0 alone, so at p <= n the subgroups
+    share the Gram's tail and each lambda's factor of it; row 0 of each is
+    bordered on.  Each row equals bit for bit what `run_trial` gives at its
+    point from shape.seed.
     """
     # one Philox stream per trial: generation, poison flips and the efficacy
     # hit counts all continue the same counter
     rng = _rng_from(shape.seed)
     X, y = generate_clean(shape, rng)
     triggers = {params.v_norm: default_trigger(shape.p, params.v_norm) for _, params in points}
-    tail = None
     if len({(params.theta, params.v_norm) for _, params in points}) > 1:
         # poisoning and population centering write row 0 alone, where
         # `default_trigger` puts every trigger; empirical centering writes every row
-        population = centering is Centering.POPULATION
-        rows = [0] if population else np.arange(shape.p)
+        rows = [0] if centering is Centering.POPULATION else np.arange(shape.p)
         clean = X[rows]
-        if population and _splits(X):
-            # rows 1: of every subgroup's centered X are the draw's own
-            tail = _tail_gram(X)
 
     def data(k, params):
         if k:
             X[rows] = clean
         return X, triggers[params.v_norm]
 
-    return subgroup_records(points, shape, centering, trial_index, m_test, rng, y, data, tail)
+    return subgroup_records(points, shape, centering, trial_index, m_test, rng, y, data)
 
 
 def run_trial(

@@ -204,9 +204,9 @@ def aggregate(records: list[SweepRecord]) -> list[dict]:
         for col in _EMPIRICAL_FIELDS:
             vals = np.array([getattr(r, col) for r in valid] or [math.nan])
             row[f"{col}_mean"] = float(vals.mean())
-            row[f"{col}_median"] = float(np.percentile(vals, 50))
-            row[f"{col}_q25"] = float(np.percentile(vals, 25))
-            row[f"{col}_q75"] = float(np.percentile(vals, 75))
+            quantiles = np.percentile(vals, (50, 25, 75))
+            for name, q in zip(("median", "q25", "q75"), quantiles):
+                row[f"{col}_{name}"] = float(q)
         for col in ("mu_theory", "sigma2_theory", "eta_theory", "C_theory"):
             row[col] = getattr(first, col)
         rows.append(row)

@@ -132,10 +132,29 @@ def spike_auxiliary(params: ModelParams, z: float) -> SpikeAuxiliary:
     return spike_scalars(params.c, tau_squared(params), z)
 
 
-def _alignment(theta: float, v_norm: float, m: float, cm: float, lam_m: float) -> float:
-    """C = theta(1-theta) m / ((1 + cm)(2 + ||v||^2 theta(1 - theta/2)(1 - lam m)))."""
+def _alignment(theta: float, v_norm: float, m: float, cm: float,
+               lam_m: float) -> tuple[float, float]:
+    """(C, mu): C = theta(1-theta) m / ((1 + cm)(2 + ||v||^2 theta(1 - theta/2)(1 - lam m)))
+    and mu = C ||v||^2.
+
+    Where that denominator overflows, near the largest ||v|| allowed, C
+    would round to 0; mu is then theta(1-theta) m / ((1 + cm)(2/||v||^2 +
+    theta(1 - theta/2)(1 - lam m))), which stays at its large-||v|| limit,
+    and C is mu/||v||^2.
+    """
     denom = (1.0 + cm) * (2.0 + v_norm ** 2 * theta * (1.0 - theta / 2.0) * (1.0 - lam_m))
-    return theta * (1.0 - theta) * m / denom
+    if math.isinf(denom):
+        mu = theta * (1.0 - theta) * m / (
+            (1.0 + cm) * (2.0 / v_norm ** 2 + theta * (1.0 - theta / 2.0) * (1.0 - lam_m)))
+        return mu / v_norm ** 2, mu
+    align = theta * (1.0 - theta) * m / denom
+    return align, align * v_norm ** 2
+
+
+def _stieltjes_alignment(params: ModelParams) -> tuple[float, float]:
+    """(C, mu) at lambda > 0, from the MP Stieltjes transform m(-lambda)."""
+    m = mp.mp_stieltjes(params.c, -params.lam)
+    return _alignment(params.theta, params.v_norm, m, params.c * m, params.lam * m)
 
 
 def alignment_coefficient(params: ModelParams) -> float:
@@ -145,8 +164,7 @@ def alignment_coefficient(params: ModelParams) -> float:
     """
     if params.lam <= 0.0:
         raise InvalidLambda("alignment coefficient requires lambda > 0")
-    m = mp.mp_stieltjes(params.c, -params.lam)
-    return _alignment(params.theta, params.v_norm, m, params.c * m, params.lam * m)
+    return _stieltjes_alignment(params)[0]
 
 
 def efficacy(mu: float, sigma_sq: float) -> float:
@@ -160,10 +178,9 @@ def efficacy(mu: float, sigma_sq: float) -> float:
     return 1.0 - normal_cdf(-mu / math.sqrt(sigma_sq))
 
 
-def _prediction(params: ModelParams, align: float, aux: SpikeAuxiliary) -> TheoryPrediction:
-    """(mu, sigma^2, eta, C) from the alignment coefficient and the spike scalars B and S."""
+def _prediction(params: ModelParams, mu: float, aux: SpikeAuxiliary) -> TheoryPrediction:
+    """(mu, sigma^2, eta, C) from mu (`_alignment`) and the spike scalars B and S."""
     theta, vn = params.theta, params.v_norm
-    mu = align * vn ** 2
     bracket = (1.0 - theta ** 2)
     if theta > 0.0:
         # past B = 1.34e154, B^2 overflows and the gain is -1 to double precision
@@ -187,7 +204,7 @@ def predict(params: ModelParams) -> TheoryPrediction:
             "predict requires lambda > 0; use predict_ridgeless for the "
             "vanishing-regularization limit (c != 1)"
         )
-    return _prediction(params, alignment_coefficient(params),
+    return _prediction(params, _stieltjes_alignment(params)[1],
                        spike_auxiliary(params, -params.lam))
 
 
@@ -207,5 +224,5 @@ def predict_ridgeless(params: ModelParams) -> TheoryPrediction:
         cm, lam_m, B, S = 0.0, 0.0, 1.0 + tau_sq, c / (1.0 - c)
     else:
         cm, lam_m, B, S = c - 1.0, 1.0 - 1.0 / c, 1.0 + tau_sq / c, 1.0 / (c - 1.0)
-    return _prediction(params, _alignment(params.theta, params.v_norm, 1.0, cm, lam_m),
+    return _prediction(params, _alignment(params.theta, params.v_norm, 1.0, cm, lam_m)[1],
                        SpikeAuxiliary(tau_sq=tau_sq, B=B, S=S, T=math.nan))

@@ -260,7 +260,7 @@ def test_failed_trial_is_an_error_row(tmp_path, capsys, monkeypatch, command):
         argv = ["mnist", "--images", str(img), "--labels", str(lbl), "--subsample-n", "30"]
     else:
         argv = ["simulate", "--p", "20", "--c", "0.5"]
-    solve, calls = simulator.solve_ridge, []
+    solve, calls = simulator._solve, []
 
     def fail_second_solve(*args, **kwargs):
         calls.append(args)
@@ -268,7 +268,7 @@ def test_failed_trial_is_an_error_row(tmp_path, capsys, monkeypatch, command):
             raise SolveFailure("injected")
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(simulator, "solve_ridge", fail_second_solve)
+    monkeypatch.setattr(simulator, "_solve", fail_second_solve)
     assert run_cli(*argv, "--trials", "3", "--m-test", "50", "--out", str(out)) == 1
     assert "3 records, 1 error rows" in capsys.readouterr().out
     rows = sweep.read_records(out / f"{command}.csv")
@@ -280,14 +280,14 @@ def test_failed_trial_is_an_error_row(tmp_path, capsys, monkeypatch, command):
 def test_sweep_with_one_all_error_point_writes_both_csvs(tmp_path, capsys, monkeypatch):
     # every trial of the lambda = 0.001 point fails: the run keeps it as an
     # all-error aggregate row, exits 1, and the report leaves it out
-    solve = simulator.solve_ridge
+    solve = simulator._solve
 
-    def fail_at_smallest_lambda(X_tilde, w_tilde, lam, *args, **kwargs):
+    def fail_at_smallest_lambda(system, factor, lam):
         if lam == 0.001:
             raise SolveFailure("injected")
-        return solve(X_tilde, w_tilde, lam, *args, **kwargs)
+        return solve(system, factor, lam)
 
-    monkeypatch.setattr(simulator, "solve_ridge", fail_at_smallest_lambda)
+    monkeypatch.setattr(simulator, "_solve", fail_at_smallest_lambda)
     out = tmp_path / "w"
     assert run_cli("sweep", "--p", "20", "--trials", "2", "--m-test", "50",
                    "--out", str(out)) == 1

@@ -1,5 +1,6 @@
 """Simulator tests: generation, poisoning, centering, the ridge solve, efficacy."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from poisonridge import mnist, simulator, sweep, theory
-from poisonridge.errors import InvalidLambda, ThetaOutOfRange
+from poisonridge.errors import InvalidLambda, SolveFailure, ThetaOutOfRange
 from poisonridge.simulator import Centering, SimShape
 from poisonridge.theory import ModelParams
 
@@ -241,16 +242,101 @@ def test_sweep_c01_draw_group_draws_its_flips_once(monkeypatch):
     assert len(records) == len(group) and not any(r.is_error for r in records)
 
 
+def test_sweep_c01_draw_group_factors_one_tail_per_lambda(monkeypatch):
+    # the population-centered subgroups of a draw share rows 1:, so each
+    # lambda's factor of the Gram's tail serves every subgroup at it: 6
+    # factorizations for the group's 17 solves, each of the 39 x 39 tail
+    group = _sweep_c01_group()
+    shapes = []
+    factor = simulator._factor
+    monkeypatch.setattr(simulator, "_factor",
+                        lambda G, shift: shapes.append(G.shape) or factor(G, shift))
+    records = simulator.run_trial_path(group, simulator.shape_for(40, 0.1, seed=5), m_test=50)
+    assert len({params.lam for _, params in group}) == 6
+    assert shapes == [(39, 39)] * 6
+    assert len(records) == len(group) and not any(r.is_error for r in records)
+
+
+@pytest.mark.parametrize("centering", list(Centering))
+def test_split_solve_ridge_equals_shared_factor_path(centering):
+    # each row of a multi-subgroup trial equals, bit for bit, the public
+    # stages on its own copy of the draw, ending in a split solve_ridge
+    group = _sweep_c01_group()
+    shape = simulator.shape_for(40, 0.1, seed=5)
+    rows = {r.grid_index: r for r in simulator.run_trial_path(group, shape, centering=centering,
+                                                              m_test=50)}
+    for grid_index, params in group:
+        rng = simulator._rng_from(shape.seed)
+        X, y = simulator.generate_clean(shape, rng)
+        v = simulator.default_trigger(shape.p, params.v_norm)
+        ds = simulator.apply_poison(X, y, params.theta, v, rng, centering=centering)
+        X_tilde, w_tilde, x_bar, w_bar = simulator.center(ds, params.theta)
+        assert simulator._splits(X_tilde)
+        sol = simulator.score_statistics(
+            simulator.solve_ridge(X_tilde, w_tilde, params.lam, x_bar, w_bar), v)
+        row = rows[grid_index]
+        assert (row.mu_emp, row.sigma2_emp) == (sol.mu_emp, sol.sigma_sq_emp)
+        assert row.eta_emp_mc == simulator.empirical_efficacy(sol, v, 50, rng)
+        dense = np.linalg.solve(X_tilde @ X_tilde.T / shape.n + params.lam * np.eye(shape.p),
+                                X_tilde @ w_tilde / shape.n)
+        assert np.allclose(sol.beta, dense, rtol=1e-12, atol=1e-14)
+
+
+def test_corrupt_solution_is_one_error_row(monkeypatch):
+    # a NaN beta and a finite but wrong one, each at one (subgroup, lambda) of
+    # the shared path, fail the batched residual guard: each is an error row
+    # that keeps its theory columns, and every other row keeps its bytes
+    group = _sweep_c01_group()
+    shape = simulator.shape_for(40, 0.1, seed=5)
+    clean = simulator.run_trial_path(group, shape, m_test=50)
+    solve, calls = simulator._solve, []
+
+    def corrupt(system, factor, lam):
+        beta = solve(system, factor, lam)
+        calls.append(lam)
+        if lam == 0.1 and calls.count(0.1) in (3, 11):
+            beta = beta + (math.nan if calls.count(0.1) == 3 else 1e-3)
+        return beta
+
+    monkeypatch.setattr(simulator, "_solve", corrupt)
+    records = simulator.run_trial_path(group, shape, m_test=50)
+    bad = [k for k, r in enumerate(records) if r.is_error]
+    assert len(bad) == 2 and all(records[k].lam == 0.1 for k in bad)
+    for k, (got, want) in enumerate(zip(records, clean, strict=True)):
+        if k in bad:
+            assert (got.mu_theory, got.sigma2_theory, got.eta_theory, got.C_theory) == (
+                want.mu_theory, want.sigma2_theory, want.eta_theory, want.C_theory)
+        else:
+            assert repr(got.to_row()) == repr(want.to_row())
+    # solve_ridge's own guard fails a NaN solution too
+    monkeypatch.setattr(simulator, "_solve", lambda system, factor, lam: np.full(5, math.nan))
+    X, _ = simulator.generate_clean(SimShape(p=5, n=20, seed=1))
+    with pytest.raises(SolveFailure):
+        simulator.solve_ridge(X, np.ones(20), 0.1, np.zeros(5), 0.0)
+
+
+def test_bordered_pivot_not_finite_and_positive_is_a_solve_failure():
+    X, y = simulator.generate_clean(SimShape(p=5, n=20, seed=2))
+    system = simulator._system(X, y, np.zeros(5), 0.0)
+    factor = simulator._factor(simulator.ridge_gram(X), 0.1)
+    assert np.all(np.isfinite(simulator._solve(system, factor, 0.1)))
+    for g0 in (-1.0, math.nan, math.inf):
+        border = system.border.copy()
+        border[0, 0] = g0
+        with pytest.raises(SolveFailure):
+            simulator._solve(dataclasses.replace(system, border=border), factor, 0.1)
+
+
 def test_shared_tail_gram_equals_fresh_gram():
     X, _ = simulator.generate_clean(SimShape(p=60, n=300, seed=23))
-    tail = simulator._tail_gram(X)
+    tail = simulator.ridge_gram(X)
     for v_norm in (0.0, 1.0, 3.0):
         Xt = X.copy()
         Xt[0] += v_norm * 0.5  # subgroups differ only in row 0
-        fresh, shared = simulator.ridge_gram(Xt), simulator.ridge_gram(Xt, tail)
+        fresh, shared = simulator.ridge_gram(Xt), tail
         assert fresh.flags.f_contiguous and shared.flags.f_contiguous
         assert np.array_equal(fresh, shared)
-        dense = np.triu(Xt @ Xt.T / 300)
+        dense = np.triu(Xt[1:] @ Xt[1:].T / 300)
         assert np.max(np.abs(np.triu(fresh) - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 

@@ -174,18 +174,18 @@ def test_solve_failure_at_one_lambda_is_one_error_row(monkeypatch):
     points.update({g: dataclasses.replace(points[0], lam=lam)
                    for g, lam in ((1, 0.01), (2, 1.0), (3, 0.1))})
     clean = sweep.run_grid(points, 20, 2, 0, 50)
-    solve = simulator.solve_ridge
+    solve = simulator._solve
 
     def fail_at(lam_bad):
-        def solve_ridge(X_tilde, w_tilde, lam, *args, **kwargs):
+        def solve_one(system, factor, lam):
             if lam == lam_bad:
                 raise SolveFailure("injected")
-            return solve(X_tilde, w_tilde, lam, *args, **kwargs)
-        return solve_ridge
+            return solve(system, factor, lam)
+        return solve_one
 
     # a failure at the first, a middle and the last lambda of the path
     for lam_bad in (0.1, 0.01, 1.0):
-        monkeypatch.setattr(simulator, "solve_ridge", fail_at(lam_bad))
+        monkeypatch.setattr(simulator, "_solve", fail_at(lam_bad))
         records = sweep.run_grid(points, 20, 2, 0, 50)
         for got, want in zip(records, clean, strict=True):
             got = dataclasses.replace(got, wall_time_ms=want.wall_time_ms)

@@ -240,6 +240,22 @@ def test_huge_trigger_norm_reaches_its_limit(c):
         ModelParams(c=c, lam=0.1, theta=0.1, v_norm=math.nextafter(theory._SQRT_MAX, math.inf))
 
 
+@pytest.mark.parametrize("c, lam", [(0.9, 1e-6), (0.75, 1e-12), (1.1, 1e-6), (2.0, 1e-3)])
+def test_huge_trigger_norm_keeps_mu_where_alignment_denominator_overflows(c, lam):
+    # (1 + cm)(2 + ||v||^2 theta(1 - theta/2)(1 - lam m)) overflows at the
+    # largest norms when 1 + cm is large; mu must stay at its large-||v||
+    # limit there, not collapse to 0 with C
+    preds = [theory.predict(ModelParams(c=c, lam=lam, theta=0.5, v_norm=vn))
+             for vn in (1e140, 1e150, 1e154, theory._SQRT_MAX)]
+    for pred in preds:
+        assert pred.mu > 0.0 and pred.mu == pytest.approx(preds[0].mu, rel=1e-12)
+        assert pred.eta == pytest.approx(preds[0].eta, rel=1e-12)
+    assert preds[-1].C_align == pytest.approx(preds[-1].mu / theory._SQRT_MAX ** 2, rel=1e-12)
+    ridgeless = [theory.predict_ridgeless(ModelParams(c=c, lam=0.0, theta=0.5, v_norm=vn))
+                 for vn in (1e140, theory._SQRT_MAX)]
+    assert ridgeless[1].mu == pytest.approx(ridgeless[0].mu, rel=1e-12)
+
+
 def test_efficacy_degenerate_variance():
     # a constant score: attacked only when strictly positive, as in the MC estimator
     assert theory.efficacy(-0.3, 0.0) == 0.0
