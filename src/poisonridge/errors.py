@@ -109,6 +109,10 @@ class EmptyGroup(PoisonRidgeError):
     """Aggregation requires at least one valid record per grid point."""
 
 
+class EmptyGrid(PoisonRidgeError, ValueError):
+    """A run needs at least one grid point: a comma-separated list was empty."""
+
+
 class SchemaMismatch(PoisonRidgeError):
     """Input CSV does not carry the expected sweep-record columns."""
 

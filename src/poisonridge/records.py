@@ -49,7 +49,10 @@ class SweepRecord:
     @classmethod
     def from_row(cls, values) -> "SweepRecord":
         """A record from persisted column strings in FIELD_NAMES order."""
-        kwargs = {f.name: _PARSERS[f.type](v) for f, v in zip(_COLUMNS.values(), values)}
+        try:
+            kwargs = {f.name: _PARSERS[f.type](v) for f, v in zip(_COLUMNS.values(), values)}
+        except ValueError as exc:
+            raise SchemaMismatch(f"unparsable sweep-record value: {exc}") from exc
         return cls(**kwargs, wall_time_ms=0.0)  # wall time is not persisted
 
 
@@ -86,10 +89,14 @@ def write_csv(path, header, rows) -> None:
 
 
 def read_csv(path, header) -> list[list[str]]:
-    """The value rows of a CSV file written with exactly these columns."""
+    """The value rows of a CSV file written with exactly these columns, one value each."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         found = next(reader, None)
         if found != list(header):
             raise SchemaMismatch(f"unexpected header in {path}: {found}")
-        return list(reader)
+        rows = list(reader)
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise SchemaMismatch(f"line {line} of {path} has {len(row)} values, not {len(header)}")
+    return rows

@@ -292,8 +292,8 @@ def convergence_table(
         raise InvalidShape(f"c must be positive and finite, got {c}")
     if not (math.isfinite(tau) and math.isfinite(z)):
         raise NonFiniteParameter(f"tau and z must be finite, got tau={tau}, z={z}")
-    if any(p < 1 for p in sizes):
-        raise InvalidShape(f"every size p must be >= 1, got {list(sizes)}")
+    if not sizes or any(p < 1 for p in sizes):
+        raise InvalidShape(f"at least one size p, each >= 1, is needed, got {list(sizes)}")
     if n_seeds < 1:
         raise InvalidShape(f"n_seeds must be >= 1, got {n_seeds}")
     one_thread()

@@ -16,8 +16,8 @@ subgroups' centered data differ only in the trigger's row 0, so one tail
 factor per lambda serves them all; a lone system, as in `solve_ridge`, is
 solved the same way, so sharing the factor changes no bit.  Sweeps are
 therefore bit-reproducible regardless of execution order or worker count,
-and the seed stored in a row reproduces that row byte for byte, through the
-one-point `run_trial` or `fit_poisoned`, on any core count, for the
+and the seed stored in a row reproduces that row byte for byte, through
+`run_trial` or the copying public stages, on any core count, for the
 OpenBLAS builds that the numpy and scipy wheels bundle: `sweep.run_grid`
 runs every trial with one BLAS thread.
 """
@@ -27,7 +27,7 @@ from __future__ import annotations
 import copy
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import blas, cho_factor, cho_solve, solve_triangular
@@ -251,17 +251,6 @@ def _rows_gram(rows) -> np.ndarray:
     return _gram(rows if m <= n else rows.T, 1.0 / n)
 
 
-def ridge_gram(X_tilde) -> np.ndarray:
-    """The upper triangle of the Gram that `solve_ridge` factors.
-
-    (1/n) X X^T (p x p, primal) when p <= n and (1/n) X^T X (n x n, dual)
-    otherwise; of a split X (`_splits`), only its tail (1/n) X[1:] X[1:]^T,
-    which inputs that differ only in row 0 share.
-    """
-    X_tilde = np.asarray(X_tilde, dtype=np.float64)
-    return _rows_gram(X_tilde[1:] if _splits(X_tilde) else X_tilde)
-
-
 @dataclass(frozen=True)
 class _System:
     """One centered ridge system, as its solve and its residual guard read it.
@@ -269,7 +258,8 @@ class _System:
     A split X~ (`_splits`) is kept as its row 0, `head`, and its rows 1:,
     `rows`, from which the Gram's tail comes; `border` is (1/n) X~ [x~_0, w~],
     the Gram's row 0 and the right-hand side side by side.  Otherwise head
-    and border are None and rows is X~.  `rhs` is (1/n) X~ w~.
+    and border are None and rows is X~.  `rhs` is (1/n) X~ w~; `v`, the
+    trigger that scores mu_emp, may be None.
     """
     rows: np.ndarray
     head: np.ndarray | None
@@ -278,17 +268,18 @@ class _System:
     w_tilde: np.ndarray
     x_bar: np.ndarray
     w_bar: float
+    v: np.ndarray | None
 
 
-def _system(X_tilde, w_tilde, x_bar, w_bar: float) -> _System:
+def _system(X_tilde, w_tilde, x_bar, w_bar: float, v=None) -> _System:
     """The `_System` of float64 X_tilde and w_tilde, holding a view of X_tilde's rows."""
     n = X_tilde.shape[1]
     if _splits(X_tilde):
         border = X_tilde @ np.stack((X_tilde[0], w_tilde), axis=1) / n
         return _System(rows=X_tilde[1:], head=X_tilde[0].copy(), border=border,
-                       rhs=border[:, 1], w_tilde=w_tilde, x_bar=x_bar, w_bar=w_bar)
+                       rhs=border[:, 1], w_tilde=w_tilde, x_bar=x_bar, w_bar=w_bar, v=v)
     return _System(rows=X_tilde, head=None, border=None, rhs=X_tilde @ w_tilde / n,
-                   w_tilde=w_tilde, x_bar=x_bar, w_bar=w_bar)
+                   w_tilde=w_tilde, x_bar=x_bar, w_bar=w_bar, v=v)
 
 
 def _solve(system: _System, factor, lam: float) -> np.ndarray:
@@ -372,13 +363,12 @@ def _check_residuals(solved) -> list:
 def _solve_path(paths) -> list[dict]:
     """Each (system, lambdas) of `paths` solved at each of its lambdas.
 
-    The systems share their rows, and so their Gram (`ridge_gram`: the
-    tail, of split systems), which is formed once and factored once per
-    distinct lambda, each lambda consuming its own fork (`_forks`): a path
-    holds the Gram and at most one factor.  Every solution's residual is
-    then checked at once (`_check_residuals`).  Returns, per path, {lambda:
-    solution, or that lambda's `PoisonRidgeError`}; the solutions' mu_emp is
-    NaN.
+    The systems share their rows, and so their Gram (`_rows_gram` of the
+    rows: the tail, of split systems), which is formed once and factored
+    once per distinct lambda, each lambda consuming its own fork (`_forks`):
+    a path holds the Gram and at most one factor.  Every solution's residual
+    is then checked at once (`_check_residuals`).  Returns, per path,
+    {lambda: solution, or that lambda's `PoisonRidgeError`}.
     """
     systems = [system for system, _ in paths]
     lams = list(dict.fromkeys(lam for _, path in paths for lam in path))
@@ -398,13 +388,13 @@ def _solve_path(paths) -> list[dict]:
 
 
 def _solution(system: _System, beta):
-    """The `RidgeSolution` of beta, or beta's error as it is."""
+    """The `RidgeSolution` of beta (mu_emp NaN without a trigger), or beta's error."""
     if isinstance(beta, PoisonRidgeError):
         return beta
     return RidgeSolution(
         beta=beta,
         b0=float(system.w_bar - beta @ system.x_bar),
-        mu_emp=float("nan"),  # filled by callers that know the trigger
+        mu_emp=math.nan if system.v is None else float(beta @ system.v),
         sigma_sq_emp=float(beta @ beta),
     )
 
@@ -413,13 +403,11 @@ def solve_ridge(X_tilde, w_tilde, lam: float, x_bar, w_bar: float) -> RidgeSolut
     """Exact centered ridge solve: beta = (1/n)((1/n)XX^T + lam I)^-1 X w.
 
     Uses the p x p primal system when p <= n and the equivalent n x n dual
-    system otherwise; both are SPD Cholesky solves of `ridge_gram(X_tilde)`,
-    the primal Gram of C-ordered data by its tail and a bordered row 0.  The
-    one-system, one-lambda case of `_solve_path`, so a trial's row equals it
-    bit for bit.  Raises the solve's failure.
+    system otherwise; both are SPD Cholesky solves, the primal Gram of
+    C-ordered data by its tail and a bordered row 0.  The one-system,
+    one-lambda case of `_solve_path`, so a trial's row equals it bit for bit.
+    Raises the solve's failure; mu_emp is NaN until `score_statistics`.
     """
-    if lam <= 0.0:
-        raise InvalidLambda(f"ridge solve requires lambda > 0, got {lam}")
     X_tilde = np.asarray(X_tilde, dtype=np.float64)
     w_tilde = np.asarray(w_tilde, dtype=np.float64)
     (fits,) = _solve_path([(_system(X_tilde, w_tilde, x_bar, w_bar), (lam,))])
@@ -431,18 +419,7 @@ def solve_ridge(X_tilde, w_tilde, lam: float, x_bar, w_bar: float) -> RidgeSolut
 
 def score_statistics(solution: RidgeSolution, v) -> RidgeSolution:
     """Attach mu_emp = beta . v to a solution."""
-    return RidgeSolution(
-        beta=solution.beta,
-        b0=solution.b0,
-        mu_emp=float(solution.beta @ np.asarray(v)),
-        sigma_sq_emp=solution.sigma_sq_emp,
-    )
-
-
-def _scored(fits: dict, v) -> dict:
-    """fits with mu_emp = beta . v attached to each solution."""
-    return {lam: score_statistics(fit, v) if isinstance(fit, RidgeSolution) else fit
-            for lam, fit in fits.items()}
+    return replace(solution, mu_emp=float(solution.beta @ np.asarray(v)))
 
 
 def empirical_efficacy(solution: RidgeSolution, v, m_test: int, seed) -> float:
@@ -463,48 +440,6 @@ def empirical_efficacy(solution: RidgeSolution, v, m_test: int, seed) -> float:
     shift = float(direction @ np.asarray(v, dtype=np.float64))
     hit_prob = theory.efficacy(shift, float(direction @ direction))
     return int(_rng_from(seed).binomial(m_test, hit_prob)) / m_test
-
-
-def fit_poisoned(
-    X, y, params: ModelParams, v, rng: np.random.Generator, centering: Centering, m_test: int
-) -> tuple[RidgeSolution, float]:
-    """Poison, center, solve and score one training set; also the MC efficacy.
-
-    The one-row case of `subgroup_records`: draws the flip uniforms from
-    `rng`, fits at params.lam by `fit_poisoned_path`, whose failure it
-    raises, and draws the efficacy count from `rng` as the flips left it.
-    Consumes X as `fit_poisoned_path` does; y is not modified.
-    """
-    solution = fit_poisoned_path(X, y, v, params.theta, (params.lam,),
-                                 _flip_uniforms(y, rng), centering)[params.lam]
-    if isinstance(solution, PoisonRidgeError):
-        raise solution
-    return solution, empirical_efficacy(solution, v, m_test, rng)
-
-
-def _poisoned_system(X, y, v, theta: float, uniforms: np.ndarray, centering: Centering):
-    """The poison and centering stages, in place on X, and X~'s `_System`; also the float64 v."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.array(y, dtype=np.float64)
-    _, v = _poison(X, y, theta, v, uniforms)
-    X_tilde, w_tilde, x_bar, w_bar = _center(X, y, v, theta, centering)
-    return _system(X_tilde, w_tilde, x_bar, w_bar), v
-
-
-def fit_poisoned_path(X, y, v, theta: float, lams, uniforms: np.ndarray,
-                      centering: Centering) -> dict:
-    """Each lambda's scored ridge solution, from one poisoned, centered X and one Gram.
-
-    Poisons the -1 samples whose flip uniform is below theta (`_poison`).
-    Consumes X: the poison shift and the centering are done in place on X
-    (on one float64 conversion of it if X is not float64), so a trial holds a
-    single p x n array; y is not modified.  Returns {lambda: solution}, or
-    the `PoisonRidgeError` of that lambda's solve in place of the solution,
-    so a failure at one lambda leaves the others (`_solve_path`).
-    """
-    system, v = _poisoned_system(X, y, v, theta, uniforms, centering)
-    (fits,) = _solve_path([(system, lams)])
-    return _scored(fits, v)
 
 
 def make_record(
@@ -561,11 +496,12 @@ def subgroup_records(points, shape: SimShape, centering: Centering, trial_index:
     left it.  The points are split by (theta, ||v||) into subgroups in grid
     order.  `data(k, params)` returns the (X, v) that the k-th subgroup, at
     the theta and ||v|| of params, poisons and centers in place; every X it
-    returns holds the same rows 1:.  A population-centered split system
-    (`_splits`) whose trigger lies in row 0 keeps X's rows 1: as they are, so
-    all such subgroups are solved together after the last one, from one
-    factor of the Gram's tail per lambda (`_solve_path`); any other subgroup
-    is solved at each of its lambdas before the next one asks for its X.
+    returns is float64 and holds the same rows 1:.  A population-centered
+    split system (`_splits`) whose trigger lies in row 0 keeps X's rows 1: as
+    they are, so all such subgroups are solved together after the last one,
+    from one factor of the Gram's tail per lambda (`_solve_path`); any other
+    subgroup is solved at each of its lambdas before the next one asks for
+    its X.
     Each row with a solution draws its efficacy count from a copy of `rng`
     as the flips left it.  A row has NaN empirical columns when its lambda's
     fit or efficacy or its closed-form prediction failed, and NaN theory
@@ -581,7 +517,9 @@ def subgroup_records(points, shape: SimShape, centering: Centering, trial_index:
         lams = [params.lam for _, params in subgroup]
         X, v = data(k, first)
         try:
-            system, v = _poisoned_system(X, y, v, first.theta, uniforms, centering)
+            y_k = y.copy()
+            _, v = _poison(X, y_k, first.theta, v, uniforms)
+            system = _system(*_center(X, y_k, v, first.theta, centering), v)
         except PoisonRidgeError:
             system = None
         del X  # the system holds the rows it needs
@@ -599,9 +537,8 @@ def subgroup_records(points, shape: SimShape, centering: Centering, trial_index:
             fits[k] = fit
     records = []
     for k, subgroup in enumerate(subgroups.values()):
-        scored = _scored(fits[k], triggers[k])
         for grid_index, params in subgroup:
-            fit = scored.get(params.lam)
+            fit = fits[k].get(params.lam)
             pred, solved = None, ()  # a failure leaves NaN columns
             try:
                 pred = theory.predict(params)

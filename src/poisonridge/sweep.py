@@ -31,7 +31,8 @@ import numpy as np
 from . import simulator
 from .blas import one_thread
 from .errors import (
-    EmptyGroup, InvalidLambda, InvalidTestCount, InvalidTrialCount, InvalidWorkerCount,
+    EmptyGrid, EmptyGroup, InvalidLambda, InvalidTestCount, InvalidTrialCount,
+    InvalidWorkerCount, SchemaMismatch,
 )
 from .records import _EMPIRICAL_FIELDS, FIELD_NAMES, SweepRecord, read_csv, write_csv
 from .simulator import Centering, trial_seed
@@ -127,10 +128,12 @@ def run_grid(points: dict[int, ModelParams], p: int, trials: int, master_seed: i
     columns) instead of ending the run; near-singular solves at tiny lambda
     and c near 1 are expected.  This process and every pool worker run their
     BLAS on one thread (`one_thread`), so the records do not depend on the
-    core count.
+    core count.  A pool has at most one worker per job.
     """
     if workers < 1:
         raise InvalidWorkerCount(f"workers must be >= 1, got {workers}")
+    if not points:
+        raise EmptyGrid("a run needs at least one grid point")
     if trials < 1:
         raise InvalidTrialCount(f"trials must be >= 1, got {trials}")
     # refused here: inside a trial they would only make every row an error row
@@ -143,6 +146,8 @@ def run_grid(points: dict[int, ModelParams], p: int, trials: int, master_seed: i
             for group in draw_groups(points) for ti in range(trials)]
     run = functools.partial(_run_one, trial=trial, centering=centering)
     one_thread()
+    # a fork-started pool starts all of its workers at the first submit
+    workers = min(workers, len(jobs))
     if workers > 1:
         # workers pin themselves: under the spawn and forkserver start methods
         # they do not inherit this process's BLAS settings
@@ -233,4 +238,7 @@ def _number(text: str):
 
 
 def read_aggregates(path) -> list[dict]:
-    return [dict(zip(AGG_FIELDS, map(_number, row))) for row in read_csv(path, AGG_FIELDS)]
+    try:
+        return [dict(zip(AGG_FIELDS, map(_number, row))) for row in read_csv(path, AGG_FIELDS)]
+    except ValueError as exc:  # a value that is not a number
+        raise SchemaMismatch(f"unparsable aggregate value in {path}: {exc}") from exc

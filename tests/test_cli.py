@@ -9,7 +9,7 @@ import pytest
 
 from poisonridge import cli, mnist, simulator, sweep
 from poisonridge.errors import SolveFailure
-from poisonridge.theory import ModelParams
+from poisonridge.records import FIELD_NAMES
 
 
 def run_cli(*argv):
@@ -223,12 +223,26 @@ def test_bad_shapes_exit_2(tmp_path, capsys, argv):
     # 64 PiB, past any 48-bit address space: refused without touching memory
     (("simulate", "--p", "3", "--c", "1e-15", "--trials", "1", "--m-test", "10",
       "--out", "{tmp}/o"), "MemoryError"),
+    # a sweep CSV with a word for a number, or a row with too few values
+    (("report", "--input", "{tmp}/word.csv", "--kind", "mu"), "SchemaMismatch"),
+    (("report", "--input", "{tmp}/short.csv", "--kind", "mu"), "SchemaMismatch"),
+    # a comma-separated list without a value
+    (("mnist", "--images", "{tmp}/imgs", "--labels", "{tmp}/lbls", "--subsample-n", "30",
+      "--theta", "", "--trials", "1", "--m-test", "10", "--out", "{tmp}/o"), "EmptyGrid"),
+    (("mnist", "--images", "{tmp}/imgs", "--labels", "{tmp}/lbls", "--subsample-n", "30",
+      "--lambda", ",", "--trials", "1", "--m-test", "10", "--out", "{tmp}/o"), "EmptyGrid"),
+    (("mnist", "--images", "{tmp}/imgs", "--labels", "{tmp}/lbls", "--subsample-n", "",
+      "--trials", "1", "--m-test", "10", "--out", "{tmp}/o"), "EmptyGrid"),
+    (("resolvent-check", "--p", "", "--seeds", "1", "--out", "{tmp}/o"), "InvalidShape"),
 ])
 def test_bad_inputs_exit_2(tmp_path, capsys, argv, error):
     _write_idx_pair(tmp_path)
     # JSON files that are not run manifests
     for name, text in (("object", "{}"), ("list", "[]"), ("text", "not json")):
         (tmp_path / f"{name}.json").write_text(text, encoding="utf-8")
+    header = ",".join(FIELD_NAMES)
+    for name, row in (("word", ",".join(["abc"] * len(FIELD_NAMES))), ("short", "1,2,3,4,5")):
+        (tmp_path / f"{name}.csv").write_text(f"{header}\n{row}\n", encoding="utf-8")
     assert run_cli(*(a.format(tmp=tmp_path) for a in argv)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and error in err
@@ -423,16 +437,20 @@ def test_seed_column_reproduces_row(tmp_path, capsys, command):
         task = mnist.build_binary_task(images, labels)
         v = mnist.make_patch_trigger(offset=(2, 2), size=3, v_norm_target=1.0).v
     for row in rows:
-        params = ModelParams(c=row.c_target, lam=row.lam, theta=row.theta, v_norm=row.v_norm)
+        # the public stage chain, which the benchmark's replay runs too
         centering = simulator.Centering(row.centering_mode)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(row.seed)))
         if command == "mnist":
             idx = rng.choice(task.X.shape[1], size=row.n, replace=False)
-            X, y = task.X[:, idx], task.y[idx].copy()
+            X, y = task.X[:, idx], task.y[idx]
         else:
             v = simulator.default_trigger(row.p, row.v_norm)
             X, y = simulator.generate_clean(simulator.SimShape(row.p, row.n, row.seed), rng)
-        sol, eta = simulator.fit_poisoned(X, y, params, v, rng, centering, m_test)
+        ds = simulator.apply_poison(X, y, row.theta, v, rng, centering=centering)
+        X_tilde, w_tilde, x_bar, w_bar = simulator.center(ds, row.theta)
+        sol = simulator.score_statistics(
+            simulator.solve_ridge(X_tilde, w_tilde, row.lam, x_bar, w_bar), v)
+        eta = simulator.empirical_efficacy(sol, v, m_test, rng)
         assert sol.mu_emp == row.mu_emp
         assert sol.sigma_sq_emp == row.sigma2_emp
         assert eta == row.eta_emp_mc

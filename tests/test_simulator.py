@@ -108,12 +108,6 @@ def test_apply_poison_converts_to_float64():
         assert np.array_equal(ds.X, ref.X) and np.array_equal(ds.u, ref.u)
         assert ds.u.sum() > 0
         assert np.array_equal(X, kept) and X.dtype == kept.dtype
-        params = ModelParams(c=6 / 40, lam=0.1, theta=0.5, v_norm=0.7)
-        got = simulator.fit_poisoned(X, y, params, v, simulator._rng_from(16),
-                                     Centering.EMPIRICAL, 100)
-        want = simulator.fit_poisoned(X.astype(np.float64), y, params, v,
-                                      simulator._rng_from(16), Centering.EMPIRICAL, 100)
-        assert got[0].mu_emp == want[0].mu_emp and got[1] == want[1]
 
 
 def _c_ordered_draw(seed):
@@ -134,9 +128,9 @@ def _f_ordered_subsample(seed):
 
 @pytest.mark.parametrize("draw", [_c_ordered_draw, _f_ordered_subsample])
 @pytest.mark.parametrize("centering", list(Centering))
-def test_fit_poisoned_matches_literal_chain(draw, centering):
-    # fit_poisoned poisons and centers in place; the copying public stages must
-    # give the same bits, and keep their inputs and the memory order
+def test_subgroup_row_matches_literal_chain(draw, centering):
+    # a trial poisons and centers its X in place; the copying public stages
+    # must give the same bits, and keep their inputs and the memory order
     X, y = draw(17)
     p, n = X.shape
     params = ModelParams(c=p / n, lam=0.2, theta=0.3, v_norm=1.5)
@@ -157,48 +151,40 @@ def test_fit_poisoned_matches_literal_chain(draw, centering):
         assert (out.flags.c_contiguous, out.flags.f_contiguous) == (
             X.flags.c_contiguous, X.flags.f_contiguous)
 
-    got, got_eta = simulator.fit_poisoned(X, y, params, v, simulator._rng_from(18),
-                                          centering, 500)
-    assert got.mu_emp == sol.mu_emp
-    assert got.sigma_sq_emp == sol.sigma_sq_emp
-    assert got_eta == eta
+    (row,) = simulator.subgroup_records([(0, params)], SimShape(p=p, n=n, seed=18), centering,
+                                        0, 500, simulator._rng_from(18), y, lambda k, _: (X, v))
+    assert row.mu_emp == sol.mu_emp
+    assert row.sigma2_emp == sol.sigma_sq_emp
+    assert row.eta_emp_mc == eta
     assert np.array_equal(y, y_in)
     assert np.array_equal(X, X_tilde)  # X was consumed: it now holds the centered features
 
 
-def test_fit_poisoned_allocates_no_copy_of_x():
-    X, y = simulator.generate_clean(SimShape(p=200, n=2000, seed=19))
-    params = ModelParams(c=0.1, lam=0.1, theta=0.2, v_norm=1.0)
-    v = simulator.default_trigger(200, params.v_norm)
+def _trial_peak(shape, lams, centering):
+    """The traced peak bytes of one trial at theta 0.2, ||v|| 1 and each lambda,
+    above its p x n draw."""
+    points = [(k, ModelParams(c=shape.c_effective, lam=lam, theta=0.2, v_norm=1.0))
+              for k, lam in enumerate(lams)]
+    tracemalloc.start()
+    try:
+        simulator.run_trial_path(points, shape, centering=centering, m_test=1000)
+        return tracemalloc.get_traced_memory()[1] - 8 * shape.p * shape.n
+    finally:
+        tracemalloc.stop()
+
+
+def test_trial_allocates_no_copy_of_x():
+    shape = SimShape(p=200, n=2000, seed=19)
     for centering in Centering:
-        X_run = X.copy()
-        tracemalloc.start()
-        try:
-            simulator.fit_poisoned(X_run, y, params, v, simulator._rng_from(20), centering, 1000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.25 * X.nbytes
+        assert _trial_peak(shape, (0.1,), centering) < 0.25 * 8 * shape.p * shape.n
 
 
 def test_lambda_path_holds_at_most_one_gram_fork():
     # each solve consumes its fork of the Gram before the next is copied, so
     # a 4-lambda path holds the Gram and one fork, not four Grams
-    p, n = 200, 2000
-    X, y = simulator.generate_clean(SimShape(p=p, n=n, seed=21))
-    v = simulator.default_trigger(p, 1.0)
-    uniforms = simulator._flip_uniforms(y, simulator._rng_from(22))
-
-    def peak(lams):
-        X_run = X.copy()
-        tracemalloc.start()
-        try:
-            simulator.fit_poisoned_path(X_run, y, v, 0.2, lams, uniforms, Centering.POPULATION)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    assert peak((0.01, 0.1, 1.0, 10.0)) - peak((0.1,)) < 1.5 * p * p * 8
+    shape = SimShape(p=200, n=2000, seed=21)
+    many = _trial_peak(shape, (0.01, 0.1, 1.0, 10.0), Centering.POPULATION)
+    assert many - _trial_peak(shape, (0.1,), Centering.POPULATION) < 1.5 * shape.p * shape.p * 8
 
 
 def _sweep_c01_group():
@@ -315,10 +301,16 @@ def test_corrupt_solution_is_one_error_row(monkeypatch):
         simulator.solve_ridge(X, np.ones(20), 0.1, np.zeros(5), 0.0)
 
 
+def _rows_gram_of(X):
+    """The Gram that a ridge solve of X factors: its tail, of a split X."""
+    p, n = X.shape
+    return simulator._rows_gram(simulator._system(X, np.zeros(n), np.zeros(p), 0.0).rows)
+
+
 def test_bordered_pivot_not_finite_and_positive_is_a_solve_failure():
     X, y = simulator.generate_clean(SimShape(p=5, n=20, seed=2))
     system = simulator._system(X, y, np.zeros(5), 0.0)
-    factor = simulator._factor(simulator.ridge_gram(X), 0.1)
+    factor = simulator._factor(simulator._rows_gram(system.rows), 0.1)
     assert np.all(np.isfinite(simulator._solve(system, factor, 0.1)))
     for g0 in (-1.0, math.nan, math.inf):
         border = system.border.copy()
@@ -329,11 +321,11 @@ def test_bordered_pivot_not_finite_and_positive_is_a_solve_failure():
 
 def test_shared_tail_gram_equals_fresh_gram():
     X, _ = simulator.generate_clean(SimShape(p=60, n=300, seed=23))
-    tail = simulator.ridge_gram(X)
+    tail = _rows_gram_of(X)
     for v_norm in (0.0, 1.0, 3.0):
         Xt = X.copy()
         Xt[0] += v_norm * 0.5  # subgroups differ only in row 0
-        fresh, shared = simulator.ridge_gram(Xt), tail
+        fresh, shared = _rows_gram_of(Xt), tail
         assert fresh.flags.f_contiguous and shared.flags.f_contiguous
         assert np.array_equal(fresh, shared)
         dense = np.triu(Xt[1:] @ Xt[1:].T / 300)
@@ -344,11 +336,11 @@ def test_shared_tail_gram_equals_fresh_gram():
     simulator.generate_clean(SimShape(p=90, n=40, seed=24))[0],  # dual form, p > n
     _f_ordered_subsample(25)[0],
 ])
-def test_unsplit_ridge_gram_is_one_syrk(X):
+def test_unsplit_rows_gram_is_one_syrk(X):
     p, n = X.shape
     assert not simulator._splits(X)
     want = simulator._gram(X if p <= n else X.T, 1.0 / n)
-    assert np.array_equal(simulator.ridge_gram(X), want)
+    assert np.array_equal(_rows_gram_of(X), want)
 
 
 def test_tiny_lambda_dual_solve_matches_interpolator_theory():

@@ -119,6 +119,41 @@ def test_run_sweep_records_and_theory_columns():
     assert not any(r.is_error for r in records)
 
 
+class _InlinePool:
+    """A stand-in for ProcessPoolExecutor that records its size and runs jobs here."""
+    sizes = []
+
+    def __init__(self, max_workers, initializer=None):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize=1):
+        return map(fn, jobs)
+
+
+def test_pool_holds_at_most_one_worker_per_job(monkeypatch):
+    # a fork-started pool starts every worker at once, so 5000 workers for
+    # two jobs would be 5000 processes
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    points = dict(enumerate(TINY.points(AxisMode.FULL)))  # two aspect ratios: two groups
+
+    def rows(points, trials, workers):
+        return [r.to_row() for r in sweep.run_grid(points, TINY.p, trials, 0, 50,
+                                                   workers=workers)]
+
+    for trials, workers in ((1, 5000), (2, 3), (2, 2)):
+        assert rows(points, trials, workers) == rows(points, trials, 1)
+    # one job runs in this process, without a pool
+    assert rows({0: points[0]}, 1, 5000) == rows({0: points[0]}, 1, 1)
+    assert _InlinePool.sizes == [2, 3, 2]
+
+
 def test_run_sweep_worker_count_invariance(tmp_path):
     serial = sweep.run_sweep(TINY, AxisMode.ONE_AT_A_TIME, m_test=50, workers=1)
     parallel = sweep.run_sweep(TINY, AxisMode.ONE_AT_A_TIME, m_test=50, workers=2)
@@ -294,6 +329,17 @@ def test_read_records_rejects_wrong_header(tmp_path):
         sweep.read_records(path)
     with pytest.raises(SchemaMismatch):
         sweep.read_aggregates(path)
+    # the right header, but a row with a word for a number or too few values
+    records = sweep.run_sweep(TINY, AxisMode.ONE_AT_A_TIME, m_test=50)
+    for read, write, rows in ((sweep.read_records, sweep.write_records, records),
+                              (sweep.read_aggregates, sweep.write_aggregates,
+                               sweep.aggregate(records))):
+        write(path, rows)
+        header, first, *rest = path.read_text(encoding="utf-8").splitlines()
+        for bad in (",".join(["abc", *first.split(",")[1:]]), ",".join(first.split(",")[:5])):
+            path.write_text("\n".join([header, bad, *rest]) + "\n", encoding="utf-8")
+            with pytest.raises(SchemaMismatch):
+                read(path)
 
 
 def test_error_record_keeps_theory_columns():
