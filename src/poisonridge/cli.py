@@ -174,13 +174,14 @@ def cmd_rerun(args) -> int:
     for key, value in stored.items():
         # argparse dest "lam" corresponds to the --lambda flag
         flag = "--lambda" if key == "lam" else "--" + key.replace("_", "-")
+        if isinstance(value, list):
+            value = ",".join(str(v) for v in value)
         if isinstance(value, bool):
             if value:
                 argv.append(flag)
-        elif isinstance(value, list):
-            argv.extend([flag, ",".join(str(v) for v in value)])
         elif value is not None:
-            argv.extend([flag, str(value)])
+            # --flag=value: argparse reads a separate "-1e-05" as a flag
+            argv.append(f"{flag}={value}")
     return main(argv)
 
 

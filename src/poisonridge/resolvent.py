@@ -2,23 +2,23 @@
 
 A rank-one spiked Gaussian matrix Z = X + tau*sqrt(n)*a b^T has feature and
 Gram resolvents whose quadratic forms converge to explicit functions of
-(c, tau, z).  This module builds the random objects, evaluates the predicted
-coefficients, and exposes the low-rank (Woodbury) update used to reconstruct
-the spiked resolvent from the unspiked one.  The Monte Carlo checks read all
-four quadratic forms of one spiked draw from one Cholesky factorization of
-the p x p feature system, through residual-guarded solves; the dense
-resolvents remain as reference oracles.
+(c, tau, z).  The limits do not change under rotation, so the Monte Carlo
+checks draw the spike along a = b = e1 only.  This module draws that spiked
+matrix, evaluates the predicted coefficients, and exposes the low-rank
+(Woodbury) update used to reconstruct the spiked resolvent from the
+unspiked one for any unit a and b.  The checks read all four quadratic
+forms of one spiked draw from one Cholesky factorization of the p x p
+feature system, through residual-guarded solves; the dense resolvents
+remain as reference oracles.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import blas
 
 from . import mp, simulator, theory
 from .blas import one_thread
@@ -27,13 +27,7 @@ from .errors import InnerSingular, InvalidShape, NonFiniteParameter, NonNegative
 # dense O(dim^3) inverses, kept as test oracles; the checks use solves
 MAX_DENSE_DIM = 800
 
-_UNIT_NORM_TOL = 1e-12
 _RESOLVENT_RESIDUAL_TOL = 1e-10
-
-
-class Side(enum.Enum):
-    FEATURE_AAT = "feature_aaT"
-    GRAM_BBT = "gram_bbT"
 
 
 @dataclass(frozen=True)
@@ -45,51 +39,19 @@ class EquivalentCoefficients:
 
     iso: float
     spike: float
-    direction: Side
 
     def quadratic_form(self) -> float:
         """Predicted value of the quadratic form along the spike direction."""
         return self.iso + self.spike
 
 
-@dataclass(frozen=True)
-class ResolventExperiment:
-    p: int
-    n: int
-    tau: float
-    a: np.ndarray  # unit p-vector
-    b: np.ndarray  # unit n-vector
-    z: float
-    seed: int
+def build_spiked(p: int, n: int, tau: float, seed: int) -> np.ndarray:
+    """Z = X + tau*sqrt(n)*e1 e1^T with i.i.d. standard normal X.
 
-    def __post_init__(self) -> None:
-        if abs(float(np.linalg.norm(self.a)) - 1.0) > _UNIT_NORM_TOL:
-            raise ValueError("spike vector a must have unit norm")
-        if abs(float(np.linalg.norm(self.b)) - 1.0) > _UNIT_NORM_TOL:
-            raise ValueError("spike vector b must have unit norm")
-        if self.z >= 0.0:
-            raise NonNegativeZ(f"z must be negative, got {self.z}")
-
-
-def make_experiment(p: int, n: int, tau: float, z: float, seed: int) -> ResolventExperiment:
-    """Experiment with the canonical spike directions a = e1, b = e1."""
-    a = np.zeros(p)
-    a[0] = 1.0
-    b = np.zeros(n)
-    b[0] = 1.0
-    return ResolventExperiment(p=p, n=n, tau=tau, a=a, b=b, z=z, seed=seed)
-
-
-def build_spiked(experiment: ResolventExperiment) -> np.ndarray:
-    """Z = X + tau*sqrt(n)*a b^T with i.i.d. standard normal X.
-
-    The spike is a rank-one BLAS update of the fresh draw in place (dger
-    on the Fortran-ordered view X^T += tau*sqrt(n) b a^T), so no p x n
-    temporary is formed.
+    The spike changes entry (0, 0) of the fresh draw only.
     """
-    X = simulator._rng_from(experiment.seed).standard_normal((experiment.p, experiment.n))
-    blas.dger(experiment.tau * np.sqrt(experiment.n), experiment.b, experiment.a,
-              a=X.T, overwrite_a=True)
+    X = simulator._rng_from(seed).standard_normal((p, n))
+    X[0, 0] += tau * np.sqrt(n)
     return X
 
 
@@ -129,7 +91,7 @@ def det_equiv_feature(c: float, tau: float, z: float) -> EquivalentCoefficients:
     """Q1 <-> m(z) I_p - m(z)(1 - 1/(1 + tau^2(1 + z m(z)))) a a^T."""
     m = mp.mp_stieltjes(c, z)
     spike = -m * (1.0 - 1.0 / _feature_gain(tau, z, m))
-    return EquivalentCoefficients(iso=m, spike=spike, direction=Side.FEATURE_AAT)
+    return EquivalentCoefficients(iso=m, spike=spike)
 
 
 def det_equiv_feature_squared(c: float, tau: float, z: float) -> EquivalentCoefficients:
@@ -139,21 +101,21 @@ def det_equiv_feature_squared(c: float, tau: float, z: float) -> EquivalentCoeff
     tau2 = tau * tau
     denom = _feature_gain(tau, z, m) ** 2
     spike = (m_prime * (tau2 + 1.0) - m * m * tau2) / denom - m_prime
-    return EquivalentCoefficients(iso=m_prime, spike=spike, direction=Side.FEATURE_AAT)
+    return EquivalentCoefficients(iso=m_prime, spike=spike)
 
 
 def det_equiv_gram(c: float, tau: float, z: float) -> EquivalentCoefficients:
     """Qtilde1 <-> mtilde(z)(I_n - (1 - 1/B(z)) b b^T), B = 1 + c^-1 tau^2 (1 + z mtilde)."""
     mt = mp.mp_companion(c, z)
     spike = -mt * (1.0 - 1.0 / theory.spike_scalars(c, tau * tau, z).B)
-    return EquivalentCoefficients(iso=mt, spike=spike, direction=Side.GRAM_BBT)
+    return EquivalentCoefficients(iso=mt, spike=spike)
 
 
 def det_equiv_gram_squared(c: float, tau: float, z: float) -> EquivalentCoefficients:
     """Qtilde1^2 <-> mtilde'(z) I_n + (T(z) - mtilde'(z)) b b^T."""
     mtp = mp.mp_companion_derivative(c, z)
     T = theory.spike_scalars(c, tau * tau, z).T
-    return EquivalentCoefficients(iso=mtp, spike=T - mtp, direction=Side.GRAM_BBT)
+    return EquivalentCoefficients(iso=mtp, spike=T - mtp)
 
 
 def woodbury_update(
@@ -253,25 +215,25 @@ def spiked_draw_checks(c: float, tau: float, z: float, p: int, seed: int) -> dic
     """Every check's row from one Monte Carlo draw of the spiked matrix.
 
     One Cholesky factorization of (1/n) Z Z^T - z I serves both solves:
-    w = Q1 a on the feature side and w = Qtilde1 b (push-through) on the
-    Gram side.  The observed form is u.w for the spike direction u, or w.w
-    for a squared resolvent.  Maps each check name to a row dict keyed by
-    CHECK_FIELDS.
+    w = Q1 e1 on the feature side and w = Qtilde1 e1 (push-through) on the
+    Gram side; each check reads the solve of its family.  The observed form
+    is e1.w = w[0], or w.w for a squared resolvent.  Maps each check name to
+    a row dict keyed by CHECK_FIELDS.
     """
+    if z >= 0.0:
+        raise NonNegativeZ(f"z must be negative, got {z}")
     n = simulator.shape_for(p, c, seed).n
-    exp = make_experiment(p, n, tau, z, seed)
-    Z = build_spiked(exp)
+    Z = build_spiked(p, n, tau, seed)
     solve = simulator.gram_cholesky(Z, 1.0 / n, -z)
     solved = {
-        Side.FEATURE_AAT: (exp.a, _feature_solve(Z, z, solve, exp.a)),
-        Side.GRAM_BBT: (exp.b, _gram_apply(Z, z, solve, exp.b)),
+        "feature": _feature_solve(Z, z, solve, np.eye(1, p)[0]),
+        "gram": _gram_apply(Z, z, solve, np.eye(1, n)[0]),
     }
     rows = {}
     for check_name, equivalent in _EQUIVALENTS.items():
-        coeff = equivalent(c, tau, z)
-        u, w = solved[coeff.direction]
-        observed = float(w @ w) if check_name.endswith("_sq") else float(u @ w)
-        predicted = coeff.quadratic_form()
+        w = solved[check_name.removesuffix("_sq")]
+        observed = float(w @ w) if check_name.endswith("_sq") else float(w[0])
+        predicted = equivalent(c, tau, z).quadratic_form()
         rows[check_name] = dict(zip(CHECK_FIELDS, (
             check_name, p, n, seed, observed, predicted, abs(observed - predicted),
         )))

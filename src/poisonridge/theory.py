@@ -178,9 +178,11 @@ def efficacy(mu: float, sigma_sq: float) -> float:
     return 1.0 - normal_cdf(-mu / math.sqrt(sigma_sq))
 
 
-def _prediction(params: ModelParams, mu: float, aux: SpikeAuxiliary) -> TheoryPrediction:
-    """(mu, sigma^2, eta, C) from mu (`_alignment`) and the spike scalars B and S."""
-    theta, vn = params.theta, params.v_norm
+def _prediction(params: ModelParams, align: tuple[float, float],
+                aux: SpikeAuxiliary) -> TheoryPrediction:
+    """(mu, sigma^2, eta, C) from (C, mu) (`_alignment`) and the spike scalars B and S."""
+    C, mu = align
+    theta = params.theta
     bracket = (1.0 - theta ** 2)
     if theta > 0.0:
         # past B = 1.34e154, B^2 overflows and the gain is -1 to double precision
@@ -193,7 +195,6 @@ def _prediction(params: ModelParams, mu: float, aux: SpikeAuxiliary) -> TheoryPr
             raise NegativeVariance(f"sigma^2 = {sigma_sq} < {_VARIANCE_CLAMP}")
         warnings.warn(f"clamping tiny negative variance {sigma_sq} to 0", stacklevel=3)
         sigma_sq = 0.0
-    C = mu / vn ** 2 if vn > 0.0 else 0.0
     return TheoryPrediction(mu=mu, sigma_sq=sigma_sq, eta=efficacy(mu, sigma_sq), C_align=C)
 
 
@@ -204,7 +205,7 @@ def predict(params: ModelParams) -> TheoryPrediction:
             "predict requires lambda > 0; use predict_ridgeless for the "
             "vanishing-regularization limit (c != 1)"
         )
-    return _prediction(params, _stieltjes_alignment(params)[1],
+    return _prediction(params, _stieltjes_alignment(params),
                        spike_auxiliary(params, -params.lam))
 
 
@@ -224,5 +225,5 @@ def predict_ridgeless(params: ModelParams) -> TheoryPrediction:
         cm, lam_m, B, S = 0.0, 0.0, 1.0 + tau_sq, c / (1.0 - c)
     else:
         cm, lam_m, B, S = c - 1.0, 1.0 - 1.0 / c, 1.0 + tau_sq / c, 1.0 / (c - 1.0)
-    return _prediction(params, _alignment(params.theta, params.v_norm, 1.0, cm, lam_m)[1],
+    return _prediction(params, _alignment(params.theta, params.v_norm, 1.0, cm, lam_m),
                        SpikeAuxiliary(tau_sq=tau_sq, B=B, S=S, T=math.nan))

@@ -354,6 +354,27 @@ def test_mnist_grid_order(tmp_path, capsys):
     assert rows[8].grid_index == 4 and rows[8].theta == 0.2 and rows[8].seed == rows[0].seed
 
 
+def test_rerun_replays_negative_scientific_values(tmp_path, capsys):
+    # "-1e-05" after a separate --z would read as a flag; rerun passes --z=-1e-05
+    out = tmp_path / "r"
+    assert run_cli("resolvent-check", "--z=-1e-05", "--tau=-1e-05", "--p", "10",
+                   "--seeds", "1", "--out", str(out)) == 0
+    first = (out / "resolvent_checks.csv").read_bytes()
+    assert run_cli("rerun", str(out / "manifest.json")) == 0
+    capsys.readouterr()
+    assert (out / "resolvent_checks.csv").read_bytes() == first
+
+
+@pytest.mark.parametrize("argv", [
+    ("theory", "--c", "0.5", "--vnorm", "1e-170"),
+    ("simulate", "--p", "20", "--c", "0.5", "--vnorm", "1e-170", "--trials", "2",
+     "--m-test", "50", "--out", "{tmp}/o"),
+])
+def test_tiny_trigger_norm_exits_0(tmp_path, argv):
+    # ||v||^2 underflows to 0 below about 1.5e-162; C comes from the alignment formula
+    assert run_cli(*(a.replace("{tmp}", str(tmp_path)) for a in argv)) == 0
+
+
 def test_rerun_of_manifest_without_worker_count(tmp_path, capsys):
     # manifests from before --workers defaulted to 1 store "workers": null
     out = tmp_path / "s"

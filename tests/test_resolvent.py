@@ -7,27 +7,30 @@ import pytest
 
 from poisonridge import mp, resolvent, simulator, theory
 from poisonridge.errors import InnerSingular, InvalidShape, NonNegativeZ, SolveFailure
-from poisonridge.resolvent import Side
 from poisonridge.theory import ModelParams
 
 
+def _e1(dim):
+    e = np.zeros(dim)
+    e[0] = 1.0
+    return e
+
+
 def test_build_spiked_structure():
-    exp = resolvent.make_experiment(p=6, n=9, tau=2.0, z=-0.5, seed=4)
-    Z = resolvent.build_spiked(exp)
+    Z = resolvent.build_spiked(p=6, n=9, tau=2.0, seed=4)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(4)))
     X = rng.standard_normal((6, 9))
-    assert np.allclose(Z - X, 2.0 * math.sqrt(9) * np.outer(exp.a, exp.b))
-    none = resolvent.build_spiked(resolvent.make_experiment(6, 9, 0.0, -0.5, 4))
-    assert np.allclose(none, X)
+    expected = X.copy()
+    expected[0, 0] = X[0, 0] + 2.0 * math.sqrt(9)
+    assert np.array_equal(Z, expected)
+    assert np.array_equal(resolvent.build_spiked(6, 9, 0.0, 4), X)
 
 
 def test_experiment_validation():
-    with pytest.raises(NonNegativeZ):
-        resolvent.make_experiment(4, 8, 1.0, 0.5, 0)
-    bad = np.array([1.0, 1.0]) / 1.0
-    with pytest.raises(ValueError):
-        resolvent.ResolventExperiment(p=2, n=2, tau=1.0, a=bad,
-                                      b=np.array([1.0, 0.0]), z=-0.5, seed=0)
+    # z >= 0 is refused before any draw
+    for z in (0.0, 0.5):
+        with pytest.raises(NonNegativeZ):
+            resolvent.spiked_draw_checks(c=0.5, tau=1.0, z=z, p=4, seed=0)
 
 
 def test_feature_resolvent_small_exact():
@@ -50,8 +53,7 @@ def test_trace_matches_transforms():
     # (1/p) tr Q1 -> m(z) and (1/n) tr Qt1 -> mtilde(z) without a spike
     c, z, p = 0.5, -0.5, 400
     n = round(p / c)
-    exp = resolvent.make_experiment(p, n, 0.0, z, seed=17)
-    Z = resolvent.build_spiked(exp)
+    Z = resolvent.build_spiked(p, n, 0.0, seed=17)
     m_emp = float(np.trace(resolvent.feature_resolvent(Z, z))) / p
     mt_emp = float(np.trace(resolvent.gram_resolvent(Z, z))) / n
     assert abs(m_emp - mp.mp_stieltjes(c, z)) < 5.0 / math.sqrt(p)
@@ -69,8 +71,6 @@ def test_coefficients_tau_zero():
     assert resolvent.det_equiv_gram_squared(c, 0.0, z).quadratic_form() == (
         pytest.approx(t.m_tilde_prime)
     )
-    assert resolvent.det_equiv_feature(c, 0.0, z).direction is Side.FEATURE_AAT
-    assert resolvent.det_equiv_gram(c, 0.0, z).direction is Side.GRAM_BBT
 
 
 def test_gram_squared_matches_spike_auxiliary():
@@ -100,15 +100,15 @@ def test_quadratic_form_check_matches_dense_inverse(c):
     for p in (30, 60):
         n = round(p / c)
         for seed in (0, 5, 11):
-            exp = resolvent.make_experiment(p, n, tau, z, seed)
-            Z = resolvent.build_spiked(exp)
+            Z = resolvent.build_spiked(p, n, tau, seed)
             Q1 = resolvent.feature_resolvent(Z, z)
             Qt = resolvent.gram_resolvent(Z, z)
+            a, b = _e1(p), _e1(n)
             dense = {
-                "feature": exp.a @ Q1 @ exp.a,
-                "feature_sq": exp.a @ (Q1 @ Q1) @ exp.a,
-                "gram": exp.b @ Qt @ exp.b,
-                "gram_sq": exp.b @ (Qt @ Qt) @ exp.b,
+                "feature": a @ Q1 @ a,
+                "feature_sq": a @ (Q1 @ Q1) @ a,
+                "gram": b @ Qt @ b,
+                "gram_sq": b @ (Qt @ Qt) @ b,
             }
             rows = resolvent.spiked_draw_checks(c, tau, z, p, seed)
             for check in resolvent.ALL_CHECKS:
@@ -164,10 +164,7 @@ def test_spike_blocks_reproduce_outer_product():
     rng = np.random.default_rng(9)
     p, n, tau = 30, 60, 1.3
     X = rng.standard_normal((p, n))
-    a = np.zeros(p)
-    a[0] = 1.0
-    b = np.zeros(n)
-    b[0] = 1.0
+    a, b = _e1(p), _e1(n)
     Z = X + tau * math.sqrt(n) * np.outer(a, b)
     U, V = resolvent.spike_blocks(X, tau, a, b)
     assert U.shape == (p, 3)
@@ -178,10 +175,7 @@ def test_reconstruct_spiked_resolvent_matches_dense():
     rng = np.random.default_rng(10)
     p, n, tau, z = 100, 200, 1.0, -0.5
     X = rng.standard_normal((p, n))
-    a = np.zeros(p)
-    a[0] = 1.0
-    b = np.zeros(n)
-    b[0] = 1.0
+    a, b = _e1(p), _e1(n)
     Z = X + tau * math.sqrt(n) * np.outer(a, b)
     dense = resolvent.feature_resolvent(Z, z)
     apply_q = resolvent.reconstruct_spiked_resolvent(X, tau, a, b, z)
@@ -244,9 +238,9 @@ def test_convergence_table_feature_rows_keep_their_seeds():
         for s in range(n_seeds):
             seed = int(np.random.SeedSequence(master, spawn_key=(0, p, s)).generate_state(1)[0])
             n = round(p / c)
-            exp = resolvent.make_experiment(p, n, tau, z, seed)
-            Z = resolvent.build_spiked(exp)
-            observed = float(exp.a @ simulator.gram_cholesky(Z, 1.0 / n, -z)(exp.a))
+            Z = resolvent.build_spiked(p, n, tau, seed)
+            a = _e1(p)
+            observed = float(a @ simulator.gram_cholesky(Z, 1.0 / n, -z)(a))
             predicted = resolvent.det_equiv_feature(c, tau, z).quadratic_form()
             expected.append(dict(zip(resolvent.CHECK_FIELDS, (
                 "feature", p, n, seed, observed, predicted, abs(observed - predicted)))))

@@ -256,6 +256,21 @@ def test_huge_trigger_norm_keeps_mu_where_alignment_denominator_overflows(c, lam
     assert ridgeless[1].mu == pytest.approx(ridgeless[0].mu, rel=1e-12)
 
 
+@pytest.mark.parametrize("c", [0.5, 2.0])
+def test_predict_C_is_the_alignment_coefficient(c):
+    # one formula for C at every trigger norm, including ||v|| = 0 (the v -> 0
+    # limit theta(1-theta)m/(2(1+cm))), where ||v||^2 underflows, and where
+    # the alignment denominator overflows
+    for vn in (0.0, 1e-170, 1.0, 3.0, 1e154):
+        for lam in (0.001, 0.1, 1.0):
+            params = ModelParams(c=c, lam=lam, theta=0.1, v_norm=vn)
+            assert theory.predict(params).C_align == theory.alignment_coefficient(params)
+    m = mp.mp_stieltjes(c, -0.1)
+    zero = ModelParams(c=c, lam=0.1, theta=0.1, v_norm=0.0)
+    assert theory.predict(zero).C_align == pytest.approx(
+        0.1 * 0.9 * m / (2.0 * (1.0 + c * m)), rel=1e-15)
+
+
 def test_efficacy_degenerate_variance():
     # a constant score: attacked only when strictly positive, as in the MC estimator
     assert theory.efficacy(-0.3, 0.0) == 0.0
