@@ -135,10 +135,11 @@ def cmd_resolvent_check(args) -> int:
 
 def cmd_mnist(args) -> int:
     images, labels = mnist_mod.load_pair(args.images, args.labels)
-    task = mnist_mod.build_binary_task(
-        images, labels, digit_neg=args.digit_neg, digit_pos=args.digit_pos,
-        scale=args.scale,
-    )
+    neg, pos = args.digit_neg, args.digit_pos
+    if args.swap_digits:  # poison digit_pos instead: the digits swap roles, so y becomes -y
+        neg, pos = pos, neg
+    task = mnist_mod.build_binary_task(images, labels, digit_neg=neg, digit_pos=pos,
+                                       scale=args.scale)
     trigger = mnist_mod.make_patch_trigger(
         offset=(args.patch_row, args.patch_col), size=args.patch_size,
         v_norm_target=args.vnorm, rows=images.rows, cols=images.cols,
@@ -146,7 +147,7 @@ def cmd_mnist(args) -> int:
     points = itertools.product(args.theta, args.lam, args.subsample_n)
     records = mnist_mod.run_mnist_grid(
         task, trigger, dict(enumerate(points)), trials=args.trials, seed=args.seed,
-        swap_classes=args.swap_classes, m_test=args.m_test,
+        m_test=args.m_test,
     )
     return _save_records(args, "mnist", records)
 
@@ -157,6 +158,11 @@ def cmd_report(args) -> int:
     for path in written:
         print(f"wrote {path}")
     return 0
+
+
+# argparse dests whose flag is not "--" + dest with "_" as "-"; older
+# manifests stored --swap-classes under its own name, which the rule maps
+_RENAMED_FLAGS = {"lam": "--lambda", "swap_digits": "--swap-classes"}
 
 
 def cmd_rerun(args) -> int:
@@ -172,8 +178,7 @@ def cmd_rerun(args) -> int:
     stored.pop("builtin", None)  # older sweep manifests carry the removed --builtin
     argv = [command]
     for key, value in stored.items():
-        # argparse dest "lam" corresponds to the --lambda flag
-        flag = "--lambda" if key == "lam" else "--" + key.replace("_", "-")
+        flag = _RENAMED_FLAGS.get(key, "--" + key.replace("_", "-"))
         if isinstance(value, list):
             value = ",".join(str(v) for v in value)
         if isinstance(value, bool):
@@ -258,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated subsample sizes (controls c = p/n)")
     s.add_argument("--trials", type=int, default=20)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--swap-classes", action="store_true",
-                   help="poison the +1 class and flip to -1 instead")
+    s.add_argument("--swap-classes", dest="swap_digits", action="store_true",
+                   help="exchange the roles of --digit-neg and --digit-pos")
     _add_common_output(s, "mnist_out")
     s.set_defaults(func=cmd_mnist)
 

@@ -162,8 +162,7 @@ def _grid_params(task: BinaryTask, trigger: PatchTrigger, theta: float, lam: flo
     )
 
 
-def _trial(task, trigger, swap_classes, points, shape, *, centering, trial_index,
-           m_test) -> list[SweepRecord]:
+def _trial(task, trigger, points, shape, *, centering, trial_index, m_test) -> list[SweepRecord]:
     """One trial at each (grid_index, params) of `points`, which share subsample_n.
 
     Subsamples shape.n images once, from shape.seed's stream, which then
@@ -175,32 +174,32 @@ def _trial(task, trigger, swap_classes, points, shape, *, centering, trial_index
     """
     rng = simulator._rng_from(shape.seed)
     idx = rng.choice(task.X.shape[1], size=shape.n, replace=False)
-    y = -task.y[idx] if swap_classes else task.y[idx]
-    return simulator.subgroup_records(points, shape, centering, trial_index, m_test, rng, y,
-                                      lambda k, params: (task.X[:, idx], trigger.v))
+    return simulator.subgroup_records(points, shape, centering, trial_index, m_test, rng,
+                                      task.y[idx], lambda k, params: (task.X[:, idx], trigger.v))
 
 
 def run_mnist_grid(task: BinaryTask, trigger: PatchTrigger, points: dict, trials: int, seed: int,
-                   swap_classes: bool = False, m_test: int = 10000) -> list[SweepRecord]:
+                   m_test: int = 10000) -> list[SweepRecord]:
     """Poisoned-ridge trials on real data with empirical centering, by `sweep.run_grid`.
 
     `points` maps a grid index to its (theta, lambda, subsample_n).  Each
     trial subsamples without replacement, poisons the negative class at rate
-    theta (the positive class with swap_classes), solves the ridge problem
-    and joins with the closed-form prediction at c = p/subsample_n; its n is
-    round(p/c) = subsample_n.  The points that share subsample_n share each
-    trial's subsample, flip uniforms and seed, and those that also share
-    theta share its poisoned subsample and Gram.
+    theta, solves the ridge problem and joins with the closed-form
+    prediction at c = p/subsample_n; its n is round(p/c) = subsample_n.  To
+    poison the positive class instead, build the task with the two digits
+    exchanged.  The points that share subsample_n share each trial's
+    subsample, flip uniforms and seed, and those that also share theta share
+    its poisoned subsample and Gram.
     """
     grid = {gi: _grid_params(task, trigger, *point) for gi, point in points.items()}
-    trial = functools.partial(_trial, task, trigger, swap_classes)
+    trial = functools.partial(_trial, task, trigger)
     return sweep.run_grid(grid, task.X.shape[0], trials, seed, m_test, trial=trial,
                           centering=simulator.Centering.EMPIRICAL)
 
 
 def run_mnist_experiment(task: BinaryTask, trigger: PatchTrigger, theta: float, lam: float,
-                         subsample_n: int, trials: int, seed: int, swap_classes: bool = False,
-                         m_test: int = 10000, grid_index: int = 0) -> list[SweepRecord]:
+                         subsample_n: int, trials: int, seed: int, m_test: int = 10000,
+                         grid_index: int = 0) -> list[SweepRecord]:
     """The trials of one grid point of `run_mnist_grid`."""
     return run_mnist_grid(task, trigger, {grid_index: (theta, lam, subsample_n)}, trials, seed,
-                          swap_classes, m_test)
+                          m_test)

@@ -4,18 +4,20 @@ A rank-one spiked Gaussian matrix Z = X + tau*sqrt(n)*a b^T has feature and
 Gram resolvents whose quadratic forms converge to explicit functions of
 (c, tau, z).  The limits do not change under rotation, so the Monte Carlo
 checks draw the spike along a = b = e1 only.  This module draws that spiked
-matrix, evaluates the predicted coefficients, and exposes the low-rank
+matrix, evaluates the predicted quadratic forms, and exposes the low-rank
 (Woodbury) update used to reconstruct the spiked resolvent from the
-unspiked one for any unit a and b.  The checks read all four quadratic
-forms of one spiked draw from one Cholesky factorization of the p x p
-feature system, through residual-guarded solves; the dense resolvents
-remain as reference oracles.
+unspiked one for any unit a and b.  The four predictions (`det_equiv_*`)
+take their spike scalars from `theory.spike_gain` and
+`theory.spike_squared`: at (tau^2, m, m') on the feature side and at
+(tau^2/c, mtilde, mtilde') on the Gram side.  The checks read all four
+quadratic forms of one spiked draw from one Cholesky factorization of the
+p x p feature system, through residual-guarded solves; the dense
+resolvents remain as reference oracles.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -28,21 +30,6 @@ from .errors import InnerSingular, InvalidShape, NonFiniteParameter, NonNegative
 MAX_DENSE_DIM = 800
 
 _RESOLVENT_RESIDUAL_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class EquivalentCoefficients:
-    """Identity and rank-one coefficients of a deterministic equivalent.
-
-    Functions of (c, tau, z) only; the poison fraction never enters.
-    """
-
-    iso: float
-    spike: float
-
-    def quadratic_form(self) -> float:
-        """Predicted value of the quadratic form along the spike direction."""
-        return self.iso + self.spike
 
 
 def build_spiked(p: int, n: int, tau: float, seed: int) -> np.ndarray:
@@ -82,40 +69,30 @@ def gram_resolvent(Z: np.ndarray, z: float) -> np.ndarray:
     return _dense_resolvent(Z.T, Z.shape[1], z)
 
 
-def _feature_gain(tau: float, z: float, m: float) -> float:
-    """The feature-side spike scalar 1 + tau^2(1 + z m(z))."""
-    return 1.0 + tau * tau * (1.0 + z * m)
-
-
-def det_equiv_feature(c: float, tau: float, z: float) -> EquivalentCoefficients:
-    """Q1 <-> m(z) I_p - m(z)(1 - 1/(1 + tau^2(1 + z m(z)))) a a^T."""
+# Each form is summed as iso + spike, e.g. m' + (T - m'), which can differ
+# from the bare T in the last bit; resolvent_checks.csv rows keep that sum.
+def det_equiv_feature(c: float, tau: float, z: float) -> float:
+    """a^T Q1 a <-> m(z) - m(z)(1 - 1/(1 + tau^2(1 + z m(z))))."""
     m = mp.mp_stieltjes(c, z)
-    spike = -m * (1.0 - 1.0 / _feature_gain(tau, z, m))
-    return EquivalentCoefficients(iso=m, spike=spike)
+    return m - m * (1.0 - 1.0 / theory.spike_gain(tau * tau, m, z))
 
 
-def det_equiv_feature_squared(c: float, tau: float, z: float) -> EquivalentCoefficients:
-    """Q1^2 <-> m'(z) I_p + (spiked squared coefficient) a a^T."""
-    m = mp.mp_stieltjes(c, z)
-    m_prime = mp.mp_stieltjes_derivative(c, z)
-    tau2 = tau * tau
-    denom = _feature_gain(tau, z, m) ** 2
-    spike = (m_prime * (tau2 + 1.0) - m * m * tau2) / denom - m_prime
-    return EquivalentCoefficients(iso=m_prime, spike=spike)
+def det_equiv_feature_squared(c: float, tau: float, z: float) -> float:
+    """a^T Q1^2 a <-> m'(z) + (T - m'(z)), T = `theory.spike_squared`(tau^2, m, m', z)."""
+    m, m_prime = mp.mp_stieltjes(c, z), mp.mp_stieltjes_derivative(c, z)
+    return m_prime + (theory.spike_squared(tau * tau, m, m_prime, z) - m_prime)
 
 
-def det_equiv_gram(c: float, tau: float, z: float) -> EquivalentCoefficients:
-    """Qtilde1 <-> mtilde(z)(I_n - (1 - 1/B(z)) b b^T), B = 1 + c^-1 tau^2 (1 + z mtilde)."""
+def det_equiv_gram(c: float, tau: float, z: float) -> float:
+    """b^T Qtilde1 b <-> mtilde(z) - mtilde(z)(1 - 1/B(z)), B = 1 + c^-1 tau^2 (1 + z mtilde)."""
     mt = mp.mp_companion(c, z)
-    spike = -mt * (1.0 - 1.0 / theory.spike_scalars(c, tau * tau, z).B)
-    return EquivalentCoefficients(iso=mt, spike=spike)
+    return mt - mt * (1.0 - 1.0 / theory.spike_gain(tau * tau / c, mt, z))
 
 
-def det_equiv_gram_squared(c: float, tau: float, z: float) -> EquivalentCoefficients:
-    """Qtilde1^2 <-> mtilde'(z) I_n + (T(z) - mtilde'(z)) b b^T."""
-    mtp = mp.mp_companion_derivative(c, z)
-    T = theory.spike_scalars(c, tau * tau, z).T
-    return EquivalentCoefficients(iso=mtp, spike=T - mtp)
+def det_equiv_gram_squared(c: float, tau: float, z: float) -> float:
+    """b^T Qtilde1^2 b <-> mtilde'(z) + (T - mtilde'(z)), T = `theory.spike_squared` at tau^2/c."""
+    mt, mtp = mp.mp_companion(c, z), mp.mp_companion_derivative(c, z)
+    return mtp + (theory.spike_squared(tau * tau / c, mt, mtp, z) - mtp)
 
 
 def woodbury_update(
@@ -217,8 +194,10 @@ def spiked_draw_checks(c: float, tau: float, z: float, p: int, seed: int) -> dic
     One Cholesky factorization of (1/n) Z Z^T - z I serves both solves:
     w = Q1 e1 on the feature side and w = Qtilde1 e1 (push-through) on the
     Gram side; each check reads the solve of its family.  The observed form
-    is e1.w = w[0], or w.w for a squared resolvent.  Maps each check name to
-    a row dict keyed by CHECK_FIELDS.
+    is e1.w = w[0], or w.w for a squared resolvent, and the predicted one is
+    the limit at the draw's own aspect ratio p/n, which differs from c where
+    n = round(p/c) rounds.  Maps each check name to a row dict keyed by
+    CHECK_FIELDS.
     """
     if z >= 0.0:
         raise NonNegativeZ(f"z must be negative, got {z}")
@@ -233,7 +212,7 @@ def spiked_draw_checks(c: float, tau: float, z: float, p: int, seed: int) -> dic
     for check_name, equivalent in _EQUIVALENTS.items():
         w = solved[check_name.removesuffix("_sq")]
         observed = float(w @ w) if check_name.endswith("_sq") else float(w[0])
-        predicted = equivalent(c, tau, z).quadratic_form()
+        predicted = equivalent(p / n, tau, z)
         rows[check_name] = dict(zip(CHECK_FIELDS, (
             check_name, p, n, seed, observed, predicted, abs(observed - predicted),
         )))

@@ -3,7 +3,10 @@
 The poisoned test score beta_hat^T(x0 + v) is asymptotically Gaussian with
 mean mu and variance sigma^2, both explicit in (c, lambda, theta, ||v||)
 through the MP transforms.  The efficacy eta = 1 - Phi(-mu/sigma) is the
-probability a fresh triggered sample crosses the zero threshold.
+probability a fresh triggered sample crosses the zero threshold.  The spike
+scalars `spike_gain` and `spike_squared` live here once: the variance reads
+them on the Gram side, and the resolvent lab's deterministic equivalents on
+both sides.  Each closed form evaluates only the transforms it reads.
 """
 
 from __future__ import annotations
@@ -63,7 +66,6 @@ class SpikeAuxiliary:
     tau_sq: float
     B: float
     S: float
-    T: float
 
 
 @dataclass(frozen=True)
@@ -108,28 +110,37 @@ def tau_squared(params: ModelParams) -> float:
     return params.v_norm ** 2 * (params.theta / 2.0) * (1.0 - params.theta / 2.0)
 
 
-def spike_scalars(c: float, tau_sq: float, z: float) -> SpikeAuxiliary:
-    """tau^2, B(z), S(z) and the squared-resolvent scalar T(z) at z < 0.
+def spike_gain(a: float, w: float, z: float) -> float:
+    """The spike gain 1 + a(1 + z w) of a rank-one spiked resolvent."""
+    return 1.0 + a * (1.0 + z * w)
 
-    With a = tau^2/c: B = 1 + a(1 + z mtilde), S = mtilde + z mtilde',
-    T = ((a + 1) mtilde' - a mtilde^2) / B^2.  The closed-form variance and
-    the Gram-side deterministic equivalents both read them from here.  For
+
+def spike_squared(a: float, w: float, w_prime: float, z: float) -> float:
+    """((a + 1) w' - a w^2) / gain^2: the squared resolvent's quadratic form along the spike.
+
+    With (a, w) = (tau^2, m) on the feature side and (tau^2/c, mtilde) on
+    the Gram side; it is the z-derivative of w / `spike_gain`.
+    """
+    gain = spike_gain(a, w, z)
+    return ((a + 1.0) * w_prime - a * w * w) / (gain * gain)
+
+
+def spike_scalars(c: float, tau_sq: float, z: float) -> SpikeAuxiliary:
+    """tau^2, B(z) and S(z) at z < 0.
+
+    B = `spike_gain`(tau^2/c, mtilde, z) and S = mtilde + z mtilde'.  For
     c <= 1, S is formed as the identical c(m + z m'): the (1 - c)/z terms of
     mtilde and z mtilde' cancel, and summed term by term they lose every
-    digit of S as z -> 0.
+    digit of S as z -> 0.  So mtilde' is read only at c > 1 and m' only at
+    c <= 1: the derivative left unread is the one that overflows below
+    |z| ~ 1e-154 on that side of c = 1.
     """
-    a = tau_sq / c
-    t = mp.transforms(c, z)
-    mt, mtp = t.m_tilde, t.m_tilde_prime
-    B = 1.0 + a * (1.0 + z * mt)
-    S = c * (t.m + z * t.m_prime) if c <= 1.0 else mt + z * mtp
-    T = ((a + 1.0) * mtp - a * mt * mt) / (B * B)
-    return SpikeAuxiliary(tau_sq=tau_sq, B=B, S=S, T=T)
-
-
-def spike_auxiliary(params: ModelParams, z: float) -> SpikeAuxiliary:
-    """Spike scalars at z < 0 for the spike strength tau^2 of `params`."""
-    return spike_scalars(params.c, tau_squared(params), z)
+    mt = mp.mp_companion(c, z)
+    if c <= 1.0:
+        S = c * (mp.mp_stieltjes(c, z) + z * mp.mp_stieltjes_derivative(c, z))
+    else:
+        S = mt + z * mp.mp_companion_derivative(c, z)
+    return SpikeAuxiliary(tau_sq=tau_sq, B=spike_gain(tau_sq / c, mt, z), S=S)
 
 
 def _alignment(theta: float, v_norm: float, m: float, cm: float,
@@ -149,22 +160,6 @@ def _alignment(theta: float, v_norm: float, m: float, cm: float,
         return mu / v_norm ** 2, mu
     align = theta * (1.0 - theta) * m / denom
     return align, align * v_norm ** 2
-
-
-def _stieltjes_alignment(params: ModelParams) -> tuple[float, float]:
-    """(C, mu) at lambda > 0, from the MP Stieltjes transform m(-lambda)."""
-    m = mp.mp_stieltjes(params.c, -params.lam)
-    return _alignment(params.theta, params.v_norm, m, params.c * m, params.lam * m)
-
-
-def alignment_coefficient(params: ModelParams) -> float:
-    """Limit coefficient C with beta_hat^T a -> C v^T a for deterministic a.
-
-    C increases with theta and decreases with lambda.
-    """
-    if params.lam <= 0.0:
-        raise InvalidLambda("alignment coefficient requires lambda > 0")
-    return _stieltjes_alignment(params)[0]
 
 
 def efficacy(mu: float, sigma_sq: float) -> float:
@@ -205,8 +200,10 @@ def predict(params: ModelParams) -> TheoryPrediction:
             "predict requires lambda > 0; use predict_ridgeless for the "
             "vanishing-regularization limit (c != 1)"
         )
-    return _prediction(params, _stieltjes_alignment(params),
-                       spike_auxiliary(params, -params.lam))
+    c, lam = params.c, params.lam
+    m = mp.mp_stieltjes(c, -lam)
+    return _prediction(params, _alignment(params.theta, params.v_norm, m, c * m, lam * m),
+                       spike_scalars(c, tau_squared(params), -lam))
 
 
 def predict_ridgeless(params: ModelParams) -> TheoryPrediction:
@@ -226,4 +223,4 @@ def predict_ridgeless(params: ModelParams) -> TheoryPrediction:
     else:
         cm, lam_m, B, S = c - 1.0, 1.0 - 1.0 / c, 1.0 + tau_sq / c, 1.0 / (c - 1.0)
     return _prediction(params, _alignment(params.theta, params.v_norm, 1.0, cm, lam_m),
-                       SpikeAuxiliary(tau_sq=tau_sq, B=B, S=S, T=math.nan))
+                       SpikeAuxiliary(tau_sq=tau_sq, B=B, S=S))

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from poisonridge import cli, mnist, simulator, sweep
+from poisonridge import cli, mnist, simulator, sweep, theory
 from poisonridge.errors import SolveFailure
 from poisonridge.records import FIELD_NAMES
 
@@ -321,14 +321,29 @@ def test_sweep_with_one_all_error_point_writes_both_csvs(tmp_path, capsys, monke
 
 
 def test_tiny_lambda_simulate_writes_error_rows(tmp_path, capsys):
-    # the solve succeeds, but the closed form is not finite: every row is an
-    # error row, and the run exits 1 without a traceback
+    # at c = 1 the solve succeeds, but m'(-1e-300), which S reads, is not
+    # finite: every row is an error row, and the run exits 1 without a traceback
     out = tmp_path / "o"
-    assert run_cli("simulate", "--p", "20", "--c", "0.5", "--lambda", "1e-300",
+    assert run_cli("simulate", "--p", "20", "--c", "1.0", "--lambda", "1e-300",
                    "--trials", "2", "--m-test", "50", "--out", str(out)) == 1
     assert "2 records, 2 error rows" in capsys.readouterr().out
     rows = sweep.read_records(out / "simulate.csv")
     assert all(r.is_error and math.isnan(r.sigma2_theory) for r in rows)
+
+
+def test_tiny_lambda_simulate_reaches_the_ridgeless_theory(tmp_path, capsys):
+    # away from c = 1 the closed form at lambda = 1e-300 is finite: no error
+    # rows, and its theory columns are the ridgeless limit
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--p", "20", "--c", "0.5", "--lambda", "1e-300",
+                   "--trials", "2", "--m-test", "50", "--out", str(out)) == 0
+    assert "2 records, 0 error rows" in capsys.readouterr().out
+    ridgeless = theory.predict_ridgeless(theory.ModelParams(c=0.5, lam=0.0, theta=0.1, v_norm=1.0))
+    for r in sweep.read_records(out / "simulate.csv"):
+        assert not r.is_error
+        for got, want in ((r.mu_theory, ridgeless.mu), (r.sigma2_theory, ridgeless.sigma_sq),
+                          (r.eta_theory, ridgeless.eta), (r.C_theory, ridgeless.C_align)):
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_mnist_grid_order(tmp_path, capsys):
@@ -413,6 +428,23 @@ def _write_idx_pair(tmp_path):
     img.write_bytes(struct.pack(">IIII", 0x803, 40, 28, 28) + pixels.tobytes())
     lbl.write_bytes(struct.pack(">II", 0x801, 40) + labels.tobytes())
     return img, lbl
+
+
+def test_mnist_swap_flag_exchanges_the_digits(tmp_path, capsys):
+    # --swap-classes is --digit-neg and --digit-pos exchanged, and rerun keeps it
+    img, lbl = _write_idx_pair(tmp_path)
+    common = ("mnist", "--images", str(img), "--labels", str(lbl), "--theta", "0.1,0.3",
+              "--subsample-n", "30", "--trials", "2", "--m-test", "50")
+    assert run_cli(*common, "--swap-classes", "--out", str(tmp_path / "s")) == 0
+    assert run_cli(*common, "--digit-neg", "1", "--digit-pos", "0",
+                   "--out", str(tmp_path / "d")) == 0
+    assert run_cli(*common, "--out", str(tmp_path / "u")) == 0
+    swapped = (tmp_path / "s" / "mnist.csv").read_bytes()
+    assert swapped == (tmp_path / "d" / "mnist.csv").read_bytes()
+    assert swapped != (tmp_path / "u" / "mnist.csv").read_bytes()
+    assert run_cli("rerun", str(tmp_path / "s" / "manifest.json")) == 0
+    assert (tmp_path / "s" / "mnist.csv").read_bytes() == swapped
+    capsys.readouterr()
 
 
 def test_mnist_cli(tmp_path, capsys):

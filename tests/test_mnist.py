@@ -170,9 +170,13 @@ def test_run_mnist_experiment_smoke():
     )
     assert [r.mu_emp for r in records] == [r.mu_emp for r in again]
 
+    # poisoning the +1 class instead is the task with the digits' roles swapped
+    swapped_task = mnist.build_binary_task(images, labels, digit_neg=1, digit_pos=0)
+    assert np.array_equal(swapped_task.X, task.X)
+    assert np.array_equal(swapped_task.y, -task.y)
     swapped = mnist.run_mnist_experiment(
-        task, trigger, theta=0.1, lam=0.1, subsample_n=400, trials=2, seed=0,
-        swap_classes=True, m_test=200,
+        swapped_task, trigger, theta=0.1, lam=0.1, subsample_n=400, trials=2, seed=0,
+        m_test=200,
     )
     assert len(swapped) == 2
 
@@ -210,7 +214,7 @@ def test_multi_theta_trial_holds_one_subsample_copy():
               for gi, theta in enumerate((0.05, 0.1, 0.2))]
     tracemalloc.start()
     try:
-        records = mnist._trial(task, trigger, False, points, simulator.SimShape(p=30, n=n, seed=9),
+        records = mnist._trial(task, trigger, points, simulator.SimShape(p=30, n=n, seed=9),
                                centering=simulator.Centering.EMPIRICAL, trial_index=0, m_test=50)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -63,24 +63,27 @@ def test_trace_matches_transforms():
 def test_coefficients_tau_zero():
     c, z = 0.5, -0.5
     t = mp.transforms(c, z)
-    assert resolvent.det_equiv_feature(c, 0.0, z).quadratic_form() == pytest.approx(t.m)
-    assert resolvent.det_equiv_feature_squared(c, 0.0, z).quadratic_form() == (
+    assert resolvent.det_equiv_feature(c, 0.0, z) == pytest.approx(t.m)
+    assert resolvent.det_equiv_feature_squared(c, 0.0, z) == (
         pytest.approx(t.m_prime)
     )
-    assert resolvent.det_equiv_gram(c, 0.0, z).quadratic_form() == pytest.approx(t.m_tilde)
-    assert resolvent.det_equiv_gram_squared(c, 0.0, z).quadratic_form() == (
+    assert resolvent.det_equiv_gram(c, 0.0, z) == pytest.approx(t.m_tilde)
+    assert resolvent.det_equiv_gram_squared(c, 0.0, z) == (
         pytest.approx(t.m_tilde_prime)
     )
 
 
-def test_gram_squared_matches_spike_auxiliary():
-    # the squared-Gram quadratic form equals the variance-derivation scalar T
+def test_squared_forms_are_z_derivatives():
+    # Q' = Q^2, so each squared form is the z-derivative of its plain form;
+    # a central difference of the plain form checks `theory.spike_squared`
+    # independently, on both sides, at the tau of the variance derivation
     for c, lam, th in ((0.1, 0.1, 0.1), (0.5, 0.05, 0.2), (1.5, 0.5, 0.05)):
-        params = ModelParams(c=c, lam=lam, theta=th, v_norm=1.0)
-        aux = theory.spike_auxiliary(params, -lam)
-        tau = math.sqrt(aux.tau_sq)
-        coeff = resolvent.det_equiv_gram_squared(c, tau, -lam)
-        assert coeff.quadratic_form() == pytest.approx(aux.T, rel=1e-12)
+        tau = math.sqrt(theory.tau_squared(ModelParams(c=c, lam=lam, theta=th, v_norm=1.0)))
+        for plain, squared in ((resolvent.det_equiv_feature, resolvent.det_equiv_feature_squared),
+                               (resolvent.det_equiv_gram, resolvent.det_equiv_gram_squared)):
+            h = 1e-4 * lam
+            slope = (plain(c, tau, -lam + h) - plain(c, tau, -lam - h)) / (2.0 * h)
+            assert squared(c, tau, -lam) == pytest.approx(slope, rel=1e-7)
 
 
 def test_quadratic_forms_concentrate():
@@ -241,7 +244,24 @@ def test_convergence_table_feature_rows_keep_their_seeds():
             Z = resolvent.build_spiked(p, n, tau, seed)
             a = _e1(p)
             observed = float(a @ simulator.gram_cholesky(Z, 1.0 / n, -z)(a))
-            predicted = resolvent.det_equiv_feature(c, tau, z).quadratic_form()
+            predicted = resolvent.det_equiv_feature(c, tau, z)
             expected.append(dict(zip(resolvent.CHECK_FIELDS, (
                 "feature", p, n, seed, observed, predicted, abs(observed - predicted)))))
     assert [r for r in rows if r["check_name"] == "feature"] == expected
+
+
+def test_checks_predict_at_the_draws_aspect_ratio():
+    # p = 10 at c = 0.3 draws n = round(10/0.3) = 33: the predicted forms are
+    # the limits at p/n = 10/33, not at c
+    rows = resolvent.convergence_table(c=0.3, tau=1.0, z=-0.5, sizes=[10], n_seeds=2)
+    assert len(rows) == 8 and all(row["n"] == 33 for row in rows)
+    equivalents = {
+        "feature": resolvent.det_equiv_feature,
+        "feature_sq": resolvent.det_equiv_feature_squared,
+        "gram": resolvent.det_equiv_gram,
+        "gram_sq": resolvent.det_equiv_gram_squared,
+    }
+    for row in rows:
+        equivalent = equivalents[row["check_name"]]
+        assert row["predicted"] == equivalent(10 / 33, 1.0, -0.5)
+        assert row["predicted"] != equivalent(0.3, 1.0, -0.5)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from poisonridge import mp, theory
+from poisonridge import mp, resolvent, theory
 from poisonridge.errors import (
     InterpolationThreshold, InvalidLambda, InvalidTriggerNorm, ThetaOutOfRange,
 )
@@ -85,17 +85,29 @@ def test_tiny_lambda_matches_ridgeless(c, lam):
             assert getattr(p_lam, field) == pytest.approx(getattr(p_rl, field), rel=rel, abs=0.0)
 
 
-def test_alignment_coefficient_shape():
+@pytest.mark.parametrize("lam", [1e-200, 1e-300])
+@pytest.mark.parametrize("c", [0.1, 0.5, 0.9, 1.5, 2.0])
+def test_vanishing_lambda_predict_is_finite_and_ridgeless(c, lam):
+    # mtilde' (c < 1) or m' (c > 1) overflows below lambda ~ 1e-154, but
+    # predict reads neither there, so it reaches the ridgeless limit
+    for th, vn in ((0.0, 1.0), (0.1, 1.0), (0.5, 4.0), (1.0, 1.0)):
+        p_lam = theory.predict(ModelParams(c=c, lam=lam, theta=th, v_norm=vn))
+        p_rl = theory.predict_ridgeless(ModelParams(c=c, lam=0.0, theta=th, v_norm=vn))
+        for field in ("mu", "sigma_sq", "eta", "C_align"):
+            assert getattr(p_lam, field) == pytest.approx(getattr(p_rl, field), rel=1e-12, abs=0.0)
+
+
+def test_C_align_shape():
     # C = 0 at theta = 0, increases with theta, decreases with lambda
     base = ModelParams(c=0.1, lam=0.1, theta=0.0, v_norm=1.0)
-    assert theory.alignment_coefficient(base) == 0.0
+    assert theory.predict(base).C_align == 0.0
     prev = 0.0
     for th in THETA_GRID:
-        val = theory.alignment_coefficient(ModelParams(c=0.1, lam=0.1, theta=th, v_norm=1.0))
+        val = theory.predict(ModelParams(c=0.1, lam=0.1, theta=th, v_norm=1.0)).C_align
         assert val > prev
         prev = val
     vals = [
-        theory.alignment_coefficient(ModelParams(c=0.1, lam=lam, theta=0.1, v_norm=1.0))
+        theory.predict(ModelParams(c=0.1, lam=lam, theta=0.1, v_norm=1.0)).C_align
         for lam in LAM_GRID
     ]
     assert all(a > b for a, b in zip(vals, vals[1:]))
@@ -111,9 +123,7 @@ def test_alignment_coefficient_shape():
 def test_mu_is_alignment_times_norm_squared(c, lam, theta, v_norm):
     params = ModelParams(c=c, lam=lam, theta=theta, v_norm=v_norm)
     pred = theory.predict(params)
-    assert pred.mu == pytest.approx(
-        theory.alignment_coefficient(params) * v_norm**2, rel=1e-13, abs=1e-15
-    )
+    assert pred.mu == pytest.approx(pred.C_align * v_norm**2, rel=1e-13, abs=1e-15)
     assert pred.mu >= 0.0
     assert pred.sigma_sq >= 0.0
     assert 0.0 <= pred.eta <= 1.0
@@ -126,21 +136,25 @@ def test_tau_squared_arithmetic():
     assert theory.tau_squared(ModelParams(c=0.1, lam=0.1, theta=0.0, v_norm=2.0)) == 0.0
 
 
-def test_spike_auxiliary_theta_zero():
-    aux = theory.spike_auxiliary(ModelParams(c=0.3, lam=0.05, theta=0.0, v_norm=1.0), -0.05)
+def test_spike_scalars_theta_zero():
+    tau_sq = theory.tau_squared(ModelParams(c=0.3, lam=0.05, theta=0.0, v_norm=1.0))
+    aux = theory.spike_scalars(0.3, tau_sq, -0.05)
     t = mp.transforms(0.3, -0.05)
     assert aux.tau_sq == 0.0
     assert aux.B == 1.0
-    assert aux.T == pytest.approx(t.m_tilde_prime, rel=1e-14)
+    assert resolvent.det_equiv_gram_squared(0.3, 0.0, -0.05) == pytest.approx(
+        t.m_tilde_prime, rel=1e-14)
     assert aux.S == pytest.approx(t.m_tilde - 0.05 * t.m_tilde_prime, rel=1e-14)
 
 
 def _spike_identity_residual(params, z):
-    # z*(T - mtilde') - mtilde*(1 - 1/B) must equal S*((a+1)/B^2 - 1)
-    aux = theory.spike_auxiliary(params, z)
+    # z*(T - mtilde') - mtilde*(1 - 1/B) must equal S*((a+1)/B^2 - 1): ties
+    # the Gram-side squared form T of the resolvent lab to theory's B and S
+    aux = theory.spike_scalars(params.c, theory.tau_squared(params), z)
+    T = resolvent.det_equiv_gram_squared(params.c, math.sqrt(aux.tau_sq), z)
     t = mp.transforms(params.c, z)
     a = aux.tau_sq / params.c
-    lhs = z * (aux.T - t.m_tilde_prime) - t.m_tilde * (1.0 - 1.0 / aux.B)
+    lhs = z * (T - t.m_tilde_prime) - t.m_tilde * (1.0 - 1.0 / aux.B)
     rhs = aux.S * ((a + 1.0) / (aux.B * aux.B) - 1.0)
     return abs(lhs - rhs)
 
@@ -257,14 +271,17 @@ def test_huge_trigger_norm_keeps_mu_where_alignment_denominator_overflows(c, lam
 
 
 @pytest.mark.parametrize("c", [0.5, 2.0])
-def test_predict_C_is_the_alignment_coefficient(c):
+def test_predict_C_is_the_alignment_formula(c):
     # one formula for C at every trigger norm, including ||v|| = 0 (the v -> 0
     # limit theta(1-theta)m/(2(1+cm))), where ||v||^2 underflows, and where
-    # the alignment denominator overflows
+    # ||v||^2 is near the largest float
     for vn in (0.0, 1e-170, 1.0, 3.0, 1e154):
         for lam in (0.001, 0.1, 1.0):
-            params = ModelParams(c=c, lam=lam, theta=0.1, v_norm=vn)
-            assert theory.predict(params).C_align == theory.alignment_coefficient(params)
+            m = mp.mp_stieltjes(c, -lam)
+            pred = theory.predict(ModelParams(c=c, lam=lam, theta=0.1, v_norm=vn))
+            assert pred.C_align == pytest.approx(0.1 * 0.9 * m / (
+                (1.0 + c * m) * (2.0 + vn * vn * 0.1 * 0.95 * (1.0 - lam * m))), rel=1e-14)
+            assert pred.mu == pytest.approx(pred.C_align * vn * vn, rel=1e-14)
     m = mp.mp_stieltjes(c, -0.1)
     zero = ModelParams(c=c, lam=0.1, theta=0.1, v_norm=0.0)
     assert theory.predict(zero).C_align == pytest.approx(
