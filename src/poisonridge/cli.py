@@ -10,9 +10,11 @@ every run computes with one BLAS thread per process.  `simulate`, `sweep`
 and `mnist` run their trials through `sweep.run_grid`: grid points that
 share c share each trial's draw, flip uniforms and seed (that of the
 group's first grid point), those that also share theta and ||v|| share its
-poisoned data and Gram, and under population centering at c <= 1 all of
-them share one factor per lambda of the Gram's rows 1:, onto which each
-borders its row 0 (`simulator.solve_ridge` solves the same way).  Their
+poisoned data and Gram.  Both forms of a synthetic trial's solve split
+off row 0, and under population centering, at every c, all (theta, ||v||)
+subgroups of a draw share one pass over rows 1: for their borders and one
+factor per lambda of the Gram of those rows, onto which each brings in its
+own row 0 (`simulator.solve_ridge` solves the same way).  Their
 rows are common random numbers, and the `seed` column of any row redoes
 that row alone.
 """
@@ -26,7 +28,7 @@ import os
 import sys
 
 from . import __version__, mnist as mnist_mod, mp, report, resolvent, simulator, sweep as sweep_mod
-from .errors import InvalidManifest, PoisonRidgeError
+from .errors import InvalidManifest, NonFiniteTransform, PoisonRidgeError
 from .records import write_csv
 from .theory import ModelParams, predict, predict_ridgeless
 
@@ -91,11 +93,15 @@ def cmd_theory(args) -> int:
         print(f"mode       ridgeless (c={args.c})")
     else:
         pred = predict(params)
-        t = mp.transforms(args.c, -args.lam)
-        print(f"m(-lambda)        {t.m!r}")
-        print(f"mtilde(-lambda)   {t.m_tilde!r}")
-        print(f"m'(-lambda)       {t.m_prime!r}")
-        print(f"mtilde'(-lambda)  {t.m_tilde_prime!r}")
+        # predict reads only some of these; one that overflows is named, not fatal
+        for label, transform in (("m", mp.mp_stieltjes), ("mtilde", mp.mp_companion),
+                                 ("m'", mp.mp_stieltjes_derivative),
+                                 ("mtilde'", mp.mp_companion_derivative)):
+            try:
+                value = repr(transform(args.c, -args.lam))
+            except NonFiniteTransform:
+                value = "not finite in double precision"
+            print(f"{label + '(-lambda)':<18}{value}")
     print(f"mu         {pred.mu!r}")
     print(f"sigma_sq   {pred.sigma_sq!r}")
     print(f"eta        {pred.eta!r}")

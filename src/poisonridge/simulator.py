@@ -9,12 +9,15 @@ and then its poison flip uniforms once, one per -1 label; each (theta,
 centers the data and forms its Gram once, then solves at each lambda, and
 each row draws its efficacy count from a copy of the stream as the flips
 left it (`run_trial_path`, `subgroup_records`), so the rows of a group are
-common random numbers.  A primal system of C-ordered data is solved
-split: each lambda factors the Gram's tail, its rows 1:, and row 0 is
-bordered on as the last pivot (`_solve`).  Under population centering the
-subgroups' centered data differ only in the trigger's row 0, so one tail
-factor per lambda serves them all; a lone system, as in `solve_ridge`, is
-solved the same way, so sharing the factor changes no bit.  Sweeps are
+common random numbers.  A system of C-ordered data is solved split, in
+both its primal (p <= n) and its dual (p > n) form: each lambda factors
+the Gram of rows 1:, the tail, and row 0 is brought in onto that factor,
+as a bordered last pivot (primal) or a rank-one term (dual; `_solve`).
+Under population centering the subgroups' centered data differ only in the
+trigger's row 0, so at every c they share one pass over rows 1: for their
+borders (`_split_systems`) and one tail factor per lambda; a lone system,
+as in `solve_ridge`, is solved the same way, so sharing changes no bit.
+Sweeps are
 therefore bit-reproducible regardless of execution order or worker count,
 and the seed stored in a row reproduces that row byte for byte, through
 `run_trial` or the copying public stages, on any core count, for the
@@ -236,19 +239,32 @@ def gram_cholesky(A, scale: float, shift: float):
 
 
 def _splits(X) -> bool:
-    """Whether X's ridge system is solved split: X is C-ordered and primal.
+    """Whether X's ridge system is solved split: X is C-ordered with p > 1 rows.
 
-    Its Gram's rows 1:, the tail (1/n) X[1:] X[1:]^T, are then factored by
-    themselves, and row 0 is bordered onto that factor (`_solve`).
+    The Gram of its rows 1:, the tail (`_rows_gram`), is then factored by
+    itself, and row 0 is brought in onto that factor (`_solve`).
     """
-    p, n = X.shape
-    return 1 < p <= n and X.flags.c_contiguous
+    return X.shape[0] > 1 and X.flags.c_contiguous
 
 
 def _rows_gram(rows) -> np.ndarray:
-    """(1/n) rows rows^T when rows has at most n rows, else (1/n) rows^T rows: one syrk."""
+    """(1/n) rows rows^T when rows has fewer than n rows, else the dual (1/n) rows^T rows.
+
+    One syrk.  X~ with p <= n rows is thus primal when split (its p - 1 rows
+    1: are fewer than n) and dual when split at p > n, also at p = n + 1.
+    """
     m, n = rows.shape
-    return _gram(rows if m <= n else rows.T, 1.0 / n)
+    return _gram(rows if m < n else rows.T, 1.0 / n)
+
+
+# a border pass multiplies about this many bytes of rows while they are in cache
+_PANEL_BYTES = 1 << 20
+
+
+def _panels(rows) -> list[slice]:
+    """Consecutive slices of rows' rows, each of about _PANEL_BYTES."""
+    step = max(1, _PANEL_BYTES // (8 * rows.shape[1]))
+    return [slice(start, start + step) for start in range(0, rows.shape[0], step)]
 
 
 @dataclass(frozen=True)
@@ -257,8 +273,8 @@ class _System:
 
     A split X~ (`_splits`) is kept as its row 0, `head`, and its rows 1:,
     `rows`, from which the Gram's tail comes; `border` is (1/n) X~ [x~_0, w~],
-    the Gram's row 0 and the right-hand side side by side.  Otherwise head
-    and border are None and rows is X~.  `rhs` is (1/n) X~ w~; `v`, the
+    the primal Gram's row 0 and the right-hand side side by side.  Otherwise
+    head and border are None and rows is X~.  `rhs` is (1/n) X~ w~; `v`, the
     trigger that scores mu_emp, may be None.
     """
     rows: np.ndarray
@@ -271,39 +287,78 @@ class _System:
     v: np.ndarray | None
 
 
+def _split_systems(rows, parts) -> list[_System]:
+    """The split `_System` of each (head, w~, x_bar, w_bar, v) of `parts`, all of
+    whose X~ have the rows 1: `rows`.
+
+    Their borders are formed in one pass over rows: each panel (`_panels`)
+    is multiplied by every system's two columns [head, w~] while it is in
+    cache.  The products are those of a lone system, so a border has the
+    same bits alone as among others.
+    """
+    n = rows.shape[1]
+    columns = [np.stack((head, w_tilde), axis=1) for head, w_tilde, *_ in parts]
+    borders = [np.empty((rows.shape[0] + 1, 2)) for _ in parts]
+    for border, (head, *_), cols in zip(borders, parts, columns):
+        border[0] = head @ cols
+    for panel in _panels(rows):
+        for border, cols in zip(borders, columns):
+            border[1:][panel] = rows[panel] @ cols
+    systems = []
+    for border, (head, w_tilde, x_bar, w_bar, v) in zip(borders, parts):
+        border /= n
+        systems.append(_System(rows=rows, head=head, border=border, rhs=border[:, 1],
+                               w_tilde=w_tilde, x_bar=x_bar, w_bar=w_bar, v=v))
+    return systems
+
+
 def _system(X_tilde, w_tilde, x_bar, w_bar: float, v=None) -> _System:
     """The `_System` of float64 X_tilde and w_tilde, holding a view of X_tilde's rows."""
-    n = X_tilde.shape[1]
     if _splits(X_tilde):
-        border = X_tilde @ np.stack((X_tilde[0], w_tilde), axis=1) / n
-        return _System(rows=X_tilde[1:], head=X_tilde[0].copy(), border=border,
-                       rhs=border[:, 1], w_tilde=w_tilde, x_bar=x_bar, w_bar=w_bar, v=v)
-    return _System(rows=X_tilde, head=None, border=None, rhs=X_tilde @ w_tilde / n,
+        (system,) = _split_systems(X_tilde[1:], [(X_tilde[0].copy(), w_tilde, x_bar, w_bar, v)])
+        return system
+    return _System(rows=X_tilde, head=None, border=None, rhs=X_tilde @ w_tilde / X_tilde.shape[1],
                    w_tilde=w_tilde, x_bar=x_bar, w_bar=w_bar, v=v)
 
 
 def _solve(system: _System, factor, lam: float) -> np.ndarray:
     """beta of one system at lam, from `factor`, cho_factor's factor of its Gram + lam I.
 
-    A split system's factor R is its tail's, and row 0 is bordered on as the
-    last pivot: R^T [r, z] = [g_1, rhs_1], delta^2 = g_0 + lam - r.r,
-    beta_0 = (rhs_0 - r.z) / delta^2 and R beta_1 = z - r beta_0, where
-    [g, rhs] is its border.  A pivot delta^2 that is not finite and positive
-    is a `SolveFailure`.
+    The Gram is that of the system's rows (`_rows_gram`): the primal one
+    when they number fewer than n, else the dual one.  A split system's factor
+    is its tail's, and row 0 comes in two ways.  On a primal tail R it is
+    bordered on as the last pivot: R^T [r, z] = [g_1, rhs_1], delta^2 = g_0
+    + lam - r.r, beta_0 = (rhs_0 - r.z) / delta^2 and R beta_1 = z - r beta_0,
+    where [g, rhs] is its border.  On a dual tail K = T + lam I it is the
+    rank-one term h h^T / n of X~^T X~ / n = T + h h^T / n, h = x~_0
+    (Sherman-Morrison): [b, a] = K^-1 [h, w~], delta = 1 + h.b / n,
+    beta_0 = (h.a / n) / delta and beta_1 = rows (a - b beta_0) / n.  A pivot
+    delta that is not finite and positive is a `SolveFailure`.
     """
+    m, n = system.rows.shape
     if system.head is None:
-        m, n = system.rows.shape
-        if m <= n:
+        if m < n:
             return cho_solve(factor, system.rhs)
         return system.rows @ cho_solve(factor, system.w_tilde) / n
-    R = factor[0]
-    r, z = solve_triangular(R, system.border[1:], trans="T", check_finite=False).T
-    g0, rhs0 = system.border[0]
-    pivot = g0 + lam - r @ r
-    if not 0.0 < pivot < math.inf:
-        raise SolveFailure(f"bordered pivot {pivot!r} at lambda={lam} is not finite and positive")
-    beta0 = (rhs0 - r @ z) / pivot
-    return np.concatenate(([beta0], solve_triangular(R, z - r * beta0, check_finite=False)))
+    if m < n:
+        R = factor[0]
+        r, z = solve_triangular(R, system.border[1:], trans="T", check_finite=False).T
+        g0, rhs0 = system.border[0]
+        beta0 = (rhs0 - r @ z) / _pivot(g0 + lam - r @ r, "bordered", lam)
+        return np.concatenate(([beta0], solve_triangular(R, z - r * beta0, check_finite=False)))
+    head = system.head
+    b, a = cho_solve(factor, np.stack((head, system.w_tilde), axis=1), check_finite=False).T
+    with np.errstate(over="ignore", invalid="ignore"):  # `_pivot` refuses what these make
+        pivot = 1.0 + head @ b / n
+    beta0 = head @ a / n / _pivot(pivot, "rank-one", lam)
+    return np.concatenate(([beta0], system.rows @ (a - b * beta0) / n))
+
+
+def _pivot(value: float, kind: str, lam: float) -> float:
+    """value, a pivot of `_solve`; one that is not finite and positive is a `SolveFailure`."""
+    if not 0.0 < value < math.inf:
+        raise SolveFailure(f"{kind} pivot {value!r} at lambda={lam} is not finite and positive")
+    return value
 
 
 def _solve_at(lam: float, gram, systems) -> list:
@@ -403,9 +458,12 @@ def solve_ridge(X_tilde, w_tilde, lam: float, x_bar, w_bar: float) -> RidgeSolut
     """Exact centered ridge solve: beta = (1/n)((1/n)XX^T + lam I)^-1 X w.
 
     Uses the p x p primal system when p <= n and the equivalent n x n dual
-    system otherwise; both are SPD Cholesky solves, the primal Gram of
-    C-ordered data by its tail and a bordered row 0.  The one-system,
-    one-lambda case of `_solve_path`, so a trial's row equals it bit for bit.
+    system otherwise; both are SPD Cholesky solves.  C-ordered data are
+    solved split (`_solve`): by the Gram of rows 1: and row 0 brought in,
+    bordered onto a primal tail or as a rank-one term of a dual one.  Data
+    that are not split are solved whole, in the dual form also at p = n,
+    where both are n x n.  The one-system, one-lambda case of
+    `_solve_path`, so a trial's row equals it bit for bit.
     Raises the solve's failure; mu_emp is NaN until `score_statistics`.
     """
     X_tilde = np.asarray(X_tilde, dtype=np.float64)
@@ -498,10 +556,11 @@ def subgroup_records(points, shape: SimShape, centering: Centering, trial_index:
     the theta and ||v|| of params, poisons and centers in place; every X it
     returns is float64 and holds the same rows 1:.  A population-centered
     split system (`_splits`) whose trigger lies in row 0 keeps X's rows 1: as
-    they are, so all such subgroups are solved together after the last one,
-    from one factor of the Gram's tail per lambda (`_solve_path`); any other
-    subgroup is solved at each of its lambdas before the next one asks for
-    its X.
+    they are, so all such subgroups are solved together after the last one:
+    their borders come from one pass over those rows (`_split_systems`), and
+    their solves from one factor of the Gram's tail per lambda
+    (`_solve_path`), at every c.  Any other subgroup is solved at each of its
+    lambdas before the next one asks for its X.
     Each row with a solution draws its efficacy count from a copy of `rng`
     as the flips left it.  A row has NaN empirical columns when its lambda's
     fit or efficacy or its closed-form prediction failed, and NaN theory
@@ -516,24 +575,26 @@ def subgroup_records(points, shape: SimShape, centering: Centering, trial_index:
         first = subgroup[0][1]
         lams = [params.lam for _, params in subgroup]
         X, v = data(k, first)
+        fits.append({})
         try:
             y_k = y.copy()
             _, v = _poison(X, y_k, first.theta, v, uniforms)
-            system = _system(*_center(X, y_k, v, first.theta, centering), v)
+            centered = _center(X, y_k, v, first.theta, centering)
         except PoisonRidgeError:
-            system = None
-        del X  # the system holds the rows it needs
+            centered = None
         triggers.append(v)
-        fits.append({})
-        if system is None:
+        if centered is None:
             continue
-        if centering is Centering.POPULATION and system.head is not None and not v[1:].any():
-            shared.append((k, (system, lams)))
+        if centering is Centering.POPULATION and _splits(X) and not v[1:].any():
+            rows = X[1:]  # the draw's, common to every such subgroup
+            shared.append((k, (X[0].copy(), *centered[1:], v), lams))
         else:
-            (fits[k],) = _solve_path([(system, lams)])
-        del system  # dropped before the next subgroup asks for its X
+            (fits[k],) = _solve_path([(_system(*centered, v), lams)])
+        del X, centered  # dropped before the next subgroup asks for its X
     if shared:
-        for (k, _), fit in zip(shared, _solve_path([path for _, path in shared])):
+        systems = _split_systems(rows, [part for _, part, _ in shared])
+        paths = [(system, lams) for system, (_, _, lams) in zip(systems, shared)]
+        for (k, _, _), fit in zip(shared, _solve_path(paths)):
             fits[k] = fit
     records = []
     for k, subgroup in enumerate(subgroups.values()):
@@ -558,10 +619,10 @@ def run_trial_path(points, shape: SimShape, *, centering: Centering = Centering.
     The points share c.  The data are drawn once; each (theta, ||v||)
     subgroup poisons and centers them in place (`subgroup_records`), and the
     rows it wrote are restored before the next subgroup.  Under population
-    centering that is the trigger's row 0 alone, so at p <= n the subgroups
-    share the Gram's tail and each lambda's factor of it; row 0 of each is
-    bordered on.  Each row equals bit for bit what `run_trial` gives at its
-    point from shape.seed.
+    centering that is the trigger's row 0 alone, so at every c the
+    subgroups share rows 1:, their borders' pass over them and each lambda's
+    factor of their Gram; row 0 of each is brought in alone.  Each row
+    equals bit for bit what `run_trial` gives at its point from shape.seed.
     """
     # one Philox stream per trial: generation, poison flips and the efficacy
     # hit counts all continue the same counter

@@ -9,7 +9,11 @@ fractions and nine trigger norms, with p = 500 and 100 trials per point.
 Grid points that share an aspect ratio c form a group, and one trial of a
 group draws its data and its poison flip uniforms once, with the seed of
 the group's first grid point, and runs every (theta, ||v||, lambda) point
-of the group from them: its rows are common random numbers.  Records are
+of the group from them: its rows are common random numbers.  Under
+population centering the (theta, ||v||) subgroups of a trial differ only
+in row 0, where both forms of the solve split it off, so they share one
+pass over rows 1: for their borders and one tail factor per lambda, at
+every c (`simulator.subgroup_records`).  Records are
 reproducible from (master_seed, first grid_index of the group, trial_index)
 alone, and every process runs its BLAS on one thread, so neither the worker
 count, the core count nor the execution order changes the bytes on disk.
@@ -206,12 +210,13 @@ def aggregate(records: list[SweepRecord]) -> list[dict]:
             "n_trials": len(group),
             "n_errors": len(group) - len(valid),
         }
-        for col in _EMPIRICAL_FIELDS:
-            vals = np.array([getattr(r, col) for r in valid] or [math.nan])
-            row[f"{col}_mean"] = float(vals.mean())
-            quantiles = np.percentile(vals, (50, 25, 75))
-            for name, q in zip(("median", "q25", "q75"), quantiles):
-                row[f"{col}_{name}"] = float(q)
+        # a C-ordered row per empirical column: each mean sums as a 1-D array's did
+        vals = np.array([[getattr(r, col) for r in valid] or [math.nan]
+                         for col in _EMPIRICAL_FIELDS])
+        stats = np.vstack((vals.mean(axis=1), np.percentile(vals, (50, 25, 75), axis=1)))
+        for col, col_stats in zip(_EMPIRICAL_FIELDS, stats.T):
+            for name, value in zip(("mean", "median", "q25", "q75"), col_stats):
+                row[f"{col}_{name}"] = float(value)
         for col in ("mu_theory", "sigma2_theory", "eta_theory", "C_theory"):
             row[col] = getattr(first, col)
         rows.append(row)

@@ -38,6 +38,20 @@ def test_theory_huge_lambda_stays_finite(capsys):
     assert m == pytest.approx(1e-200, rel=1e-12)
 
 
+def test_theory_names_a_transform_that_overflows(capsys):
+    # at c = 0.5, lambda = 1e-160, mtilde'(-lambda) overflows, but predict
+    # does not read it: the command says so on its line and exits 0
+    assert run_cli("theory", "--c", "0.5", "--lambda", "1e-160") == 0
+    lines = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+    assert lines["mtilde'(-lambda)"] == "not finite in double precision"
+    for name in ("m(-lambda)", "mtilde(-lambda)", "m'(-lambda)", "mu", "sigma_sq", "eta", "C"):
+        assert math.isfinite(float(lines[name]))
+    assert float(lines["mu"]) == 0.042959427207637235
+    # where predict itself reads an overflowing m', the command still exits 2
+    assert run_cli("theory", "--c", "1", "--lambda", "1e-300") == 2
+    assert "NonFiniteTransform" in capsys.readouterr().err
+
+
 def test_theory_ridgeless_and_errors(capsys):
     rc = run_cli("theory", "--c", "0.5", "--ridgeless")
     assert rc == 0
@@ -213,9 +227,9 @@ def test_bad_shapes_exit_2(tmp_path, capsys, argv):
     # finite, but the Gram of the spiked matrix overflows
     (("resolvent-check", "--p", "10", "--seeds", "1", "--tau=1e200", "--out", "{tmp}/o"),
      "SolveFailure"),
-    # m~'(-lambda) overflows: (1-c)/lambda^2 is inf, and lambda^2 is 0 at 1e-300
-    (("theory", "--c", "0.5", "--lambda", "1e-160"), "NonFiniteTransform"),
-    (("theory", "--c", "0.5", "--lambda", "1e-300"), "NonFiniteTransform"),
+    # at c = 1, m'(-lambda), which predict reads, overflows below lambda ~ 1e-200
+    (("theory", "--c", "1", "--lambda", "1e-300"), "NonFiniteTransform"),
+    (("theory", "--c", "1", "--lambda", "1e-250"), "NonFiniteTransform"),
     # ||v||^2 overflows
     (("theory", "--c", "0.5", "--vnorm", "1e160"), "InvalidTriggerNorm"),
     (("simulate", "--p", "20", "--c", "0.5", "--vnorm", "1e160", "--trials", "1",

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -333,7 +334,8 @@ def test_shared_tail_gram_equals_fresh_gram():
 
 
 @pytest.mark.parametrize("X", [
-    simulator.generate_clean(SimShape(p=90, n=40, seed=24))[0],  # dual form, p > n
+    # dual form, p > n: a C-ordered draw is split, its F-ordered copy is not
+    np.asfortranarray(simulator.generate_clean(SimShape(p=90, n=40, seed=24))[0]),
     _f_ordered_subsample(25)[0],
 ])
 def test_unsplit_rows_gram_is_one_syrk(X):
@@ -341,6 +343,90 @@ def test_unsplit_rows_gram_is_one_syrk(X):
     assert not simulator._splits(X)
     want = simulator._gram(X if p <= n else X.T, 1.0 / n)
     assert np.array_equal(_rows_gram_of(X), want)
+
+
+@pytest.mark.parametrize("p, n", [(20, 200), (40, 400), (500, 5000)])
+def test_panel_borders_equal_each_systems_own(p, n):
+    # the borders of K subgroups, formed in one pass over the shared rows 1:,
+    # have the bits of each subgroup's lone `_system` border
+    X, y = simulator.generate_clean(SimShape(p=p, n=n, seed=p))
+    rng = np.random.default_rng(p)
+    parts = [(X[0] + shift * rng.standard_normal(n), y - shift, np.zeros(p), 0.0, None)
+             for shift in (0.0, 0.5, 2.0, 1e3)]
+    systems = simulator._split_systems(X[1:], parts)
+    assert (len(simulator._panels(X[1:])) > 1) == (p == 500)  # 1 MiB panels of rows
+    for system, (head, w_tilde, *_) in zip(systems, parts, strict=True):
+        X_k = X.copy()
+        X_k[0] = head
+        alone = simulator._system(X_k, w_tilde, np.zeros(p), 0.0)
+        assert np.array_equal(system.border, alone.border)
+        assert np.array_equal(system.rhs, alone.rhs)
+        dense = X_k @ np.stack((head, w_tilde), axis=1) / n
+        assert np.allclose(system.border, dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
+
+
+def _dense_primal_beta(X_tilde, w_tilde, lam):
+    """beta of the dense p x p primal system, solved in 50-digit arithmetic."""
+    import mpmath
+    p, n = X_tilde.shape
+    with mpmath.workdps(50):
+        X, w = mpmath.matrix(X_tilde.tolist()), mpmath.matrix(w_tilde.tolist())
+        beta = mpmath.lu_solve(X * X.T / n + mpmath.mpf(lam) * mpmath.eye(p), X * w / n)
+        return np.array([float(b) for b in beta])
+
+
+@pytest.mark.parametrize("lam", [1e-10, 0.1])
+@pytest.mark.parametrize("centering", list(Centering))
+def test_dual_split_solve_matches_dense_primal(centering, lam):
+    # a C-ordered draw at p > n is split: a shared tail factor of the dual
+    # Gram of rows 1:, row 0 as a rank-one term.  The oracle is the dense
+    # primal system in 50 digits: in float64 its condition number is 1/lam,
+    # and at lam = 1e-10 np.linalg.solve of it is accurate to only ~1e-4
+    for seed in range(3):
+        shape = simulator.shape_for(20, 2.0, seed)
+        rng = simulator._rng_from(shape.seed)
+        X, y = simulator.generate_clean(shape, rng)
+        v = simulator.default_trigger(shape.p, 1.5)
+        ds = simulator.apply_poison(X, y, 0.3, v, rng, centering=centering)
+        X_tilde, w_tilde, x_bar, w_bar = simulator.center(ds, 0.3)
+        assert simulator._splits(X_tilde) and shape.p > shape.n
+        sol = simulator.solve_ridge(X_tilde, w_tilde, lam, x_bar, w_bar)
+        want = _dense_primal_beta(X_tilde, w_tilde, lam)
+        assert np.allclose(sol.beta, want, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("lam", [1e-14, 1e-10])
+def test_square_tail_is_solved_dual(lam):
+    # at p = n + 1 rows 1: are square; the split solve takes the dual form,
+    # whose beta is as close to the oracle at tiny lambda as the whole dual
+    # solve of the same data in F order; a bordered primal row 0 there lost
+    # 1e-3 of mu_emp at lambda = 1e-14
+    for seed in range(3):
+        X, y = simulator.generate_clean(SimShape(p=21, n=20, seed=seed))
+        want = _dense_primal_beta(X, y, lam)
+        for data in (X, np.asfortranarray(X)):
+            beta = simulator.solve_ridge(data, y, lam, np.zeros(21), 0.0).beta
+            assert np.max(np.abs(beta - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_rank_one_pivot_not_finite_and_positive_is_that_rows_solve_failure():
+    X, y = simulator.generate_clean(SimShape(p=30, n=12, seed=3))
+    system = simulator._system(X, y, np.zeros(30), 0.0)
+    assert system.head is not None and system.rows.shape[0] > system.rows.shape[1]
+    lams = (0.01, 0.1)
+    (alone,) = simulator._solve_path([(system, lams)])
+    assert all(isinstance(fit, simulator.RidgeSolution) for fit in alone.values())
+    # NaN, and a head whose h . K^-1 h overflows to inf
+    for head in (np.full(12, math.nan), np.full(12, 1e200)):
+        bad = dataclasses.replace(system, head=head)
+        with pytest.raises(SolveFailure, match="rank-one pivot"):
+            simulator._solve(bad, simulator._factor(_rows_gram_of(X), 0.1), 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fits, kept = simulator._solve_path([(bad, lams), (system, lams)])
+        assert all(isinstance(fit, SolveFailure) for fit in fits.values())
+        for lam in lams:
+            assert np.array_equal(kept[lam].beta, alone[lam].beta)
 
 
 def test_tiny_lambda_dual_solve_matches_interpolator_theory():

@@ -265,6 +265,23 @@ def test_draw_group_rows_equal_one_point_trials(centering):
         assert _persisted(alone) == _persisted(r)
 
 
+def test_dual_draw_group_factors_one_tail_per_lambda(monkeypatch):
+    # at c = 2 (p = 20, n = 10) the 9 population-centered (theta, ||v||)
+    # subgroups share rows 1:, so each lambda factors the 10 x 10 dual Gram
+    # of those rows once for all of them, and each brings in its own row 0
+    (group,) = [g for g in sweep.draw_groups(dict(enumerate(DRAW_GRID.points(AxisMode.FULL))))
+                if g[0][1].c == 2.0]
+    assert len(group) == 27
+    shapes = []
+    factor = simulator._factor
+    monkeypatch.setattr(simulator, "_factor",
+                        lambda G, shift: shapes.append(G.shape) or factor(G, shift))
+    records = simulator.run_trial_path(group, simulator.shape_for(DRAW_GRID.p, 2.0, seed=6),
+                                       m_test=50)
+    assert shapes == [(10, 10)] * 3
+    assert len(records) == 27 and not any(r.is_error for r in records)
+
+
 @pytest.mark.parametrize("centering", list(simulator.Centering))
 def test_draw_group_worker_count_invariance(tmp_path, centering):
     paths = [tmp_path / "serial.csv", tmp_path / "pool.csv"]
