@@ -4,6 +4,7 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -366,12 +367,22 @@ def test_panel_borders_equal_each_systems_own(p, n):
 
 
 def _dense_primal_beta(X_tilde, w_tilde, lam):
-    """beta of the dense p x p primal system, solved in 50-digit arithmetic."""
-    import mpmath
+    """beta of the dense p x p primal system, by Gaussian elimination in
+    50-digit decimal arithmetic on the exact binary values of its inputs."""
     p, n = X_tilde.shape
-    with mpmath.workdps(50):
-        X, w = mpmath.matrix(X_tilde.tolist()), mpmath.matrix(w_tilde.tolist())
-        beta = mpmath.lu_solve(X * X.T / n + mpmath.mpf(lam) * mpmath.eye(p), X * w / n)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        X = [[Decimal(x) for x in row] for row in X_tilde.tolist()]
+        w = [Decimal(x) for x in w_tilde.tolist()]
+        A = [[sum(a * b for a, b in zip(X[i], X[j])) / n + (Decimal(lam) if i == j else 0)
+              for j in range(p)] + [sum(a * b for a, b in zip(X[i], w)) / n] for i in range(p)]
+        for k in range(p):  # positive definite: no pivoting
+            for i in range(k + 1, p):
+                f = A[i][k] / A[k][k]
+                A[i] = [a - f * b for a, b in zip(A[i], A[k])]
+        beta = [Decimal(0)] * p
+        for i in reversed(range(p)):
+            beta[i] = (A[i][p] - sum(A[i][j] * beta[j] for j in range(i + 1, p))) / A[i][i]
         return np.array([float(b) for b in beta])
 
 
