@@ -153,8 +153,8 @@ def run_grid(points: dict[int, ModelParams], p: int, trials: int, master_seed: i
     # a fork-started pool starts all of its workers at the first submit
     workers = min(workers, len(jobs))
     if workers > 1:
-        # workers pin themselves: under the spawn and forkserver start methods
-        # they do not inherit this process's BLAS settings
+        # forked workers inherit this process's pin, and `one_thread` is then a
+        # no-op; under the spawn and forkserver start methods they pin themselves
         with ProcessPoolExecutor(max_workers=workers, initializer=one_thread) as pool:
             # one job at a time: the groups differ in cost, and a chunk could hand
             # one worker the trials of the costliest group

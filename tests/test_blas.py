@@ -1,9 +1,10 @@
 """One BLAS thread per process: output bytes that do not depend on the thread count."""
 
-import ctypes
+import multiprocessing
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -14,25 +15,65 @@ from poisonridge import blas, mnist
 
 SRC = str(Path(poisonridge.__file__).resolve().parent.parent)
 
-_GET_SYMBOLS = (
-    "scipy_openblas_get_num_threads64_",
-    "scipy_openblas_get_num_threads",
-    "openblas_get_num_threads64_",
-    "openblas_get_num_threads",
-)
-
 
 def test_one_thread_pins_every_bundled_openblas():
-    libs = blas.bundled_openblas()
-    if not libs:
+    if not blas.thread_counts():
         pytest.skip("numpy and scipy bundle no OpenBLAS in this installation")
     blas.one_thread()
     blas.one_thread()  # idempotent
-    for lib in libs:
-        getter = next(getattr(lib, s) for s in _GET_SYMBOLS if hasattr(lib, s))
-        getter.argtypes = []
-        getter.restype = ctypes.c_int
-        assert getter() == 1
+    assert all(count == 1 for count in blas.thread_counts())
+
+
+# set before a fork-context pool starts, so that its workers inherit it
+_barrier = None
+
+
+def _worker_threads(_) -> tuple[int, list[int]]:
+    """This worker's OS thread count and its bundled OpenBLAS thread counts.
+
+    Waits for every worker of the pool first, so that each one answers.
+    """
+    _barrier.wait(timeout=60)
+    return len(os.listdir("/proc/self/task")), blas.thread_counts()
+
+
+def _skip_without(method: str) -> None:
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    if not blas.thread_counts():
+        pytest.skip("numpy and scipy bundle no OpenBLAS in this installation")
+
+
+def test_forked_workers_start_no_blas_thread():
+    """A pinned parent's forked workers inherit its count of 1 and start no pool.
+
+    OpenBLAS shuts its pool down at fork; setting the count again would
+    rebuild it, one spinning thread per bundled library.
+    """
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count a process's threads")
+    _skip_without("fork")
+    global _barrier
+    blas.one_thread()
+    context = multiprocessing.get_context("fork")
+    _barrier = context.Barrier(2)
+    try:
+        with ProcessPoolExecutor(2, mp_context=context, initializer=blas.one_thread) as pool:
+            readings = list(pool.map(_worker_threads, range(2)))
+    finally:
+        _barrier = None
+    for threads, counts in readings:
+        assert threads == 1
+        assert counts and all(count == 1 for count in counts)
+
+
+def test_spawned_workers_pin_themselves():
+    _skip_without("spawn")
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(2, mp_context=context, initializer=blas.one_thread) as pool:
+        readings = [pool.submit(blas.thread_counts) for _ in range(2)]
+    for counts in (reading.result() for reading in readings):
+        assert counts and all(count == 1 for count in counts)
 
 
 # a fresh interpreter that allows itself one CPU before numpy loads, so that
