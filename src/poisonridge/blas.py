@@ -4,8 +4,10 @@ The numpy and scipy wheels each bundle their own OpenBLAS, and each starts a
 pool of threads.  Threaded BLAS results change in their last bits with the
 thread count, and the two pools (plus those of any worker processes) contend
 for the same cores.  Every command that produces outputs therefore runs its
-BLAS on one thread, so output bytes do not depend on the machine's core count
-and `--workers` is the one way to use more cores.
+BLAS on one thread, so output bytes do not depend on the machine's core
+count.  More cores are used only around BLAS: `--workers` runs trials in
+processes, each with its one BLAS thread, and `resolvent.convergence_table`
+fills the next draws' standard normals on a helper thread that runs no BLAS.
 
 OpenBLAS shuts its thread pool down at `fork`, and the next call that sets
 its thread count, even to the count it already has, rebuilds the pool.  A

@@ -13,12 +13,24 @@ take their spike scalars from `theory.spike_gain` and
 quadratic forms of one spiked draw from one Cholesky factorization of the
 p x p feature system, through residual-guarded solves; the dense
 resolvents remain as reference oracles.
+
+`convergence_table` draws ahead: while the main thread factors and solves
+one draw, a helper thread fills the standard normals of the next two
+(`_normal_draw`, which runs no BLAS and calls no public function; numpy
+fills them without holding the GIL).  Everything else, the spike
+included, runs on the main thread in draw order, so the rows do not depend
+on the helper.  Where the process may use only one CPU, the draws are made
+inline and no thread starts.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -31,13 +43,29 @@ MAX_DENSE_DIM = 800
 
 _RESOLVENT_RESIDUAL_TOL = 1e-10
 
+# draws that `convergence_table`'s helper thread fills beyond the one being
+# factored; with one, the helper waits for the GIL before each fill
+_DRAWS_AHEAD = 2
 
-def build_spiked(p: int, n: int, tau: float, seed: int) -> np.ndarray:
+
+def _normal_draw(p: int, n: int, seed: int) -> np.ndarray:
+    """The i.i.d. standard normal p x n matrix X of `seed`, before the spike.
+
+    Runs no BLAS and calls no public function of the package, so it may run
+    on `convergence_table`'s helper thread.
+    """
+    return simulator._rng_from(seed).standard_normal((p, n))
+
+
+def build_spiked(p: int, n: int, tau: float, seed: int, X: np.ndarray | None = None) -> np.ndarray:
     """Z = X + tau*sqrt(n)*e1 e1^T with i.i.d. standard normal X.
 
-    The spike changes entry (0, 0) of the fresh draw only.
+    X is drawn from `seed` here unless the same draw is given, made ahead
+    (`_normal_draw(p, n, seed)`).  The spike changes entry (0, 0) of X
+    only, in place.
     """
-    X = simulator._rng_from(seed).standard_normal((p, n))
+    if X is None:
+        X = _normal_draw(p, n, seed)
     X[0, 0] += tau * np.sqrt(n)
     return X
 
@@ -188,7 +216,9 @@ ALL_CHECKS = tuple(_EQUIVALENTS)
 CHECK_FIELDS = ("check_name", "p", "n", "seed", "observed", "predicted", "abs_error")
 
 
-def spiked_draw_checks(c: float, tau: float, z: float, p: int, seed: int) -> dict[str, dict]:
+def spiked_draw_checks(
+    c: float, tau: float, z: float, p: int, seed: int, X: np.ndarray | None = None
+) -> dict[str, dict]:
     """Every check's row from one Monte Carlo draw of the spiked matrix.
 
     One Cholesky factorization of (1/n) Z Z^T - z I serves both solves:
@@ -197,12 +227,13 @@ def spiked_draw_checks(c: float, tau: float, z: float, p: int, seed: int) -> dic
     is e1.w = w[0], or w.w for a squared resolvent, and the predicted one is
     the limit at the draw's own aspect ratio p/n, which differs from c where
     n = round(p/c) rounds.  Maps each check name to a row dict keyed by
-    CHECK_FIELDS.
+    CHECK_FIELDS.  X, if given, is the unspiked draw made ahead
+    (`_normal_draw(p, n, seed)`); the spike is added to it in place.
     """
     if z >= 0.0:
         raise NonNegativeZ(f"z must be negative, got {z}")
     n = simulator.shape_for(p, c, seed).n
-    Z = build_spiked(p, n, tau, seed)
+    Z = build_spiked(p, n, tau, seed, X)
     solve = simulator.gram_cholesky(Z, 1.0 / n, -z)
     solved = {
         "feature": _feature_solve(Z, z, solve, np.eye(1, p)[0]),
@@ -219,6 +250,40 @@ def spiked_draw_checks(c: float, tau: float, z: float, p: int, seed: int) -> dic
     return rows
 
 
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _draws(jobs) -> Iterator[np.ndarray]:
+    """`_normal_draw` of each (p, n, seed) job, in job order.
+
+    Where two or more CPUs are usable, one helper thread fills the draws of
+    the next `_DRAWS_AHEAD` jobs while the caller works on the one yielded
+    last, so at most 1 + `_DRAWS_AHEAD` draws are held at once if the caller
+    drops each before asking for the next.  A job's exception is raised at
+    that job's turn.  Closing the generator cancels the jobs not started
+    and joins the thread.  With one usable CPU, each draw is made inline
+    when asked for.
+    """
+    if _usable_cpus() < 2:
+        for job in jobs:
+            yield _normal_draw(*job)
+        return
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        pending = deque()
+        for k in range(len(jobs)):
+            for job in jobs[k + len(pending):k + 1 + _DRAWS_AHEAD]:
+                pending.append(pool.submit(_normal_draw, *job))
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def convergence_table(
     c: float, tau: float, z: float, sizes, n_seeds: int, master_seed: int = 0
 ) -> list[dict]:
@@ -227,7 +292,11 @@ def convergence_table(
     One spiked draw per (p, seed index) serves all four checks, so rows are
     dependent across checks and independent across seeds.  Rows run check,
     then p, then seed.  BLAS runs on one thread (`one_thread`), so the rows
-    do not depend on the core count.
+    do not depend on the core count.  Every input is checked, and every
+    seed and n derived, before the first draw.  The standard normals of the
+    next two draws are filled on a helper thread while one is factored
+    (`_draws`), inline where one CPU is usable; the rows are the same
+    either way.
     """
     if not (c > 0.0 and math.isfinite(c)):
         raise InvalidShape(f"c must be positive and finite, got {c}")
@@ -237,10 +306,18 @@ def convergence_table(
         raise InvalidShape(f"at least one size p, each >= 1, is needed, got {list(sizes)}")
     if n_seeds < 1:
         raise InvalidShape(f"n_seeds must be >= 1, got {n_seeds}")
+    if z >= 0.0:
+        raise NonNegativeZ(f"z must be negative, got {z}")
+    jobs = []
+    for p in sizes:
+        seeds = [int(np.random.SeedSequence(master_seed, spawn_key=(0, p, s)).generate_state(1)[0])
+                 for s in range(n_seeds)]
+        n = simulator.shape_for(p, c, seeds[0]).n
+        jobs += [(p, n, seed) for seed in seeds]
     one_thread()
     draws = []
-    for p in sizes:
-        for s in range(n_seeds):
-            seed = np.random.SeedSequence(master_seed, spawn_key=(0, p, s)).generate_state(1)[0]
-            draws.append(spiked_draw_checks(c, tau, z, p, int(seed)))
+    with closing(_draws(jobs)) as ahead:
+        for p, _, seed in jobs:
+            # the draw is not bound to a name here, so it is freed before the next is asked for
+            draws.append(spiked_draw_checks(c, tau, z, p, seed, next(ahead)))
     return [draw[check] for check in ALL_CHECKS for draw in draws]

@@ -248,6 +248,12 @@ def test_bad_shapes_exit_2(tmp_path, capsys, argv):
     (("mnist", "--images", "{tmp}/imgs", "--labels", "{tmp}/lbls", "--subsample-n", "",
       "--trials", "1", "--m-test", "10", "--out", "{tmp}/o"), "EmptyGrid"),
     (("resolvent-check", "--p", "", "--seeds", "1", "--out", "{tmp}/o"), "InvalidShape"),
+    # a 64 PiB draw, refused on the thread that draws ahead and raised at its turn
+    (("resolvent-check", "--p", "3", "--c", "1e-15", "--seeds", "2", "--out", "{tmp}/o"),
+     "MemoryError"),
+    # z >= 0 is refused before the first draw
+    (("resolvent-check", "--z", "0.5", "--p", "100000", "--seeds", "1", "--out", "{tmp}/o"),
+     "NonNegativeZ"),
 ])
 def test_bad_inputs_exit_2(tmp_path, capsys, argv, error):
     _write_idx_pair(tmp_path)

@@ -1,6 +1,9 @@
 """Spiked-resolvent lab tests: dense resolvents, coefficients, Woodbury updates."""
 
+import inspect
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -265,3 +268,95 @@ def test_checks_predict_at_the_draws_aspect_ratio():
         equivalent = equivalents[row["check_name"]]
         assert row["predicted"] == equivalent(10 / 33, 1.0, -0.5)
         assert row["predicted"] != equivalent(0.3, 1.0, -0.5)
+
+
+# 1, 2 and 15 draws: fewer than, as many as and more than the draws kept ahead
+_DRAW_COUNTS = [((30,), 1), ((30,), 2), ((20, 30, 45), 5)]
+
+
+def _set_usable_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+
+
+@pytest.mark.parametrize("cpus", [(0,), (0, 1)])
+@pytest.mark.parametrize("sizes,n_seeds", _DRAW_COUNTS)
+def test_convergence_table_equals_draws_one_at_a_time(monkeypatch, cpus, sizes, n_seeds):
+    # drawn ahead on the helper thread or inline, the rows are those of each draw alone
+    _set_usable_cpus(monkeypatch, cpus)
+    c, tau, z = 0.5, 1.0, -0.5
+    rows = resolvent.convergence_table(c, tau, z, sizes, n_seeds, master_seed=3)
+    assert len(rows) == len(resolvent.ALL_CHECKS) * len(sizes) * n_seeds
+    for row in rows:
+        assert row == resolvent.spiked_draw_checks(
+            c, tau, z, row["p"], row["seed"])[row["check_name"]]
+
+
+def _record_threads(monkeypatch):
+    """Wrap every public function of the lab's modules, and the private draw,
+    to record the thread of each call: name -> thread idents."""
+    calls = {}
+
+    def wrap(module, attr, fn):
+        def recorded(*args, **kwargs):
+            calls.setdefault(f"{module.__name__}.{attr}", []).append(threading.get_ident())
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, attr, recorded)
+
+    for module in (mp, theory, simulator, resolvent):
+        for attr, obj in list(vars(module).items()):
+            if (not attr.startswith("_") and inspect.isfunction(obj)
+                    and obj.__module__ == module.__name__):
+                wrap(module, attr, obj)
+    wrap(resolvent, "_normal_draw", resolvent._normal_draw)
+    return calls
+
+
+def test_convergence_table_runs_only_the_draw_off_the_main_thread(monkeypatch):
+    # perfbench's tracer keeps one span stack, so every public call must
+    # stay on the main thread; the helper runs only the private fill
+    main = threading.get_ident()
+    tables = {}
+    for cpus in ((0, 1), (0,)):
+        _set_usable_cpus(monkeypatch, cpus)
+        with monkeypatch.context() as patch:
+            calls = _record_threads(patch)
+            tables[cpus] = resolvent.convergence_table(0.5, 1.0, -0.5, (20, 40), 4, master_seed=1)
+        draws = calls.pop("poisonridge.resolvent._normal_draw")
+        assert len(draws) == 8
+        assert calls["poisonridge.resolvent.build_spiked"] == [main] * 8
+        assert calls["poisonridge.simulator.gram_cholesky"] == [main] * 8
+        assert {ident for idents in calls.values() for ident in idents} == {main}
+        if len(cpus) > 1:
+            assert main not in draws
+        else:
+            assert set(draws) == {main}
+    assert tables[(0, 1)] == tables[(0,)]
+
+
+@pytest.mark.parametrize("case", ["returns", "refused", "draw_fails"])
+def test_convergence_table_leaves_no_thread(monkeypatch, case):
+    _set_usable_cpus(monkeypatch, (0, 1))
+    drawn = []
+    failure = MemoryError("third draw")
+    normal_draw = resolvent._normal_draw
+
+    def draw(p, n, seed):
+        drawn.append(seed)
+        if case == "draw_fails" and len(drawn) == 3:
+            raise failure
+        return normal_draw(p, n, seed)
+    monkeypatch.setattr(resolvent, "_normal_draw", draw)
+    before = threading.active_count()
+    if case == "returns":
+        rows = resolvent.convergence_table(0.5, 1.0, -0.5, (20, 30), 3)
+        assert len(rows) == 24 and len(drawn) == 6
+    elif case == "refused":
+        # z >= 0 is refused before any draw, and no thread starts
+        with pytest.raises(NonNegativeZ):
+            resolvent.convergence_table(0.5, 1.0, 0.5, (20, 30), 3)
+        assert drawn == []
+    else:
+        with pytest.raises(MemoryError) as excinfo:
+            resolvent.convergence_table(0.5, 1.0, -0.5, (20, 30), 3)
+        assert excinfo.value is failure
+    assert threading.active_count() == before
