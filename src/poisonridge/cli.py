@@ -7,16 +7,11 @@ therefore writes nothing, and neither does one that cannot allocate its
 arrays.  `rerun <manifest>` reproduces the primary CSVs byte for byte on any
 core count, for the OpenBLAS builds that the numpy and scipy wheels bundle:
 every run computes with one BLAS thread per process.  `simulate`, `sweep`
-and `mnist` run their trials through `sweep.run_grid`: grid points that
-share c share each trial's draw, flip uniforms and seed (that of the
-group's first grid point), those that also share theta and ||v|| share its
-poisoned data and Gram.  Both forms of a synthetic trial's solve split
-off row 0, and under population centering, at every c, all (theta, ||v||)
-subgroups of a draw share one pass over rows 1: for their borders and one
-factor per lambda of the Gram of those rows, onto which each brings in its
-own row 0 (`simulator.solve_ridge` solves the same way).  Their
-rows are common random numbers, and the `seed` column of any row redoes
-that row alone.
+and `mnist` run their trials through `sweep.run_grid`.  The rows of a draw
+group (the grid points that share c; for `mnist`, the subsample size) are
+common random numbers, and the `seed` column of any row redoes that row
+alone, bit for bit, on any core or worker count; the `simulator` module
+docstring sets out how a trial shares its draw among its points.
 """
 
 from __future__ import annotations

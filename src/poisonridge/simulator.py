@@ -195,17 +195,6 @@ def _center(X, y, v, theta: float, centering: Centering):
     return X, y - w_bar, x_bar, w_bar
 
 
-def _forks(obj, count: int):
-    """`count` uses of obj, one at a time: a deep copy for every use but the
-    last, and obj itself for the last, so a single use copies nothing.
-
-    The Gram of a lambda path, which each lambda's factorization consumes.
-    """
-    for _ in range(count - 1):
-        yield copy.deepcopy(obj)
-    yield obj
-
-
 def _gram(A, scale: float) -> np.ndarray:
     """The upper triangle of scale A A^T, F-ordered, by syrk."""
     A = np.asarray(A, dtype=np.float64)
@@ -420,21 +409,22 @@ def _solve_path(paths) -> list[dict]:
 
     The systems share their rows, and so their Gram (`_rows_gram` of the
     rows: the tail, of split systems), which is formed once and factored
-    once per distinct lambda, each lambda consuming its own fork (`_forks`):
-    a path holds the Gram and at most one factor.  Every solution's residual
+    once per distinct lambda: each lambda but the last factors a copy of it
+    that keeps its memory order, and the last the Gram itself, so a path holds
+    the Gram and at most one factor.  Every solution's residual
     is then checked at once (`_check_residuals`).  Returns, per path,
     {lambda: solution, or that lambda's `PoisonRidgeError`}.
     """
     systems = [system for system, _ in paths]
     lams = list(dict.fromkeys(lam for _, path in paths for lam in path))
-    grams = _forks(_rows_gram(systems[0].rows), len(lams))
+    gram = _rows_gram(systems[0].rows)
     betas = {}
-    for lam in lams:
+    for i, lam in enumerate(lams):
         at = [k for k, (_, path) in enumerate(paths) if lam in path]
-        # the fork goes straight into the factorization, which is dropped
-        # before the next one is copied
-        betas.update(zip([(k, lam) for k in at],
-                         _solve_at(lam, next(grams), [systems[k] for k in at])))
+        # the copy is bound to no name, so it and its factor are dropped
+        # before the next lambda's copy is made
+        betas.update(zip([(k, lam) for k in at], _solve_at(
+            lam, gram if i == len(lams) - 1 else gram.copy(order="K"), [systems[k] for k in at])))
     solved = [key for key, beta in betas.items() if isinstance(beta, np.ndarray)]
     betas.update(zip(solved, _check_residuals([(systems[k], lam, betas[k, lam])
                                                for k, lam in solved])))

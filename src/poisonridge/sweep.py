@@ -7,13 +7,9 @@ nothing; a trial that fails becomes an error row, and the command exits 1.
 The built-in grid covers seven aspect ratios, six penalties, four poison
 fractions and nine trigger norms, with p = 500 and 100 trials per point.
 Grid points that share an aspect ratio c form a group, and one trial of a
-group draws its data and its poison flip uniforms once, with the seed of
-the group's first grid point, and runs every (theta, ||v||, lambda) point
-of the group from them: its rows are common random numbers.  Under
-population centering the (theta, ||v||) subgroups of a trial differ only
-in row 0, where both forms of the solve split it off, so they share one
-pass over rows 1: for their borders and one tail factor per lambda, at
-every c (`simulator.subgroup_records`).  Records are
+group draws once, with the seed of the group's first grid point, and runs
+every point of the group from that draw, so its rows are common random
+numbers (the `simulator` module docstring sets out how).  Records are
 reproducible from (master_seed, first grid_index of the group, trial_index)
 alone, and every process runs its BLAS on one thread, so neither the worker
 count, the core count nor the execution order changes the bytes on disk.

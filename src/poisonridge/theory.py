@@ -2,11 +2,12 @@
 
 The poisoned test score beta_hat^T(x0 + v) is asymptotically Gaussian with
 mean mu and variance sigma^2, both explicit in (c, lambda, theta, ||v||)
-through the MP transforms.  The efficacy eta = 1 - Phi(-mu/sigma) is the
-probability a fresh triggered sample crosses the zero threshold.  The spike
-scalars `spike_gain` and `spike_squared` live here once: the variance reads
-them on the Gram side, and the resolvent lab's deterministic equivalents on
-both sides.  Each closed form evaluates only the transforms it reads.
+through the MP transforms and the moments of `population_moments`.  The
+efficacy eta = 1 - Phi(-mu/sigma) is the probability a fresh triggered
+sample crosses the zero threshold.  The spike scalars `spike_gain` and
+`spike_squared` live here once: the variance reads them on the Gram side,
+and the resolvent lab's deterministic equivalents on both sides.  Each
+closed form evaluates only the transforms it reads.
 """
 
 from __future__ import annotations
@@ -74,6 +75,8 @@ class PopulationMoments:
 
     All are exact expectations over the three-outcome sample distribution
     {(y=+1, u=0): 1/2, (y=-1, u=1): theta/2, (y=-1, u=0): (1-theta)/2}.
+    The only home of every theta-moment: the closed forms and population
+    centering read them here.
     """
 
     s: float            # lim (1/n)||r||^2
@@ -99,15 +102,15 @@ def population_moments(theta: float) -> PopulationMoments:
         r_dot_y=-theta / 2.0,
         r_dot_w=theta * (1.0 - theta) / 2.0,
         w_norm_sq=1.0 - theta * theta,
-        w_dot_bhat_sq=(theta * (1.0 - theta) ** 2 / (2.0 - theta)) if theta > 0.0 else 0.0,
+        w_dot_bhat_sq=theta * (1.0 - theta) ** 2 / (2.0 - theta),
         x_bar_coeff=theta / 2.0,
         w_bar=theta,
     )
 
 
 def tau_squared(params: ModelParams) -> float:
-    """Spike strength tau^2 = ||v||^2 * (theta/2)(1 - theta/2)."""
-    return params.v_norm ** 2 * (params.theta / 2.0) * (1.0 - params.theta / 2.0)
+    """Spike strength tau^2 = ||v||^2 s (`PopulationMoments.s`)."""
+    return params.v_norm ** 2 * population_moments(params.theta).s
 
 
 def spike_gain(a: float, w: float, z: float) -> float:
@@ -143,25 +146,6 @@ def spike_scalars(c: float, tau_sq: float, z: float) -> SpikeAuxiliary:
     return SpikeAuxiliary(tau_sq=tau_sq, B=spike_gain(tau_sq / c, mt, z), S=S)
 
 
-def _alignment(theta: float, v_norm: float, m: float, cm: float,
-               lam_m: float) -> tuple[float, float]:
-    """(C, mu): C = theta(1-theta) m / ((1 + cm)(2 + ||v||^2 theta(1 - theta/2)(1 - lam m)))
-    and mu = C ||v||^2.
-
-    Where that denominator overflows, near the largest ||v|| allowed, C
-    would round to 0; mu is then theta(1-theta) m / ((1 + cm)(2/||v||^2 +
-    theta(1 - theta/2)(1 - lam m))), which stays at its large-||v|| limit,
-    and C is mu/||v||^2.
-    """
-    denom = (1.0 + cm) * (2.0 + v_norm ** 2 * theta * (1.0 - theta / 2.0) * (1.0 - lam_m))
-    if math.isinf(denom):
-        mu = theta * (1.0 - theta) * m / (
-            (1.0 + cm) * (2.0 / v_norm ** 2 + theta * (1.0 - theta / 2.0) * (1.0 - lam_m)))
-        return mu / v_norm ** 2, mu
-    align = theta * (1.0 - theta) * m / denom
-    return align, align * v_norm ** 2
-
-
 def efficacy(mu: float, sigma_sq: float) -> float:
     """P(score > 0) for a score ~ N(mu, sigma_sq).
 
@@ -173,18 +157,28 @@ def efficacy(mu: float, sigma_sq: float) -> float:
     return 1.0 - normal_cdf(-mu / math.sqrt(sigma_sq))
 
 
-def _prediction(params: ModelParams, align: tuple[float, float],
+def _prediction(params: ModelParams, m: float, cm: float, lam_m: float,
                 aux: SpikeAuxiliary) -> TheoryPrediction:
-    """(mu, sigma^2, eta, C) from (C, mu) (`_alignment`) and the spike scalars B and S."""
-    C, mu = align
-    theta = params.theta
-    bracket = (1.0 - theta ** 2)
-    if theta > 0.0:
-        # past B = 1.34e154, B^2 overflows and the gain is -1 to double precision
-        spike_gain = (-1.0 if aux.B > _SQRT_MAX
-                      else (1.0 + aux.tau_sq / params.c) / aux.B ** 2 - 1.0)
-        bracket += spike_gain * theta * (1.0 - theta) ** 2 / (2.0 - theta)
-    sigma_sq = aux.S * bracket
+    """(mu, sigma^2, eta, C) from m, cm, lam m, the spike scalars and `population_moments`.
+
+    C = (r.w) m / ((1 + cm)(1 + tau^2(1 - lam m))) and mu = C ||v||^2.  Where
+    that denominator overflows, near the largest ||v|| allowed, C would round
+    to 0; mu is then (r.w) m / ((1 + cm)(1/||v||^2 + s(1 - lam m))), which
+    stays at its large-||v|| limit, and C is mu/||v||^2.  sigma^2 = S(||w||^2
+    + g (w.b)^2) with the spike gain g = (1 + tau^2/c)/B^2 - 1.
+    """
+    moments = population_moments(params.theta)
+    v_sq = params.v_norm ** 2
+    denom = (1.0 + cm) * (1.0 + aux.tau_sq * (1.0 - lam_m))
+    if math.isinf(denom):
+        mu = moments.r_dot_w * m / ((1.0 + cm) * (1.0 / v_sq + moments.s * (1.0 - lam_m)))
+        C = mu / v_sq
+    else:
+        C = moments.r_dot_w * m / denom
+        mu = C * v_sq
+    # past B = 1.34e154, B^2 overflows and the gain is -1 to double precision
+    gain = -1.0 if aux.B > _SQRT_MAX else (1.0 + aux.tau_sq / params.c) / aux.B ** 2 - 1.0
+    sigma_sq = aux.S * (moments.w_norm_sq + gain * moments.w_dot_bhat_sq)
     if sigma_sq < 0.0:
         if sigma_sq < _VARIANCE_CLAMP:
             raise NegativeVariance(f"sigma^2 = {sigma_sq} < {_VARIANCE_CLAMP}")
@@ -202,8 +196,7 @@ def predict(params: ModelParams) -> TheoryPrediction:
         )
     c, lam = params.c, params.lam
     m = mp.mp_stieltjes(c, -lam)
-    return _prediction(params, _alignment(params.theta, params.v_norm, m, c * m, lam * m),
-                       spike_scalars(c, tau_squared(params), -lam))
+    return _prediction(params, m, c * m, lam * m, spike_scalars(c, tau_squared(params), -lam))
 
 
 def predict_ridgeless(params: ModelParams) -> TheoryPrediction:
@@ -222,5 +215,4 @@ def predict_ridgeless(params: ModelParams) -> TheoryPrediction:
         cm, lam_m, B, S = 0.0, 0.0, 1.0 + tau_sq, c / (1.0 - c)
     else:
         cm, lam_m, B, S = c - 1.0, 1.0 - 1.0 / c, 1.0 + tau_sq / c, 1.0 / (c - 1.0)
-    return _prediction(params, _alignment(params.theta, params.v_norm, 1.0, cm, lam_m),
-                       SpikeAuxiliary(tau_sq=tau_sq, B=B, S=S))
+    return _prediction(params, 1.0, cm, lam_m, SpikeAuxiliary(tau_sq=tau_sq, B=B, S=S))

@@ -1,5 +1,6 @@
 """Closed-form prediction tests: frozen values, identities, limits, monotonicity."""
 
+import dataclasses
 import math
 
 import pytest
@@ -295,3 +296,46 @@ def test_efficacy_degenerate_variance():
     assert theory.efficacy(0.3, 0.0) == 1.0
     assert theory.efficacy(0.0, 1.0) == 0.5
     assert theory.efficacy(1.0, 4.0) == pytest.approx(theory.normal_cdf(0.5), abs=1e-15)
+
+
+@pytest.mark.parametrize("lam", [0.001, 0.1, 1.0])
+def test_predict_reads_population_moments(monkeypatch, lam):
+    # the closed form takes r.w and (w.b)^2 from population_moments: doubling
+    # them doubles C and mu exactly and moves sigma^2 = S(||w||^2 + g (w.b)^2)
+    # by S g (w.b)^2; s, and so tau^2, B and S, are left as they are
+    params = ModelParams(c=0.5, lam=lam, theta=0.2, v_norm=2.0)
+    base = theory.predict(params)
+    ridgeless = theory.predict_ridgeless(dataclasses.replace(params, lam=0.0))
+    moments = theory.population_moments(params.theta)
+    aux = theory.spike_scalars(params.c, theory.tau_squared(params), -lam)
+    gain = (1.0 + aux.tau_sq / params.c) / aux.B ** 2 - 1.0
+    monkeypatch.setattr(theory, "population_moments", lambda theta: dataclasses.replace(
+        moments, r_dot_w=2.0 * moments.r_dot_w, w_dot_bhat_sq=2.0 * moments.w_dot_bhat_sq))
+    doubled = theory.predict(params)
+    assert doubled.C_align == 2.0 * base.C_align
+    assert doubled.mu == 2.0 * base.mu
+    assert abs(gain) > 1e-3
+    assert doubled.sigma_sq == pytest.approx(
+        base.sigma_sq + aux.S * gain * moments.w_dot_bhat_sq, rel=1e-14)
+    doubled = theory.predict_ridgeless(dataclasses.replace(params, lam=0.0))
+    assert doubled.C_align == 2.0 * ridgeless.C_align
+    assert doubled.mu == 2.0 * ridgeless.mu
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0])
+@pytest.mark.parametrize("v_norm", [0.0, 1.0, 1e154, theory._SQRT_MAX])
+@pytest.mark.parametrize("theta", [0.0, 1.0])
+def test_unpoisoned_and_all_flipped_have_no_mean_shift(theta, v_norm, c):
+    # theta = 0 poisons nothing, and theta = 1 flips every -1 label, so the
+    # centered labels are 0; either way r.w = (w.b)^2 = 0 at every trigger
+    # norm, those whose spike gain or alignment denominator overflows included
+    cases = [(theory.predict(ModelParams(c=c, lam=lam, theta=theta, v_norm=v_norm)),
+              theory.spike_scalars(c, 0.0, -lam).S) for lam in (1e-6, 0.1)]
+    cases.append((theory.predict_ridgeless(ModelParams(c=c, lam=0.0, theta=theta, v_norm=v_norm)),
+                  c / (1.0 - c) if c < 1.0 else 1.0 / (c - 1.0)))
+    for pred, S in cases:
+        assert pred.mu == 0.0 and pred.C_align == 0.0
+        if theta == 1.0:
+            assert pred.sigma_sq == 0.0 and pred.eta == 0.0
+        else:
+            assert pred.sigma_sq == S and pred.eta == 0.5
