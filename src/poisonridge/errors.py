@@ -63,6 +63,10 @@ class InvalidWorkerCount(PoisonRidgeError, ValueError):
     """A run needs at least one worker process (workers >= 1)."""
 
 
+class InvalidSeed(PoisonRidgeError, ValueError):
+    """A master seed must be a nonnegative integer, as `numpy.random.SeedSequence` needs."""
+
+
 # --- low-rank updates ---
 
 class InnerSingular(PoisonRidgeError):

@@ -8,7 +8,7 @@ import os
 
 from . import sweep as sweep_mod
 from .errors import SchemaMismatch, UnknownAxis
-from .sweep import DEFAULTS
+from .sweep import AXIS_COLUMNS, DEFAULTS
 
 KINDS = {
     "mu": ("mu_emp", "mu_theory", "mean shift"),
@@ -30,13 +30,7 @@ _ML, _MR, _MT, _MB = 60, 20, 30, 50
 def _select_axis_rows(agg_rows: list[dict], axis: str) -> list[dict]:
     """Aggregate rows where only the requested parameter varies."""
     col = AXES[axis]
-    others = {
-        "c_target": DEFAULTS["c"],
-        "lambda": DEFAULTS["lam"],
-        "theta": DEFAULTS["theta"],
-        "v_norm": DEFAULTS["v_norm"],
-    }
-    others.pop(col)
+    others = {column: DEFAULTS[name] for name, column in AXIS_COLUMNS.items() if column != col}
     rows = [
         r for r in agg_rows
         if all(math.isclose(r[k], v, rel_tol=1e-9) for k, v in others.items())

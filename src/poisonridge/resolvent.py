@@ -36,7 +36,9 @@ import numpy as np
 
 from . import mp, simulator, theory
 from .blas import one_thread
-from .errors import InnerSingular, InvalidShape, NonFiniteParameter, NonNegativeZ, SolveFailure
+from .errors import (
+    InnerSingular, InvalidSeed, InvalidShape, NonFiniteParameter, NonNegativeZ, SolveFailure,
+)
 
 # dense O(dim^3) inverses, kept as test oracles; the checks use solves
 MAX_DENSE_DIM = 800
@@ -306,6 +308,8 @@ def convergence_table(
         raise InvalidShape(f"at least one size p, each >= 1, is needed, got {list(sizes)}")
     if n_seeds < 1:
         raise InvalidShape(f"n_seeds must be >= 1, got {n_seeds}")
+    if master_seed < 0:
+        raise InvalidSeed(f"the master seed must be >= 0, got {master_seed}")
     if z >= 0.0:
         raise NonNegativeZ(f"z must be negative, got {z}")
     jobs = []

@@ -43,7 +43,7 @@ from .errors import (
 from .records import SweepRecord
 from .theory import ModelParams, TheoryPrediction
 
-_RESIDUAL_TOL = 1e-8
+_RESIDUAL_TOL = 1e-10
 
 
 class Centering(enum.Enum):
@@ -263,8 +263,7 @@ class _System:
     A split X~ (`_splits`) is kept as its row 0, `head`, and its rows 1:,
     `rows`, from which the Gram's tail comes; `border` is (1/n) X~ [x~_0, w~],
     the primal Gram's row 0 and the right-hand side side by side.  Otherwise
-    head and border are None and rows is X~.  `rhs` is (1/n) X~ w~; `v`, the
-    trigger that scores mu_emp, may be None.
+    head and border are None and rows is X~.  `rhs` is (1/n) X~ w~.
     """
     rows: np.ndarray
     head: np.ndarray | None
@@ -273,11 +272,10 @@ class _System:
     w_tilde: np.ndarray
     x_bar: np.ndarray
     w_bar: float
-    v: np.ndarray | None
 
 
 def _split_systems(rows, parts) -> list[_System]:
-    """The split `_System` of each (head, w~, x_bar, w_bar, v) of `parts`, all of
+    """The split `_System` of each (head, w~, x_bar, w_bar) of `parts`, all of
     whose X~ have the rows 1: `rows`.
 
     Their borders are formed in one pass over rows: each panel (`_panels`)
@@ -294,20 +292,20 @@ def _split_systems(rows, parts) -> list[_System]:
         for border, cols in zip(borders, columns):
             border[1:][panel] = rows[panel] @ cols
     systems = []
-    for border, (head, w_tilde, x_bar, w_bar, v) in zip(borders, parts):
+    for border, (head, w_tilde, x_bar, w_bar) in zip(borders, parts):
         border /= n
         systems.append(_System(rows=rows, head=head, border=border, rhs=border[:, 1],
-                               w_tilde=w_tilde, x_bar=x_bar, w_bar=w_bar, v=v))
+                               w_tilde=w_tilde, x_bar=x_bar, w_bar=w_bar))
     return systems
 
 
-def _system(X_tilde, w_tilde, x_bar, w_bar: float, v=None) -> _System:
+def _system(X_tilde, w_tilde, x_bar, w_bar: float) -> _System:
     """The `_System` of float64 X_tilde and w_tilde, holding a view of X_tilde's rows."""
     if _splits(X_tilde):
-        (system,) = _split_systems(X_tilde[1:], [(X_tilde[0].copy(), w_tilde, x_bar, w_bar, v)])
+        (system,) = _split_systems(X_tilde[1:], [(X_tilde[0].copy(), w_tilde, x_bar, w_bar)])
         return system
     return _System(rows=X_tilde, head=None, border=None, rhs=X_tilde @ w_tilde / X_tilde.shape[1],
-                   w_tilde=w_tilde, x_bar=x_bar, w_bar=w_bar, v=v)
+                   w_tilde=w_tilde, x_bar=x_bar, w_bar=w_bar)
 
 
 def _solve(system: _System, factor, lam: float) -> np.ndarray:
@@ -368,39 +366,40 @@ def _solve_at(lam: float, gram, systems) -> list:
     return betas
 
 
-def _check_residuals(solved) -> list:
+def _check_residuals(solved, rows_sq: float) -> list:
     """Each (system, lam, beta) of `solved`: beta, or a `SolveFailure` if its
     normal-equations residual is not finite or exceeds the tolerance.
 
-    The residual (1/n) X~ (X~^T beta) + lam beta - rhs guards against
-    ill-conditioning; it is matrix-free and its bound is 1e-8 (1 + ||w~||).
-    The systems share their rows, so the betas are checked a column block at
-    a time, with two gemm passes over the rows per block; of split systems,
-    X~^T beta = rows^T beta_1 + head beta_0.  A block's n-row temporaries
-    take at most 1/8 of the rows' bytes.
+    The residual r = (1/n) X~ (X~^T beta) + lam beta - rhs guards against
+    ill-conditioning.  Its norm may be at most _RESIDUAL_TOL times the sum of
+    the scales of its three terms: ||X~||_F ||X~^T beta|| / n for the
+    product, which can cancel, then lam ||beta|| and ||rhs||, so the bound
+    follows the data at any trigger norm; rows_sq is ||rows||_F^2.  The
+    systems share their rows, so every beta is checked in one pass: one gemm
+    forms X~^T B of the betas B side by side and one X~ (X~^T B); of split
+    systems, X~^T beta = rows^T beta_1 + head beta_0.
     """
     if not solved:
         return []
     rows = solved[0][0].rows
     n = rows.shape[1]
     own = int(solved[0][0].head is not None)  # the rows of X~ that each system keeps apart
-    block = max(1, rows.shape[0] // 8)
+    B = np.stack([beta for _, _, beta in solved], axis=1)
+    U = rows.T @ B[own:]
+    XU = np.empty_like(B)
+    if own:
+        for j, (system, _, _) in enumerate(solved):
+            U[:, j] += system.head * B[0, j]
+            XU[0, j] = system.head @ U[:, j]
+    XU[own:] = rows @ U
     out = []
-    for start in range(0, len(solved), block):
-        chunk = solved[start:start + block]
-        B = np.stack([beta for _, _, beta in chunk], axis=1)
-        U = rows.T @ B[own:]
-        XU = np.empty_like(B)
-        for j, (system, _, _) in enumerate(chunk):
-            if own:
-                U[:, j] += system.head * B[0, j]
-                XU[0, j] = system.head @ U[:, j]
-        XU[own:] = rows @ U
-        for j, (system, lam, beta) in enumerate(chunk):
-            norm = float(np.linalg.norm(XU[:, j] / n + lam * beta - system.rhs))
-            bound = _RESIDUAL_TOL * (1.0 + float(np.linalg.norm(system.w_tilde)))
-            out.append(beta if norm <= bound else SolveFailure(
-                f"normal-equations residual {norm:.3e} exceeds {bound:.3e}"))
+    for (system, lam, beta), u, xu in zip(solved, U.T, XU.T):
+        x_norm = math.sqrt(rows_sq + (0.0 if system.head is None else system.head @ system.head))
+        norm = float(np.linalg.norm(xu / n + lam * beta - system.rhs))
+        bound = _RESIDUAL_TOL * float(x_norm * np.linalg.norm(u) / n + lam * np.linalg.norm(beta)
+                                      + np.linalg.norm(system.rhs))
+        out.append(beta if norm <= bound and math.isfinite(norm) else SolveFailure(
+            f"normal-equations residual {norm:.3e} exceeds {bound:.3e}"))
     return out
 
 
@@ -418,6 +417,7 @@ def _solve_path(paths) -> list[dict]:
     systems = [system for system, _ in paths]
     lams = list(dict.fromkeys(lam for _, path in paths for lam in path))
     gram = _rows_gram(systems[0].rows)
+    rows_sq = systems[0].rows.shape[1] * float(np.trace(gram))  # ||rows||_F^2, for the guard
     betas = {}
     for i, lam in enumerate(lams):
         at = [k for k, (_, path) in enumerate(paths) if lam in path]
@@ -427,19 +427,19 @@ def _solve_path(paths) -> list[dict]:
             lam, gram if i == len(lams) - 1 else gram.copy(order="K"), [systems[k] for k in at])))
     solved = [key for key, beta in betas.items() if isinstance(beta, np.ndarray)]
     betas.update(zip(solved, _check_residuals([(systems[k], lam, betas[k, lam])
-                                               for k, lam in solved])))
+                                               for k, lam in solved], rows_sq)))
     return [{lam: _solution(system, betas[k, lam]) for lam in path}
             for k, (system, path) in enumerate(paths)]
 
 
 def _solution(system: _System, beta):
-    """The `RidgeSolution` of beta (mu_emp NaN without a trigger), or beta's error."""
+    """The `RidgeSolution` of beta (mu_emp NaN until `score_statistics`), or beta's error."""
     if isinstance(beta, PoisonRidgeError):
         return beta
     return RidgeSolution(
         beta=beta,
         b0=float(system.w_bar - beta @ system.x_bar),
-        mu_emp=math.nan if system.v is None else float(beta @ system.v),
+        mu_emp=math.nan,
         sigma_sq_emp=float(beta @ beta),
     )
 
@@ -577,9 +577,9 @@ def subgroup_records(points, shape: SimShape, centering: Centering, trial_index:
             continue
         if centering is Centering.POPULATION and _splits(X) and not v[1:].any():
             rows = X[1:]  # the draw's, common to every such subgroup
-            shared.append((k, (X[0].copy(), *centered[1:], v), lams))
+            shared.append((k, (X[0].copy(), *centered[1:]), lams))
         else:
-            (fits[k],) = _solve_path([(_system(*centered, v), lams)])
+            (fits[k],) = _solve_path([(_system(*centered), lams)])
         del X, centered  # dropped before the next subgroup asks for its X
     if shared:
         systems = _split_systems(rows, [part for _, part, _ in shared])
@@ -594,6 +594,7 @@ def subgroup_records(points, shape: SimShape, centering: Centering, trial_index:
             try:
                 pred = theory.predict(params)
                 if isinstance(fit, RidgeSolution):
+                    fit = score_statistics(fit, triggers[k])
                     solved = fit, empirical_efficacy(fit, triggers[k], m_test, copy.deepcopy(rng))
             except PoisonRidgeError:
                 pass

@@ -31,7 +31,7 @@ import numpy as np
 from . import simulator
 from .blas import one_thread
 from .errors import (
-    EmptyGrid, EmptyGroup, InvalidLambda, InvalidTestCount, InvalidTrialCount,
+    EmptyGrid, EmptyGroup, InvalidLambda, InvalidSeed, InvalidTestCount, InvalidTrialCount,
     InvalidWorkerCount, SchemaMismatch,
 )
 from .records import _EMPIRICAL_FIELDS, FIELD_NAMES, SweepRecord, read_csv, write_csv
@@ -39,9 +39,11 @@ from .simulator import Centering, trial_seed
 from .theory import ModelParams
 
 # each axis of the one-at-a-time sweep varies a single parameter around
-# these fixed values
+# these fixed values, in this order; AXIS_COLUMNS names each parameter's
+# aggregate column
 
 DEFAULTS = {"c": 0.1, "lam": 0.1, "theta": 0.1, "v_norm": 1.0}
+AXIS_COLUMNS = {"c": "c_target", "lam": "lambda", "theta": "theta", "v_norm": "v_norm"}
 
 
 class AxisMode(enum.Enum):
@@ -65,23 +67,12 @@ class SweepGrid:
 
     def points(self, axis_mode: AxisMode) -> list[ModelParams]:
         """Grid points in deterministic order."""
+        axes = (self.c_values, self.lambda_values, self.theta_values, self.vnorm_values)
         if axis_mode is AxisMode.FULL:
-            return [
-                ModelParams(c=c, lam=lam, theta=th, v_norm=vn)
-                for c, lam, th, vn in itertools.product(
-                    self.c_values, self.lambda_values, self.theta_values, self.vnorm_values
-                )
-            ]
-        pts = []
-        for c in self.c_values:
-            pts.append(ModelParams(c=c, lam=DEFAULTS["lam"], theta=DEFAULTS["theta"], v_norm=DEFAULTS["v_norm"]))
-        for lam in self.lambda_values:
-            pts.append(ModelParams(c=DEFAULTS["c"], lam=lam, theta=DEFAULTS["theta"], v_norm=DEFAULTS["v_norm"]))
-        for th in self.theta_values:
-            pts.append(ModelParams(c=DEFAULTS["c"], lam=DEFAULTS["lam"], theta=th, v_norm=DEFAULTS["v_norm"]))
-        for vn in self.vnorm_values:
-            pts.append(ModelParams(c=DEFAULTS["c"], lam=DEFAULTS["lam"], theta=DEFAULTS["theta"], v_norm=vn))
-        return pts
+            return [ModelParams(*point) for point in itertools.product(*axes)]
+        base = ModelParams(**DEFAULTS)
+        return [dataclasses.replace(base, **{name: value})
+                for name, values in zip(DEFAULTS, axes) for value in values]
 
 
 def draw_groups(points: dict[int, ModelParams]) -> list[tuple]:
@@ -136,6 +127,8 @@ def run_grid(points: dict[int, ModelParams], p: int, trials: int, master_seed: i
         raise EmptyGrid("a run needs at least one grid point")
     if trials < 1:
         raise InvalidTrialCount(f"trials must be >= 1, got {trials}")
+    if master_seed < 0:
+        raise InvalidSeed(f"the master seed must be >= 0, got {master_seed}")
     # refused here: inside a trial they would only make every row an error row
     if m_test < 1:
         raise InvalidTestCount(f"m_test must be >= 1, got {m_test}")

@@ -271,6 +271,21 @@ def test_bad_inputs_exit_2(tmp_path, capsys, argv, error):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--p", "20"),
+    ("sweep", "--p", "20", "--trials", "1"),
+    ("mnist", "--images", "{tmp}/imgs", "--labels", "{tmp}/lbls", "--subsample-n", "30"),
+    ("resolvent-check", "--p", "10", "--seeds", "1"),
+], ids=lambda argv: argv[0])
+def test_negative_seed_exits_2(tmp_path, capsys, argv):
+    # numpy's SeedSequence refuses a negative seed; the run refuses it before any trial or draw
+    _write_idx_pair(tmp_path)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert run_cli(*argv, "--seed=-1", "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.startswith("error: InvalidSeed")
+    assert not (tmp_path / "o").exists()
+
+
 def test_report_from_sweep(tmp_path, capsys):
     out = tmp_path / "s"
     assert run_cli("sweep", "--p", "20", "--trials", "2", "--m-test", "50",

@@ -303,6 +303,56 @@ def test_corrupt_solution_is_one_error_row(monkeypatch):
         simulator.solve_ridge(X, np.ones(20), 0.1, np.zeros(5), 0.0)
 
 
+def _huge_trigger_points(c, lams, v_norms=(1e10, 1e50, 1e100)):
+    return dict(enumerate(ModelParams(c=c, lam=lam, theta=0.1, v_norm=v_norm)
+                          for v_norm in v_norms for lam in lams))
+
+
+@pytest.mark.parametrize("centering", list(Centering))
+@pytest.mark.parametrize("c", [0.5, 2.0])
+def test_huge_trigger_norm_solves_are_no_error_rows(centering, c):
+    # the residual's rounding grows with ||v||, and so does the guard's bound:
+    # correct solves of C-ordered data pass it at any trigger norm
+    records = sweep.run_grid(_huge_trigger_points(c, (1e-10, 0.1)), 60, 10, 0, 100,
+                             centering=centering)
+    assert len(records) == 60 and not any(r.is_error for r in records)
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0])
+def test_huge_trigger_norm_rows_agree_with_theory(c):
+    # where mu saturates in ||v||, the population-centered means of mu_emp and
+    # sigma2_emp over 200 trials are within 4 standard errors of predict
+    points = _huge_trigger_points(c, (0.1,))
+    records = sweep.run_grid(points, 100, 200, 0, 100)
+    for grid_index, params in points.items():
+        rows = [r for r in records if r.grid_index == grid_index]
+        assert len(rows) == 200 and not any(r.is_error for r in rows)
+        pred = theory.predict(params)
+        for column, want in (("mu_emp", pred.mu), ("sigma2_emp", pred.sigma_sq)):
+            values = np.array([getattr(r, column) for r in rows])
+            se = values.std(ddof=1) / math.sqrt(len(values))
+            assert abs(values.mean() - want) <= 4 * se, (params, column)
+
+
+@pytest.mark.parametrize("centering", list(Centering))
+@pytest.mark.parametrize("c", [0.5, 2.0])
+@pytest.mark.parametrize("coordinates", [slice(None), slice(0, 1)], ids=["beta", "beta_0"])
+def test_perturbed_solution_is_an_error_row(monkeypatch, centering, c, coordinates):
+    # a beta off by 1e-6 relative, with random signs in all of it or only in
+    # the trigger's coordinate, fails the guard at a unit and a huge trigger norm
+    solve, rng = simulator._solve, np.random.default_rng(7)
+
+    def perturbed(system, factor, lam):
+        beta = solve(system, factor, lam)
+        beta[coordinates] *= 1.0 + 1e-6 * rng.choice((-1.0, 1.0), beta[coordinates].shape)
+        return beta
+
+    monkeypatch.setattr(simulator, "_solve", perturbed)
+    records = sweep.run_grid(_huge_trigger_points(c, (1e-10, 0.1), (1.0, 1e50)), 60, 3, 0, 100,
+                             centering=centering)
+    assert len(records) == 12 and all(r.is_error for r in records)
+
+
 def _rows_gram_of(X):
     """The Gram that a ridge solve of X factors: its tail, of a split X."""
     p, n = X.shape
@@ -352,7 +402,7 @@ def test_panel_borders_equal_each_systems_own(p, n):
     # have the bits of each subgroup's lone `_system` border
     X, y = simulator.generate_clean(SimShape(p=p, n=n, seed=p))
     rng = np.random.default_rng(p)
-    parts = [(X[0] + shift * rng.standard_normal(n), y - shift, np.zeros(p), 0.0, None)
+    parts = [(X[0] + shift * rng.standard_normal(n), y - shift, np.zeros(p), 0.0)
              for shift in (0.0, 0.5, 2.0, 1e3)]
     systems = simulator._split_systems(X[1:], parts)
     assert (len(simulator._panels(X[1:])) > 1) == (p == 500)  # 1 MiB panels of rows
