@@ -11,6 +11,7 @@ seed is that of the first of them.
 from __future__ import annotations
 
 import functools
+import math
 import struct
 from dataclasses import dataclass
 
@@ -133,10 +134,11 @@ def make_patch_trigger(
     rows: int = 28,
     cols: int = 28,
 ) -> PatchTrigger:
-    """Constant-intensity size x size patch, rescaled to the requested norm."""
-    if not (v_norm_target >= 0.0 and np.isfinite(v_norm_target)):
-        raise InvalidTriggerNorm(
-            f"v_norm_target must be nonnegative and finite, got {v_norm_target}")
+    """Constant-intensity size x size patch, rescaled to the requested norm.
+
+    The rescaled patch's squared norm must be finite, as `ModelParams`
+    requires: past `theory._SQRT_MAX`, or rounded past the largest float, it is not.
+    """
     r0, c0 = offset
     if size < 1 or r0 < 0 or c0 < 0 or r0 + size > rows or c0 + size > cols:
         raise PatchOutOfBounds(
@@ -145,7 +147,13 @@ def make_patch_trigger(
     grid = np.zeros((rows, cols))
     grid[r0:r0 + size, c0:c0 + size] = 1.0
     flat = grid.ravel()
-    return PatchTrigger(v=flat * (v_norm_target / float(np.linalg.norm(flat))))
+    with np.errstate(over="ignore", invalid="ignore"):  # what these make is refused below
+        v = flat * (v_norm_target / float(np.linalg.norm(flat)))
+        finite_square = math.isfinite(np.linalg.norm(v))
+    if not (v_norm_target >= 0.0 and finite_square):
+        raise InvalidTriggerNorm(
+            f"v_norm_target must be nonnegative with a finite square, got {v_norm_target}")
+    return PatchTrigger(v=v)
 
 
 def _grid_params(task: BinaryTask, trigger: PatchTrigger, theta: float, lam: float,

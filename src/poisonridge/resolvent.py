@@ -11,8 +11,10 @@ take their spike scalars from `theory.spike_gain` and
 `theory.spike_squared`: at (tau^2, m, m') on the feature side and at
 (tau^2/c, mtilde, mtilde') on the Gram side.  The checks read all four
 quadratic forms of one spiked draw from one Cholesky factorization of the
-p x p feature system, through residual-guarded solves; the dense
-resolvents remain as reference oracles.
+p x p feature system; the dense resolvents remain as reference oracles.
+Every solve of a system (G - z I) x = rhs with G = (1/n) A A^T, the
+oracles' included, passes one residual check (`_checked`): ||r|| <= 1e-10
+((tr G + |z|) ||x|| + ||rhs||), a normwise backward error of at most 1e-10.
 
 `convergence_table` draws ahead: while the main thread factors and solves
 one draw, a helper thread fills the standard normals of the next two
@@ -42,8 +44,6 @@ from .errors import (
 
 # dense O(dim^3) inverses, kept as test oracles; the checks use solves
 MAX_DENSE_DIM = 800
-
-_RESOLVENT_RESIDUAL_TOL = 1e-10
 
 # draws that `convergence_table`'s helper thread fills beyond the one being
 # factored; with one, the helper waits for the GIL before each fill
@@ -78,15 +78,10 @@ def _dense_resolvent(A: np.ndarray, n: int, z: float) -> np.ndarray:
         raise NonNegativeZ(f"z must be negative, got {z}")
     dim = A.shape[0]
     if dim > MAX_DENSE_DIM:
-        raise ValueError(
-            f"dense resolvent capped at dimension {MAX_DENSE_DIM}, got {dim}"
-        )
-    Q = simulator.gram_cholesky(A, 1.0 / n, -z)(np.eye(dim))
-    Q = 0.5 * (Q + Q.T)
-    resid = float(np.max(np.abs(A @ (A.T @ Q) / n - z * Q - np.eye(dim))))
-    if resid > _RESOLVENT_RESIDUAL_TOL:
-        raise SolveFailure(f"resolvent residual {resid:.3e} too large at z={z}")
-    return Q
+        raise ValueError(f"dense resolvent capped at dimension {MAX_DENSE_DIM}, got {dim}")
+    solve = simulator.gram_cholesky(A, 1.0 / n, -z)
+    Q = solve(np.eye(dim))
+    return _checked(A, n, z, solve.trace, 0.5 * (Q + Q.T), np.eye(dim))
 
 
 def feature_resolvent(Z: np.ndarray, z: float) -> np.ndarray:
@@ -181,17 +176,21 @@ def reconstruct_spiked_resolvent(
     return woodbury_update(simulator.gram_cholesky(X, 1.0 / X.shape[1], -z), U, V)
 
 
-def _check_residual(resid: np.ndarray, rhs: np.ndarray, z: float) -> None:
-    err = float(np.max(np.abs(resid)))
-    bound = _RESOLVENT_RESIDUAL_TOL * (1.0 + float(np.max(np.abs(rhs))))
-    if not err <= bound:
-        raise SolveFailure(f"resolvent residual {err:.3e} exceeds {bound:.3e} at z={z}")
+def _checked(A: np.ndarray, n: int, z: float, trace: float, x: np.ndarray, rhs) -> np.ndarray:
+    """x, a solve of (G - z I) x = rhs with G = (1/n) A A^T and tr G = trace, or
+    a `SolveFailure` unless its residual r has ||r|| <= tol ((tr G + |z|) ||x|| + ||rhs||).
 
-
-def _feature_solve(Z: np.ndarray, z: float, solve, rhs: np.ndarray) -> np.ndarray:
-    """Q1(z) rhs through `solve`, the factored p x p feature system."""
-    x = solve(rhs)
-    _check_residual(Z @ (Z.T @ x) / Z.shape[1] - z * x - rhs, rhs, z)
+    G is positive semidefinite, so tr G + |z| >= ||G - z I|| and the bound
+    caps the normwise backward error (Rigal and Gaches) at tol =
+    `simulator._RESIDUAL_TOL`, at any z and spike.  A matrix x takes
+    Frobenius norms.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # a residual that is not finite is refused
+        norm = float(np.linalg.norm(A @ (A.T @ x) / n - z * x - rhs))
+        bound = simulator._RESIDUAL_TOL * ((trace + abs(z)) * float(np.linalg.norm(x))
+                                           + float(np.linalg.norm(rhs)))
+    if not norm <= bound:
+        raise SolveFailure(f"resolvent residual {norm:.3e} is not within {bound:.3e} at z={z}")
     return x
 
 
@@ -199,11 +198,12 @@ def _gram_apply(Z: np.ndarray, z: float, solve, b: np.ndarray) -> np.ndarray:
     """Qtilde1(z) b through the p x p system, never forming an n x n matrix.
 
     Push-through: Z Qtilde1 = Q1 Z, so Qtilde1 b = -(1/z)(b - Z^T Q1 (Z b) / n).
+    Both solves are `_checked`; (1/n) Z^T Z has the factored Gram's trace.
     """
-    n = Z.shape[1]
-    y = -(b - Z.T @ _feature_solve(Z, z, solve, Z @ b) / n) / z
-    _check_residual(Z.T @ (Z @ y) / n - z * y - b, b, z)
-    return y
+    n, Zb = Z.shape[1], Z @ b
+    with np.errstate(over="ignore", invalid="ignore"):  # `_checked` refuses what this makes
+        y = -(b - Z.T @ _checked(Z, n, z, solve.trace, solve(Zb), Zb) / n) / z
+    return _checked(Z.T, n, z, solve.trace, y, b)
 
 
 # check name -> deterministic equivalent, in the row order of convergence_table
@@ -237,10 +237,9 @@ def spiked_draw_checks(
     n = simulator.shape_for(p, c, seed).n
     Z = build_spiked(p, n, tau, seed, X)
     solve = simulator.gram_cholesky(Z, 1.0 / n, -z)
-    solved = {
-        "feature": _feature_solve(Z, z, solve, np.eye(1, p)[0]),
-        "gram": _gram_apply(Z, z, solve, np.eye(1, n)[0]),
-    }
+    e1 = np.eye(1, p)[0]
+    solved = {"feature": _checked(Z, n, z, solve.trace, solve(e1), e1),
+              "gram": _gram_apply(Z, z, solve, np.eye(1, n)[0])}
     rows = {}
     for check_name, equivalent in _EQUIVALENTS.items():
         w = solved[check_name.removesuffix("_sq")]

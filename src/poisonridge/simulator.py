@@ -45,6 +45,9 @@ from .theory import ModelParams, TheoryPrediction
 
 _RESIDUAL_TOL = 1e-10
 
+# the largest count Generator.binomial takes, a C long
+_MAX_TEST_COUNT = int(np.iinfo("l").max)
+
 
 class Centering(enum.Enum):
     POPULATION = "population"
@@ -216,15 +219,28 @@ def _factor(G, shift: float):
             f"regularized Gram at shift={shift} is not finite and positive definite") from exc
 
 
-def gram_cholesky(A, scale: float, shift: float):
-    """x -> (scale A A^T + shift I)^-1 x, by one Cholesky factorization.
+@dataclass(frozen=True)
+class GramSolve:
+    """x -> (G + shift I)^-1 x by cho_factor's `factor` of it; `trace` is tr G."""
+    factor: tuple
+    trace: float
+
+    def __call__(self, rhs):
+        return cho_solve(self.factor, rhs)
+
+
+def gram_cholesky(A, scale: float, shift: float) -> GramSolve:
+    """x -> (G + shift I)^-1 x, G = scale A A^T, by one Cholesky factorization.
 
     The one place that forms and factors a whole regularized Gram: the
     resolvent's (1/n) Z Z^T - z I.  The ridge solve factors the same way
-    (`_solve_path`), the Gram of a split system without its row 0.
+    (`_solve_path`), the Gram of a split system without its row 0.  Like
+    `_solve_path`, it reads tr G off the Gram before factoring it, for the
+    resolvent's residual check.
     """
-    factor = _factor(_gram(A, scale), shift)
-    return lambda rhs: cho_solve(factor, rhs)
+    gram = _gram(A, scale)
+    trace = float(np.trace(gram))
+    return GramSolve(_factor(gram, shift), trace)
 
 
 def _splits(X) -> bool:
@@ -286,8 +302,9 @@ def _split_systems(rows, parts) -> list[_System]:
     n = rows.shape[1]
     columns = [np.stack((head, w_tilde), axis=1) for head, w_tilde, *_ in parts]
     borders = [np.empty((rows.shape[0] + 1, 2)) for _ in parts]
-    for border, (head, *_), cols in zip(borders, parts, columns):
-        border[0] = head @ cols
+    with np.errstate(over="ignore", invalid="ignore"):  # `_pivot` refuses what these make
+        for border, (head, *_), cols in zip(borders, parts, columns):
+            border[0] = head @ cols
     for panel in _panels(rows):
         for border, cols in zip(borders, columns):
             border[1:][panel] = rows[panel] @ cols
@@ -470,6 +487,12 @@ def score_statistics(solution: RidgeSolution, v) -> RidgeSolution:
     return replace(solution, mu_emp=float(solution.beta @ np.asarray(v)))
 
 
+def _check_test_count(m_test: int) -> None:
+    """Refuse an m_test that `empirical_efficacy` cannot draw: below 1 or past a C long."""
+    if not 1 <= m_test <= _MAX_TEST_COUNT:
+        raise InvalidTestCount(f"m_test must be in [1, {_MAX_TEST_COUNT}], got {m_test}")
+
+
 def empirical_efficacy(solution: RidgeSolution, v, m_test: int, seed) -> float:
     """Fraction of m_test fresh standard-normal test points with triggered score > 0.
 
@@ -479,8 +502,7 @@ def empirical_efficacy(solution: RidgeSolution, v, m_test: int, seed) -> float:
     distribution and costs O(p) whatever m_test is.  Ties at exactly zero count
     as not-attacked (strict inequality), as in theory.efficacy.
     """
-    if m_test < 1:
-        raise InvalidTestCount(f"m_test must be >= 1, got {m_test}")
+    _check_test_count(m_test)
     beta = solution.beta
     # the hit probability depends on beta's direction only; rescaling keeps
     # ||beta||^2 from underflowing, so only beta = 0 gives a constant score

@@ -31,7 +31,7 @@ import numpy as np
 from . import simulator
 from .blas import one_thread
 from .errors import (
-    EmptyGrid, EmptyGroup, InvalidLambda, InvalidSeed, InvalidTestCount, InvalidTrialCount,
+    EmptyGrid, EmptyGroup, InvalidLambda, InvalidSeed, InvalidTrialCount,
     InvalidWorkerCount, SchemaMismatch,
 )
 from .records import _EMPIRICAL_FIELDS, FIELD_NAMES, SweepRecord, read_csv, write_csv
@@ -130,8 +130,7 @@ def run_grid(points: dict[int, ModelParams], p: int, trials: int, master_seed: i
     if master_seed < 0:
         raise InvalidSeed(f"the master seed must be >= 0, got {master_seed}")
     # refused here: inside a trial they would only make every row an error row
-    if m_test < 1:
-        raise InvalidTestCount(f"m_test must be >= 1, got {m_test}")
+    simulator._check_test_count(m_test)
     for params in points.values():
         if not params.lam > 0.0:
             raise InvalidLambda(f"the ridge solve requires lambda > 0, got {params.lam}")

@@ -286,6 +286,42 @@ def test_negative_seed_exits_2(tmp_path, capsys, argv):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--p", "20"),
+    ("sweep", "--p", "20", "--trials", "1"),
+    ("mnist", "--images", "{tmp}/imgs", "--labels", "{tmp}/lbls", "--subsample-n", "30"),
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("m_test", ["9223372036854775808", "99999999999999999999"])
+def test_test_count_past_a_c_long_exits_2(tmp_path, capsys, argv, m_test):
+    # the efficacy draw's binomial takes its count as a C long; a larger one is
+    # refused before any trial
+    _write_idx_pair(tmp_path)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert run_cli(*argv, "--m-test", m_test, "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.startswith("error: InvalidTestCount")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_mnist_trigger_norm_past_the_bound_is_named(tmp_path, capsys):
+    # the requested norm is refused as given, before its square overflows
+    _write_idx_pair(tmp_path)
+    assert run_cli("mnist", "--images", str(tmp_path / "imgs"), "--labels",
+                   str(tmp_path / "lbls"), "--subsample-n", "30", "--vnorm", "1e200",
+                   "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidTriggerNorm") and err.rstrip().endswith("got 1e+200")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bordered_solve_overflow_is_an_error_row(tmp_path, capsys):
+    # at ||v|| = 1e154 the primal bordered pivot overflows: error rows, exit 1, no warning
+    assert run_cli("simulate", "--p", "20", "--c", "0.1", "--vnorm", "1e154", "--trials", "2",
+                   "--m-test", "10", "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().out.endswith(", 2 error rows)\n")
+
+
 def test_report_from_sweep(tmp_path, capsys):
     out = tmp_path / "s"
     assert run_cli("sweep", "--p", "20", "--trials", "2", "--m-test", "50",

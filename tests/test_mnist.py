@@ -1,15 +1,17 @@
 """IDX parsing, binary task construction, patch triggers, real-data experiment."""
 
+import re
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from poisonridge import mnist, simulator
+from poisonridge import mnist, simulator, theory
 from poisonridge.errors import (
     BadMagic,
     CountMismatch,
+    InvalidTriggerNorm,
     NoSamplesForDigit,
     PatchOutOfBounds,
     SubsampleTooLarge,
@@ -134,6 +136,17 @@ def test_patch_trigger_values():
         mnist.make_patch_trigger(offset=(27, 27), size=3, v_norm_target=1.0)
     with pytest.raises(PatchOutOfBounds):
         mnist.make_patch_trigger(offset=(-1, 0), size=2, v_norm_target=1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("size,v_norm", [(3, 1e200), (3, theory._SQRT_MAX), (1, float("inf"))])
+def test_patch_trigger_refuses_a_norm_whose_square_overflows(size, v_norm):
+    # past the bound of ModelParams, or at it where the 3 x 3 patch's squared
+    # norm rounds past the largest float, the requested norm is refused by name
+    with pytest.raises(InvalidTriggerNorm, match=re.escape(f"got {v_norm}") + "$"):
+        mnist.make_patch_trigger(offset=(2, 2), size=size, v_norm_target=v_norm)
+    edge = mnist.make_patch_trigger(offset=(2, 2), size=1, v_norm_target=theory._SQRT_MAX)
+    assert np.linalg.norm(edge.v) == theory._SQRT_MAX
 
 
 def test_poison_touches_only_patch_pixels():

@@ -4,6 +4,8 @@ import inspect
 import math
 import os
 import threading
+import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -125,9 +127,82 @@ def test_quadratic_form_check_matches_dense_inverse(c):
 
 def test_quadratic_form_check_residual_guard(monkeypatch):
     # every solve is checked; a residual above the tolerance is a SolveFailure
-    monkeypatch.setattr(resolvent, "_RESOLVENT_RESIDUAL_TOL", 0.0)
+    monkeypatch.setattr(simulator, "_RESIDUAL_TOL", 0.0)
     with pytest.raises(SolveFailure):
         resolvent.spiked_draw_checks(0.5, 1.0, -0.5, 20, 0)
+
+
+def _decimal_forms(p, n, tau, seed, z):
+    """Every check's observed form of one draw, from w = ((1/n) A A^T - z I)^-1 e1
+    by Gaussian elimination in 50-digit decimal arithmetic on the exact binary
+    values of the spiked draw and z: A = Z on the feature side, Z^T on the Gram side."""
+    Z = resolvent.build_spiked(p, n, tau, seed)
+    forms = {}
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for side, A in (("feature", Z), ("gram", Z.T)):
+            dim = A.shape[0]
+            rows = [[Decimal(x) for x in row] for row in A.tolist()]
+            M = [[sum(a * b for a, b in zip(rows[i], rows[j])) / n - (Decimal(z) if i == j else 0)
+                  for j in range(dim)] + [Decimal(int(i == 0))] for i in range(dim)]
+            for k in range(dim):  # positive definite: no pivoting
+                for i in range(k + 1, dim):
+                    f = M[i][k] / M[k][k]
+                    M[i] = [a - f * b for a, b in zip(M[i], M[k])]
+            w = [Decimal(0)] * dim
+            for i in reversed(range(dim)):
+                w[i] = (M[i][dim] - sum(M[i][j] * w[j] for j in range(i + 1, dim))) / M[i][i]
+            forms[side], forms[f"{side}_sq"] = float(w[0]), float(sum(x * x for x in w))
+    return forms
+
+
+@pytest.mark.parametrize("tau,z,rel", [(1.0, -1e-6, 1e-12), (1.0, -1e-10, 1e-12),
+                                       (1e3, -0.5, 1e-8)])
+def test_rows_match_a_decimal_solve(tau, z, rel):
+    # near the ridgeless end and at a strong spike, the checked solves pass the
+    # residual check and are accurate; at p = 20, c = 0.5 the Gram side is 40 x 40
+    rows = resolvent.convergence_table(0.5, tau, z, [20], n_seeds=3)
+    draws = {(row["n"], row["seed"]) for row in rows}
+    forms = {seed: _decimal_forms(20, n, tau, seed, z) for n, seed in draws}
+    for row in rows:
+        assert row["observed"] == pytest.approx(forms[row["seed"]][row["check_name"]], rel=rel)
+
+
+def _perturb_solves(monkeypatch, delta, seed):
+    """Scale each entry of every factored solve by 1 + delta N(0, 1)."""
+    rng = np.random.default_rng(seed)
+    gram_cholesky = simulator.gram_cholesky
+
+    def perturbed(A, scale, shift):
+        solve = gram_cholesky(A, scale, shift)
+
+        def apply(rhs):
+            x = solve(rhs)
+            return x * (1.0 + delta * rng.standard_normal(x.shape))
+        apply.trace = solve.trace
+        return apply
+    monkeypatch.setattr(simulator, "gram_cholesky", perturbed)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_residual_check_refuses_a_perturbed_solve(monkeypatch, seed):
+    # at the default point (c = 0.5, tau = 1, z = -0.5, p = 100) a solve off by
+    # 1e-8 relative is refused, where the same draw unperturbed passes
+    resolvent.spiked_draw_checks(0.5, 1.0, -0.5, 100, seed)
+    _perturb_solves(monkeypatch, 1e-8, seed)
+    with pytest.raises(SolveFailure):
+        resolvent.spiked_draw_checks(0.5, 1.0, -0.5, 100, seed)
+
+
+@pytest.mark.parametrize("c,tau,z", [(0.5, 1e8, -0.5), (2.0, 1.0, -1e-10), (0.5, 1.0, -1e-320)])
+def test_residual_check_refuses_inaccurate_solves(c, tau, z):
+    # a spike of 1e8 and a singular feature Gram (c = 2) at z = -1e-10 lose
+    # too much to the solve; at z = -1e-320 the Gram-side vector overflows, and
+    # the check refuses it without a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SolveFailure):
+            resolvent.convergence_table(c, tau, z, [20], n_seeds=3)
 
 
 def test_convergence_table_rejects_bad_shapes():
