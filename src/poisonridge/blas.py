@@ -1,84 +1,127 @@
-"""One BLAS thread per process.
+"""numpy's bundled OpenBLAS: the LAPACK of every solve, on one BLAS thread.
 
-The numpy and scipy wheels each bundle their own OpenBLAS, and each starts a
-pool of threads.  Threaded BLAS results change in their last bits with the
-thread count, and the two pools (plus those of any worker processes) contend
-for the same cores.  Every command that produces outputs therefore runs its
-BLAS on one thread, so output bytes do not depend on the machine's core
-count.  More cores are used only around BLAS: `--workers` runs trials in
-processes, each with its one BLAS thread, and `resolvent.convergence_table`
-fills the next draws' standard normals on a helper thread that runs no BLAS.
+numpy's wheel (numpy >= 2.0) bundles scipy-openblas64: `scipy_`-prefixed,
+`64_`-suffixed symbols with 64-bit integers.  Its `dsyrk`, `dpotrf`, `dpotrs`
+and `dtrtrs` are called through ctypes, looked up through numpy's own linalg
+extension module, so a process runs this one BLAS library; a numpy linked to
+another (MKL, Accelerate, a system BLAS) raises `NoBundledOpenBLAS`.  A
+threaded BLAS changes last bits with the thread count, so commands run BLAS
+on one thread; `--workers` processes and `resolvent.convergence_table`'s
+helper thread, which runs no BLAS, use more cores.
 
 OpenBLAS shuts its thread pool down at `fork`, and the next call that sets
-its thread count, even to the count it already has, rebuilds the pool.  A
-rebuilt thread spins for a while (about 2^28 cycles) before it sleeps, so in
-a forked worker it would take CPU from the jobs.  `one_thread` therefore
-sets only a library whose count is not already 1: a forked worker inherits
-its parent's count of 1 and starts no BLAS thread.
+its thread count, even to the count it already has, rebuilds the pool, whose
+threads spin for about 2^28 cycles before they sleep.  `one_thread` therefore
+sets only a count that is not already 1: a forked worker inherits its
+parent's 1 and starts no BLAS thread.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import glob
-import os
 
-import numpy
-import scipy
+import numpy.linalg._umath_linalg
 
-# (getter, setter) of the thread count, for each symbol naming of the OpenBLAS
-# builds that numpy and scipy wheels bundle
-_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
+from .errors import NoBundledOpenBLAS
+
+# Fortran arguments, by reference: C a CHARACTER (its hidden length goes last),
+# I a 64-bit INTEGER, D a DOUBLE, A an F-ordered float64 array, O INFO
+_SIGNATURES = {"dsyrk_": "CCIIDAIDAI", "dpotrf_": "CIAIO", "dpotrs_": "CIIAIAIO",
+               "dtrtrs_": "CCCIIAIAIO"}
+_TYPES = {"C": ctypes.c_char_p, "I": ctypes.POINTER(ctypes.c_int64),
+          "D": ctypes.POINTER(ctypes.c_double), "O": ctypes.POINTER(ctypes.c_int64),
+          "A": numpy.ctypeslib.ndpointer(numpy.float64, flags="F_CONTIGUOUS")}
+_VALUES = {"I": ctypes.c_int64, "D": ctypes.c_double}
+
+
+def _symbol(name: str) -> str:
+    return f"scipy_{name}64_"
 
 
 @functools.cache
-def _bundled_openblas() -> tuple[tuple, ...]:
-    """(getter, setter) of each OpenBLAS bundled with the numpy and scipy wheels.
-
-    Loaded once per process; a forked process inherits the handles.
-    """
-    pairs = []
-    for package in (numpy, scipy):
-        libdir = os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
-                              package.__name__ + ".libs")
-        for path in sorted(glob.glob(os.path.join(libdir, "*openblas*.so*"))):
-            try:
-                lib = ctypes.CDLL(path)
-            except OSError:
-                continue
-            for get_symbol, set_symbol in _SYMBOLS:
-                getter = getattr(lib, get_symbol, None)
-                setter = getattr(lib, set_symbol, None)
-                if getter is not None and setter is not None:
-                    getter.argtypes, getter.restype = [], ctypes.c_int
-                    setter.argtypes, setter.restype = [ctypes.c_int], None
-                    pairs.append((getter, setter))
-                    break
-    return tuple(pairs)
+def _openblas() -> ctypes.CDLL:
+    """numpy's bundled OpenBLAS, its functions declared; loaded once, inherited at fork."""
+    lib = ctypes.CDLL(numpy.linalg._umath_linalg.__file__)
+    try:
+        for name, kinds in _SIGNATURES.items():
+            routine = getattr(lib, _symbol(name))
+            routine.argtypes = [*map(_TYPES.get, kinds), *[ctypes.c_size_t] * kinds.count("C")]
+            routine.restype = None
+        get, put = (getattr(lib, _symbol(f"openblas_{op}_num_threads")) for op in ("get", "set"))
+    except AttributeError as exc:
+        raise NoBundledOpenBLAS(f"numpy {numpy.__version__} does not link the OpenBLAS that its "
+                                f"wheel bundles: {exc}") from exc
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return lib
 
 
-def thread_counts() -> list[int]:
-    """The thread count of each bundled OpenBLAS that loads, in this process."""
-    return [getter() for getter, _ in _bundled_openblas()]
+def _call(name: str, *args) -> None:
+    """Routine `name` on args in its signature's order: bytes, ints, floats, arrays, INFO."""
+    kinds = _SIGNATURES[name]
+    getattr(_openblas(), _symbol(name))(
+        *[_VALUES[kind](arg) if kind in _VALUES else arg
+          for kind, arg in zip(kinds, args, strict=True)], *[1] * kinds.count("C"))
+
+
+def _lapack(name: str, *args) -> int:
+    """`_call` of a LAPACK routine, INFO last; returns INFO, which must not be negative."""
+    info = ctypes.c_int64()
+    _call(name, *args, info)
+    if info.value < 0:
+        raise ValueError(f"{name} got an illegal value in argument {-info.value}")
+    return info.value
+
+
+def syrk(alpha: float, A) -> numpy.ndarray:
+    """The upper triangle of alpha A A^T, F-ordered over zeros; a C- or F-ordered A
+    is not copied."""
+    A = numpy.asarray(A, dtype=numpy.float64)
+    m, k = A.shape
+    trans = not A.flags.f_contiguous
+    A_F = numpy.ascontiguousarray(A).T if trans else A  # A, or A^T read transposed
+    C = numpy.zeros((m, m), order="F")
+    _call("dsyrk_", b"U", b"T" if trans else b"N", m, k, float(alpha), A_F, A_F.shape[0], 0.0, C, m)
+    return C
+
+
+def potrf(G: numpy.ndarray) -> int:
+    """Factor square F-ordered G in place into U^T U; INFO > 0: G is not positive definite."""
+    if G.ndim != 2 or G.shape[0] != G.shape[1]:
+        raise ValueError(f"dpotrf_: a matrix of shape {G.shape} is not square")
+    return _lapack("dpotrf_", b"U", G.shape[0], G, G.shape[0])
+
+
+def _by_factor(name: str, U: numpy.ndarray, B, *flags: bytes) -> numpy.ndarray:
+    """Solve routine `name` on a new F-ordered copy of B, by upper triangular U."""
+    X = numpy.array(B, dtype=numpy.float64, order="F")
+    n = U.shape[0]
+    if U.shape != (n, n) or X.shape[:1] != (n,):
+        raise ValueError(f"{name}: a factor of shape {U.shape} and a right side of {X.shape}")
+    if _lapack(name, b"U", *flags, n, X.size // n, U, n, X, n):
+        raise ValueError(f"{name}: the factor has a zero on its diagonal")
+    return X
+
+
+def potrs(U: numpy.ndarray, B) -> numpy.ndarray:
+    """(U^T U)^-1 B by `potrf`'s factor U, as a new F-ordered array."""
+    return _by_factor("dpotrs_", U, B)
+
+
+def trtrs(U: numpy.ndarray, B, trans: bool = False) -> numpy.ndarray:
+    """U^-1 B, or U^-T B, by `potrf`'s factor U, as a new F-ordered array."""
+    return _by_factor("dtrtrs_", U, B, b"T" if trans else b"N", b"N")
+
+
+def thread_count() -> int:
+    """The thread count of numpy's bundled OpenBLAS, in this process."""
+    return getattr(_openblas(), _symbol("openblas_get_num_threads"))()
 
 
 def one_thread() -> None:
-    """Run every bundled OpenBLAS on one thread from now on, in this process.
+    """Run numpy's bundled OpenBLAS on one thread from now on, in this process.
 
-    Idempotent.  A library already at one thread is not set again: OpenBLAS
-    shuts its pool down at `fork` and a set call would rebuild it, with
-    threads that spin before they sleep, so a forked worker whose parent
-    was pinned starts no BLAS thread here.  A library that is not found, or
-    has no known getter and setter, is left alone.  The old thread count is
-    not restored: whatever runs later in the process computes at the same
-    single thread.
-    """
-    for getter, setter in _bundled_openblas():
-        if getter() != 1:
-            setter(1)
+    Idempotent; the old count is not restored."""
+    if thread_count() != 1:
+        getattr(_openblas(), _symbol("openblas_set_num_threads"))(1)

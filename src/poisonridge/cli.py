@@ -5,13 +5,14 @@ them to `_save`, which creates --out, writes each file and a manifest.json
 with the full configuration, master seed and package version.  A refused run
 therefore writes nothing, and neither does one that cannot allocate its
 arrays.  `rerun <manifest>` reproduces the primary CSVs byte for byte on any
-core count, for the OpenBLAS builds that the numpy and scipy wheels bundle:
-every run computes with one BLAS thread per process.  `simulate`, `sweep`
-and `mnist` run their trials through `sweep.run_grid`.  The rows of a draw
-group (the grid points that share c; for `mnist`, the subsample size) are
-common random numbers, and the `seed` column of any row redoes that row
-alone, bit for bit, on any core or worker count; the `simulator` module
-docstring sets out how a trial shares its draw among its points.
+core count, for the OpenBLAS numpy's wheel bundles (else the computing
+commands exit 2): every run computes with one BLAS thread per process.
+`simulate`, `sweep` and `mnist` run their trials through `sweep.run_grid`.
+The rows of a draw group (the grid points that share c; for `mnist`, the
+subsample size) are common random numbers, and the `seed` column of any row
+redoes that row alone, bit for bit, on any core or worker count; the
+`simulator` module docstring sets out how a trial shares its draw among its
+points.
 """
 
 from __future__ import annotations

@@ -51,6 +51,10 @@ class SolveFailure(PoisonRidgeError):
     """A regularized Gram is not finite or not positive definite, or a residual is too large."""
 
 
+class NoBundledOpenBLAS(PoisonRidgeError):
+    """numpy does not link the OpenBLAS its wheel bundles, whose LAPACK the solves call."""
+
+
 class InvalidTestCount(PoisonRidgeError, ValueError):
     """The Monte Carlo efficacy needs at least one test point (m_test >= 1)."""
 

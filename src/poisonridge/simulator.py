@@ -21,8 +21,8 @@ Sweeps are
 therefore bit-reproducible regardless of execution order or worker count,
 and the seed stored in a row reproduces that row byte for byte, through
 `run_trial` or the copying public stages, on any core count, for the
-OpenBLAS builds that the numpy and scipy wheels bundle: `sweep.run_grid`
-runs every trial with one BLAS thread.
+OpenBLAS that numpy's wheel bundles, whose LAPACK `blas` calls:
+`sweep.run_grid` runs every trial with one BLAS thread.
 """
 
 from __future__ import annotations
@@ -33,9 +33,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import blas, cho_factor, cho_solve, solve_triangular
 
-from . import theory
+from . import blas, theory
 from .errors import (
     InvalidLambda, InvalidShape, InvalidTestCount, PoisonRidgeError, SolveFailure,
     ThetaOutOfRange,
@@ -200,33 +199,30 @@ def _center(X, y, v, theta: float, centering: Centering):
 
 def _gram(A, scale: float) -> np.ndarray:
     """The upper triangle of scale A A^T, F-ordered, by syrk."""
-    A = np.asarray(A, dtype=np.float64)
-    trans = int(not A.flags.f_contiguous)  # syrk reads A.T of a C-ordered A without a copy
-    return blas.dsyrk(scale, A.T if trans else A, trans=trans)
+    return blas.syrk(scale, A)
 
 
-def _factor(G, shift: float):
-    """cho_factor's upper Cholesky factor of G + shift I, from the upper triangle G.
+def _factor(G, shift: float) -> np.ndarray:
+    """The upper Cholesky factor of G + shift I, from the upper triangle G.
 
     Factors G in place.  A matrix that is not finite or not positive definite
     is a `SolveFailure`.
     """
     G[np.diag_indices_from(G)] += shift
-    try:
-        return cho_factor(G, lower=False, overwrite_a=True)
-    except (np.linalg.LinAlgError, ValueError) as exc:  # ValueError: G is not finite
+    if not np.isfinite(G).all() or blas.potrf(G):
         raise SolveFailure(
-            f"regularized Gram at shift={shift} is not finite and positive definite") from exc
+            f"regularized Gram at shift={shift} is not finite and positive definite")
+    return G
 
 
 @dataclass(frozen=True)
 class GramSolve:
-    """x -> (G + shift I)^-1 x by cho_factor's `factor` of it; `trace` is tr G."""
-    factor: tuple
+    """x -> (G + shift I)^-1 x by its upper Cholesky `factor`; `trace` is tr G."""
+    factor: np.ndarray
     trace: float
 
     def __call__(self, rhs):
-        return cho_solve(self.factor, rhs)
+        return blas.potrs(self.factor, rhs)
 
 
 def gram_cholesky(A, scale: float, shift: float) -> GramSolve:
@@ -326,7 +322,7 @@ def _system(X_tilde, w_tilde, x_bar, w_bar: float) -> _System:
 
 
 def _solve(system: _System, factor, lam: float) -> np.ndarray:
-    """beta of one system at lam, from `factor`, cho_factor's factor of its Gram + lam I.
+    """beta of one system at lam, from `factor`, `_factor`'s factor of its Gram + lam I.
 
     The Gram is that of the system's rows (`_rows_gram`): the primal one
     when they number fewer than n, else the dual one.  A split system's factor
@@ -342,16 +338,15 @@ def _solve(system: _System, factor, lam: float) -> np.ndarray:
     m, n = system.rows.shape
     if system.head is None:
         if m < n:
-            return cho_solve(factor, system.rhs)
-        return system.rows @ cho_solve(factor, system.w_tilde) / n
+            return blas.potrs(factor, system.rhs)
+        return system.rows @ blas.potrs(factor, system.w_tilde) / n
     if m < n:
-        R = factor[0]
-        r, z = solve_triangular(R, system.border[1:], trans="T", check_finite=False).T
+        r, z = blas.trtrs(factor, system.border[1:], trans=True).T
         g0, rhs0 = system.border[0]
         beta0 = (rhs0 - r @ z) / _pivot(g0 + lam - r @ r, "bordered", lam)
-        return np.concatenate(([beta0], solve_triangular(R, z - r * beta0, check_finite=False)))
+        return np.concatenate(([beta0], blas.trtrs(factor, z - r * beta0)))
     head = system.head
-    b, a = cho_solve(factor, np.stack((head, system.w_tilde), axis=1), check_finite=False).T
+    b, a = blas.potrs(factor, np.stack((head, system.w_tilde), axis=1)).T
     with np.errstate(over="ignore", invalid="ignore"):  # `_pivot` refuses what these make
         pivot = 1.0 + head @ b / n
     beta0 = head @ a / n / _pivot(pivot, "rank-one", lam)
@@ -391,7 +386,9 @@ def _check_residuals(solved, rows_sq: float) -> list:
     ill-conditioning.  Its norm may be at most _RESIDUAL_TOL times the sum of
     the scales of its three terms: ||X~||_F ||X~^T beta|| / n for the
     product, which can cancel, then lam ||beta|| and ||rhs||, so the bound
-    follows the data at any trigger norm; rows_sq is ||rows||_F^2.  The
+    follows the data at any trigger norm; rows_sq is ||rows||_F^2, and a
+    head's norm is taken on head / max|head|, which does not overflow.  A
+    residual or a bound that is not finite refuses beta.  The
     systems share their rows, so every beta is checked in one pass: one gemm
     forms X~^T B of the betas B side by side and one X~ (X~^T B); of split
     systems, X~^T beta = rows^T beta_1 + head beta_0.
@@ -411,11 +408,13 @@ def _check_residuals(solved, rows_sq: float) -> list:
     XU[own:] = rows @ U
     out = []
     for (system, lam, beta), u, xu in zip(solved, U.T, XU.T):
-        x_norm = math.sqrt(rows_sq + (0.0 if system.head is None else system.head @ system.head))
+        head_max = 0.0 if system.head is None else float(np.max(np.abs(system.head)))
+        x_norm = math.hypot(math.sqrt(rows_sq), head_max and head_max * float(
+            np.linalg.norm(system.head / head_max)))
         norm = float(np.linalg.norm(xu / n + lam * beta - system.rhs))
         bound = _RESIDUAL_TOL * float(x_norm * np.linalg.norm(u) / n + lam * np.linalg.norm(beta)
                                       + np.linalg.norm(system.rhs))
-        out.append(beta if norm <= bound and math.isfinite(norm) else SolveFailure(
+        out.append(beta if norm <= bound < math.inf else SolveFailure(
             f"normal-equations residual {norm:.3e} exceeds {bound:.3e}"))
     return out
 

@@ -1,5 +1,7 @@
-"""One BLAS thread per process: output bytes that do not depend on the thread count."""
+"""numpy's bundled OpenBLAS: its LAPACK against scipy's, and one BLAS thread per
+process, so that output bytes do not depend on the thread count."""
 
+import ctypes
 import multiprocessing
 import os
 import subprocess
@@ -11,44 +13,134 @@ import numpy as np
 import pytest
 
 import poisonridge
-from poisonridge import blas, mnist
+from poisonridge import blas, cli, mnist, simulator
+from poisonridge.errors import NoBundledOpenBLAS, SolveFailure
 
 SRC = str(Path(poisonridge.__file__).resolve().parent.parent)
 
 
+def _bundled() -> bool:
+    try:
+        blas.thread_count()
+    except NoBundledOpenBLAS:
+        return False
+    return True
+
+
 def test_one_thread_pins_every_bundled_openblas():
-    if not blas.thread_counts():
-        pytest.skip("numpy and scipy bundle no OpenBLAS in this installation")
+    if not _bundled():
+        pytest.skip("numpy bundles no OpenBLAS in this installation")
     blas.one_thread()
     blas.one_thread()  # idempotent
-    assert all(count == 1 for count in blas.thread_counts())
+    assert blas.thread_count() == 1
+
+
+@pytest.fixture(scope="module")
+def scipy_linalg():
+    """scipy.linalg, the oracle, with its bundled OpenBLAS on one thread as numpy's is."""
+    linalg = pytest.importorskip("scipy.linalg")
+    set_threads = getattr(ctypes.CDLL(linalg._flapack.__file__),
+                          "scipy_openblas_set_num_threads", None)
+    if set_threads is None or not _bundled():
+        pytest.skip("numpy and scipy do not both bundle an OpenBLAS in this installation")
+    blas.one_thread()
+    set_threads(1)
+    return linalg
+
+
+# (p, n) of the primal (p < n) and dual Grams that the ridge solves factor
+@pytest.mark.parametrize("p, n", [(499, 5000), (499, 1667), (400, 200), (783, 4000), (60, 30),
+                                  (20, 200)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_lapack_bindings_equal_scipy_bit_for_bit(scipy_linalg, p, n, order):
+    A = np.array(np.random.default_rng(p + n).standard_normal((p, n)), order=order)
+    A = A if p < n else A.T
+    trans = int(not A.flags.f_contiguous)
+    gram = blas.syrk(1.0 / n, A)
+    assert np.array_equal(gram, scipy_linalg.blas.dsyrk(1.0 / n, A.T if trans else A, trans=trans))
+    gram[np.diag_indices_from(gram)] += 0.1
+    want, _ = scipy_linalg.cho_factor(gram, lower=False)
+    assert blas.potrf(gram) == 0
+    assert np.array_equal(gram, want)
+    dim = gram.shape[0]
+    rng = np.random.default_rng(dim)
+    for rhs in (rng.standard_normal(dim), np.array(rng.standard_normal((dim, 2)), order=order)):
+        assert np.array_equal(blas.potrs(gram, rhs), scipy_linalg.cho_solve((want, False), rhs))
+        for side in ("N", "T"):
+            assert np.array_equal(blas.trtrs(gram, rhs, trans=side == "T"),
+                                  scipy_linalg.solve_triangular(want, rhs, trans=side))
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+def test_factor_refuses_a_gram_not_finite_or_not_positive_definite(bad):
+    gram = blas.syrk(0.1, np.random.default_rng(0).standard_normal((5, 10)))
+    gram[2, 2 if bad == -1.0 else 4] = bad
+    with pytest.raises(SolveFailure):
+        simulator._factor(gram, 0.1)
+
+
+def test_an_illegal_lapack_argument_raises():
+    # INFO < 0 names an argument the binding passed wrong: a bug, never a SolveFailure
+    with pytest.raises(ValueError, match="argument 1"):
+        blas._lapack("dpotrf_", b"X", 2, np.eye(2, order="F"), 2)
+
+
+@pytest.fixture
+def no_bundled_openblas(monkeypatch):
+    """A process whose numpy seems to bundle no OpenBLAS: every lookup misses."""
+    monkeypatch.setattr(blas, "_symbol", lambda name: f"no_such_{name}")
+    blas._openblas.cache_clear()
+    yield
+    monkeypatch.undo()
+    blas._openblas.cache_clear()
+
+
+@pytest.mark.parametrize("argv", [("simulate", "--p", "20", "--trials", "1"),
+                                  ("resolvent-check", "--p", "10", "--seeds", "1")])
+def test_without_bundled_openblas_commands_exit_2_and_write_nothing(
+        no_bundled_openblas, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert "NoBundledOpenBLAS" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(["theory", "--c", "0.5"]) == 0
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = ("import poisonridge.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True, timeout=60)
+    assert result.stdout.strip() == "[]"
 
 
 # set before a fork-context pool starts, so that its workers inherit it
 _barrier = None
 
 
-def _worker_threads(_) -> tuple[int, list[int]]:
-    """This worker's OS thread count and its bundled OpenBLAS thread counts.
+def _worker_threads(_) -> tuple[int, int]:
+    """This worker's OS thread count and its bundled OpenBLAS thread count.
 
     Waits for every worker of the pool first, so that each one answers.
     """
     _barrier.wait(timeout=60)
-    return len(os.listdir("/proc/self/task")), blas.thread_counts()
+    return len(os.listdir("/proc/self/task")), blas.thread_count()
 
 
 def _skip_without(method: str) -> None:
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"no {method} start method on this platform")
-    if not blas.thread_counts():
-        pytest.skip("numpy and scipy bundle no OpenBLAS in this installation")
+    if not _bundled():
+        pytest.skip("numpy bundles no OpenBLAS in this installation")
 
 
 def test_forked_workers_start_no_blas_thread():
     """A pinned parent's forked workers inherit its count of 1 and start no pool.
 
     OpenBLAS shuts its pool down at fork; setting the count again would
-    rebuild it, one spinning thread per bundled library.
+    rebuild it, with a spinning thread.
     """
     if not os.path.isdir("/proc/self/task"):
         pytest.skip("no /proc/self/task to count a process's threads")
@@ -62,18 +154,15 @@ def test_forked_workers_start_no_blas_thread():
             readings = list(pool.map(_worker_threads, range(2)))
     finally:
         _barrier = None
-    for threads, counts in readings:
-        assert threads == 1
-        assert counts and all(count == 1 for count in counts)
+    assert readings == [(1, 1), (1, 1)]
 
 
 def test_spawned_workers_pin_themselves():
     _skip_without("spawn")
     context = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(2, mp_context=context, initializer=blas.one_thread) as pool:
-        readings = [pool.submit(blas.thread_counts) for _ in range(2)]
-    for counts in (reading.result() for reading in readings):
-        assert counts and all(count == 1 for count in counts)
+        readings = [pool.submit(blas.thread_count) for _ in range(2)]
+    assert [reading.result() for reading in readings] == [1, 1]
 
 
 # a fresh interpreter that allows itself one CPU before numpy loads, so that

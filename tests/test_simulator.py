@@ -456,6 +456,28 @@ def test_dual_split_solve_matches_dense_primal(centering, lam):
         assert np.allclose(sol.beta, want, rtol=1e-12, atol=1e-14)
 
 
+def test_guard_at_an_overflowing_trigger_norm_refuses_or_keeps_an_accurate_beta():
+    # at ||v|| = 1e154 and c = 2, ||x~_0||^2 overflows; the guard takes ||x~_0||
+    # on x~_0 / max|x~_0| and refuses a beta whose bound is not finite, so a
+    # trial's beta either fails or matches a 50-digit solve, and nothing warns
+    params = ModelParams(c=2.0, lam=0.1, theta=0.1, v_norm=1e154)
+    for t in range(10):
+        shape = simulator.shape_for(20, params.c, simulator.trial_seed(0, 0, t))
+        rng = simulator._rng_from(shape.seed)
+        X, y = simulator.generate_clean(shape, rng)
+        v = simulator.default_trigger(shape.p, params.v_norm)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ds = simulator.apply_poison(X, y, params.theta, v, rng)
+            X_tilde, w_tilde, x_bar, w_bar = simulator.center(ds, params.theta)
+            try:
+                beta = simulator.solve_ridge(X_tilde, w_tilde, params.lam, x_bar, w_bar).beta
+            except SolveFailure:
+                continue
+        want = _dense_primal_beta(X_tilde, w_tilde, params.lam)
+        assert np.max(np.abs(beta - want)) <= 1e-10 * np.max(np.abs(want)), t
+
+
 @pytest.mark.parametrize("lam", [1e-14, 1e-10])
 def test_square_tail_is_solved_dual(lam):
     # at p = n + 1 rows 1: are square; the split solve takes the dual form,
