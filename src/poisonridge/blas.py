@@ -26,12 +26,14 @@ import numpy.linalg._umath_linalg
 from .errors import NoBundledOpenBLAS
 
 # Fortran arguments, by reference: C a CHARACTER (its hidden length goes last),
-# I a 64-bit INTEGER, D a DOUBLE, A an F-ordered float64 array, O INFO
-_SIGNATURES = {"dsyrk_": "CCIIDAIDAI", "dpotrf_": "CIAIO", "dpotrs_": "CIIAIAIO",
+# I a 64-bit INTEGER, D a DOUBLE, A an F-ordered float64 array, S a float64
+# array of any strides (its leading dimension is an I), O INFO
+_SIGNATURES = {"dsyrk_": "CCIIDSIDAI", "dpotrf_": "CIAIO", "dpotrs_": "CIIAIAIO",
                "dtrtrs_": "CCCIIAIAIO"}
 _TYPES = {"C": ctypes.c_char_p, "I": ctypes.POINTER(ctypes.c_int64),
           "D": ctypes.POINTER(ctypes.c_double), "O": ctypes.POINTER(ctypes.c_int64),
-          "A": numpy.ctypeslib.ndpointer(numpy.float64, flags="F_CONTIGUOUS")}
+          "A": numpy.ctypeslib.ndpointer(numpy.float64, flags="F_CONTIGUOUS"),
+          "S": numpy.ctypeslib.ndpointer(numpy.float64)}
 _VALUES = {"I": ctypes.c_int64, "D": ctypes.c_double}
 
 
@@ -74,15 +76,32 @@ def _lapack(name: str, *args) -> int:
     return info.value
 
 
+def _leading_dimension(A: numpy.ndarray) -> int | None:
+    """The leading dimension of 2-D float64 A read column-major, or None if
+    its columns do not have unit stride; an axis of length 1 may have any."""
+    m, k = A.shape
+    lda, rest = divmod(A.strides[1], A.itemsize) if k > 1 else (m, 0)
+    if (m < 2 or A.strides[0] == A.itemsize) and not rest and lda >= m:
+        return max(1, lda)
+    return None
+
+
 def syrk(alpha: float, A) -> numpy.ndarray:
-    """The upper triangle of alpha A A^T, F-ordered over zeros; a C- or F-ordered A
-    is not copied."""
+    """The upper triangle of alpha A A^T, F-ordered over zeros.
+
+    An A with unit stride along either axis, such as a row slice of a C- or
+    F-ordered array, is not copied: its other stride is passed as the leading
+    dimension.
+    """
     A = numpy.asarray(A, dtype=numpy.float64)
     m, k = A.shape
-    trans = not A.flags.f_contiguous
-    A_F = numpy.ascontiguousarray(A).T if trans else A  # A, or A^T read transposed
+    trans = _leading_dimension(A) is None
+    if trans and _leading_dimension(A.T) is None:
+        A = numpy.ascontiguousarray(A)
+    A_F = A.T if trans else A  # A, or A^T read transposed
     C = numpy.zeros((m, m), order="F")
-    _call("dsyrk_", b"U", b"T" if trans else b"N", m, k, float(alpha), A_F, A_F.shape[0], 0.0, C, m)
+    _call("dsyrk_", b"U", b"T" if trans else b"N", m, k, float(alpha), A_F,
+          _leading_dimension(A_F), 0.0, C, max(1, m))
     return C
 
 
@@ -90,7 +109,7 @@ def potrf(G: numpy.ndarray) -> int:
     """Factor square F-ordered G in place into U^T U; INFO > 0: G is not positive definite."""
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise ValueError(f"dpotrf_: a matrix of shape {G.shape} is not square")
-    return _lapack("dpotrf_", b"U", G.shape[0], G, G.shape[0])
+    return _lapack("dpotrf_", b"U", G.shape[0], G, max(1, G.shape[0]))
 
 
 def _by_factor(name: str, U: numpy.ndarray, B, *flags: bytes) -> numpy.ndarray:
@@ -99,7 +118,8 @@ def _by_factor(name: str, U: numpy.ndarray, B, *flags: bytes) -> numpy.ndarray:
     n = U.shape[0]
     if U.shape != (n, n) or X.shape[:1] != (n,):
         raise ValueError(f"{name}: a factor of shape {U.shape} and a right side of {X.shape}")
-    if _lapack(name, b"U", *flags, n, X.size // n, U, n, X, n):
+    ld = max(1, n)
+    if _lapack(name, b"U", *flags, n, X.shape[1] if X.ndim > 1 else 1, U, ld, X, ld):
         raise ValueError(f"{name}: the factor has a zero on its diagonal")
     return X
 

@@ -119,10 +119,11 @@ def build_binary_task(
         raise NoSamplesForDigit(f"no samples for digit {digit_neg}")
     if not np.any(labels == digit_pos):
         raise NoSamplesForDigit(f"no samples for digit {digit_pos}")
-    selected = images.pixels[mask].astype(np.float64)
-    if scale == "unit":
-        selected /= 255.0
-    X = selected.reshape(selected.shape[0], -1).T  # p x n
+    selected = images.pixels[mask]
+    # one pass from uint8: the same float64(pixel) / 255 as a cast, then a division
+    selected = (np.divide(selected, 255.0, dtype=np.float64) if scale == "unit"
+                else selected.astype(np.float64))
+    X = selected.reshape(selected.shape[0], -1).T  # p x n, F-ordered: one image per column
     y = np.where(labels[mask] == digit_pos, 1.0, -1.0)
     return BinaryTask(X=X, y=y)
 
@@ -178,12 +179,13 @@ def _trial(task, trigger, points, shape, *, centering, trial_index, m_test) -> l
     subsample and solves at each of its lambdas (`simulator.subgroup_records`).
     Each theta gathers its own fresh p x n copy of the subsample, which the
     fit poisons and centers in place and drops before the next theta gathers
-    again.
+    again.  The copy is gathered as rows of X^T, so each image is one run of
+    memory, and keeps the F order of `build_binary_task`'s X.
     """
     rng = simulator._rng_from(shape.seed)
     idx = rng.choice(task.X.shape[1], size=shape.n, replace=False)
     return simulator.subgroup_records(points, shape, centering, trial_index, m_test, rng,
-                                      task.y[idx], lambda k, params: (task.X[:, idx], trigger.v))
+                                      task.y[idx], lambda k, params: (task.X.T[idx].T, trigger.v))
 
 
 def run_mnist_grid(task: BinaryTask, trigger: PatchTrigger, points: dict, trials: int, seed: int,

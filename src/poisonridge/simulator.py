@@ -9,10 +9,11 @@ and then its poison flip uniforms once, one per -1 label; each (theta,
 centers the data and forms its Gram once, then solves at each lambda, and
 each row draws its efficacy count from a copy of the stream as the flips
 left it (`run_trial_path`, `subgroup_records`), so the rows of a group are
-common random numbers.  A system of C-ordered data is solved split, in
-both its primal (p <= n) and its dual (p > n) form: each lambda factors
-the Gram of rows 1:, the tail, and row 0 is brought in onto that factor,
-as a bordered last pivot (primal) or a rank-one term (dual; `_solve`).
+common random numbers.  Every system is solved split, in any memory order
+and in both its primal (p <= n) and its dual (p > n) form: each lambda
+factors the Gram of rows 1:, the tail, and row 0 is brought in onto that
+factor, as a bordered last pivot (primal) or a rank-one term (dual;
+`_solve`), so a huge trigger in row 0 stays out of the factor.
 Under population centering the subgroups' centered data differ only in the
 trigger's row 0, so at every c they share one pass over rows 1: for their
 borders (`_split_systems`) and one tail factor per lambda; a lone system,
@@ -239,20 +240,12 @@ def gram_cholesky(A, scale: float, shift: float) -> GramSolve:
     return GramSolve(_factor(gram, shift), trace)
 
 
-def _splits(X) -> bool:
-    """Whether X's ridge system is solved split: X is C-ordered with p > 1 rows.
-
-    The Gram of its rows 1:, the tail (`_rows_gram`), is then factored by
-    itself, and row 0 is brought in onto that factor (`_solve`).
-    """
-    return X.shape[0] > 1 and X.flags.c_contiguous
-
-
 def _rows_gram(rows) -> np.ndarray:
     """(1/n) rows rows^T when rows has fewer than n rows, else the dual (1/n) rows^T rows.
 
-    One syrk.  X~ with p <= n rows is thus primal when split (its p - 1 rows
-    1: are fewer than n) and dual when split at p > n, also at p = n + 1.
+    One syrk, which reads a row slice of X~ in place.  The tail of X~ with
+    p <= n rows is thus primal (its p - 1 rows 1: are fewer than n), and
+    dual at p > n, also at p = n + 1; at p = 1 it is empty.
     """
     m, n = rows.shape
     return _gram(rows if m < n else rows.T, 1.0 / n)
@@ -263,23 +256,26 @@ _PANEL_BYTES = 1 << 20
 
 
 def _panels(rows) -> list[slice]:
-    """Consecutive slices of rows' rows, each of about _PANEL_BYTES."""
-    step = max(1, _PANEL_BYTES // (8 * rows.shape[1]))
-    return [slice(start, start + step) for start in range(0, rows.shape[0], step)]
+    """Consecutive slices of rows' rows: of C-ordered rows each of about
+    _PANEL_BYTES, and of rows in any other order, whose rows interleave in
+    memory, one slice of all of them."""
+    m, n = rows.shape
+    step = max(1, _PANEL_BYTES // (8 * n) if rows.flags.c_contiguous else m)
+    return [slice(start, start + step) for start in range(0, m, step)]
 
 
 @dataclass(frozen=True)
 class _System:
     """One centered ridge system, as its solve and its residual guard read it.
 
-    A split X~ (`_splits`) is kept as its row 0, `head`, and its rows 1:,
-    `rows`, from which the Gram's tail comes; `border` is (1/n) X~ [x~_0, w~],
-    the primal Gram's row 0 and the right-hand side side by side.  Otherwise
-    head and border are None and rows is X~.  `rhs` is (1/n) X~ w~.
+    X~, in any memory order, is kept split: as its row 0, `head`, and its
+    rows 1:, `rows`, from which the Gram's tail comes (`_rows_gram`);
+    `border` is (1/n) X~ [x~_0, w~], the primal Gram's row 0 and the
+    right-hand side side by side, and `rhs` is its second column, (1/n) X~ w~.
     """
     rows: np.ndarray
-    head: np.ndarray | None
-    border: np.ndarray | None
+    head: np.ndarray
+    border: np.ndarray
     rhs: np.ndarray
     w_tilde: np.ndarray
     x_bar: np.ndarray
@@ -292,41 +288,46 @@ def _split_systems(rows, parts) -> list[_System]:
 
     Their borders are formed in one pass over rows: each panel (`_panels`)
     is multiplied by every system's two columns [head, w~] while it is in
-    cache.  The products are those of a lone system, so a border has the
-    same bits alone as among others.
+    cache, into borders that are C-ordered for C-ordered rows and F-ordered
+    otherwise, so that BLAS reads the rows along their unit stride.  The
+    products are those of a lone system, so a border has the same bits alone
+    as among others.  Row 0 of a border is formed on head / 2^e, 2^e the
+    power of two just above max|head|, and scaled back after the 1/n, so
+    ||x~_0||^2 does not overflow before it is divided by n; scaling by a
+    power of two is exact.
     """
     n = rows.shape[1]
     columns = [np.stack((head, w_tilde), axis=1) for head, w_tilde, *_ in parts]
-    borders = [np.empty((rows.shape[0] + 1, 2)) for _ in parts]
-    with np.errstate(over="ignore", invalid="ignore"):  # `_pivot` refuses what these make
-        for border, (head, *_), cols in zip(borders, parts, columns):
-            border[0] = head @ cols
+    order = "C" if rows.flags.c_contiguous else "F"
+    borders = [np.empty((rows.shape[0] + 1, 2), order=order) for _ in parts]
+    exponents = [math.frexp(float(np.max(np.abs(head))))[1] for head, *_ in parts]
+    for border, (head, *_), cols, e in zip(borders, parts, columns, exponents):
+        border[0] = np.ldexp(head, -e) @ cols
     for panel in _panels(rows):
         for border, cols in zip(borders, columns):
-            border[1:][panel] = rows[panel] @ cols
+            np.matmul(rows[panel], cols, out=border[1:][panel])
     systems = []
-    for border, (head, w_tilde, x_bar, w_bar) in zip(borders, parts):
+    for border, (head, w_tilde, x_bar, w_bar), e in zip(borders, parts, exponents):
         border /= n
+        with np.errstate(over="ignore"):  # `_pivot` refuses a g_0 that overflows
+            border[0] = np.ldexp(border[0], e)
         systems.append(_System(rows=rows, head=head, border=border, rhs=border[:, 1],
                                w_tilde=w_tilde, x_bar=x_bar, w_bar=w_bar))
     return systems
 
 
 def _system(X_tilde, w_tilde, x_bar, w_bar: float) -> _System:
-    """The `_System` of float64 X_tilde and w_tilde, holding a view of X_tilde's rows."""
-    if _splits(X_tilde):
-        (system,) = _split_systems(X_tilde[1:], [(X_tilde[0].copy(), w_tilde, x_bar, w_bar)])
-        return system
-    return _System(rows=X_tilde, head=None, border=None, rhs=X_tilde @ w_tilde / X_tilde.shape[1],
-                   w_tilde=w_tilde, x_bar=x_bar, w_bar=w_bar)
+    """The `_System` of float64 X_tilde and w_tilde, holding a view of X_tilde's rows 1:."""
+    (system,) = _split_systems(X_tilde[1:], [(X_tilde[0].copy(), w_tilde, x_bar, w_bar)])
+    return system
 
 
 def _solve(system: _System, factor, lam: float) -> np.ndarray:
     """beta of one system at lam, from `factor`, `_factor`'s factor of its Gram + lam I.
 
-    The Gram is that of the system's rows (`_rows_gram`): the primal one
-    when they number fewer than n, else the dual one.  A split system's factor
-    is its tail's, and row 0 comes in two ways.  On a primal tail R it is
+    The factor is that of the Gram of the system's rows 1:, its tail
+    (`_rows_gram`): the primal one when they number fewer than n, else the
+    dual one.  Row 0 comes in onto it in two ways.  On a primal tail R it is
     bordered on as the last pivot: R^T [r, z] = [g_1, rhs_1], delta^2 = g_0
     + lam - r.r, beta_0 = (rhs_0 - r.z) / delta^2 and R beta_1 = z - r beta_0,
     where [g, rhs] is its border.  On a dual tail K = T + lam I it is the
@@ -336,10 +337,6 @@ def _solve(system: _System, factor, lam: float) -> np.ndarray:
     delta that is not finite and positive is a `SolveFailure`.
     """
     m, n = system.rows.shape
-    if system.head is None:
-        if m < n:
-            return blas.potrs(factor, system.rhs)
-        return system.rows @ blas.potrs(factor, system.w_tilde) / n
     if m < n:
         r, z = blas.trtrs(factor, system.border[1:], trans=True).T
         g0, rhs0 = system.border[0]
@@ -390,25 +387,23 @@ def _check_residuals(solved, rows_sq: float) -> list:
     head's norm is taken on head / max|head|, which does not overflow.  A
     residual or a bound that is not finite refuses beta.  The
     systems share their rows, so every beta is checked in one pass: one gemm
-    forms X~^T B of the betas B side by side and one X~ (X~^T B); of split
-    systems, X~^T beta = rows^T beta_1 + head beta_0.
+    forms X~^T B of the betas B side by side and one X~ (X~^T B), where
+    X~^T beta = rows^T beta_1 + head beta_0.
     """
     if not solved:
         return []
     rows = solved[0][0].rows
     n = rows.shape[1]
-    own = int(solved[0][0].head is not None)  # the rows of X~ that each system keeps apart
     B = np.stack([beta for _, _, beta in solved], axis=1)
-    U = rows.T @ B[own:]
+    U = rows.T @ B[1:]
     XU = np.empty_like(B)
-    if own:
-        for j, (system, _, _) in enumerate(solved):
-            U[:, j] += system.head * B[0, j]
-            XU[0, j] = system.head @ U[:, j]
-    XU[own:] = rows @ U
+    for j, (system, _, _) in enumerate(solved):
+        U[:, j] += system.head * B[0, j]
+        XU[0, j] = system.head @ U[:, j]
+    XU[1:] = rows @ U
     out = []
     for (system, lam, beta), u, xu in zip(solved, U.T, XU.T):
-        head_max = 0.0 if system.head is None else float(np.max(np.abs(system.head)))
+        head_max = float(np.max(np.abs(system.head)))
         x_norm = math.hypot(math.sqrt(rows_sq), head_max and head_max * float(
             np.linalg.norm(system.head / head_max)))
         norm = float(np.linalg.norm(xu / n + lam * beta - system.rhs))
@@ -422,11 +417,10 @@ def _check_residuals(solved, rows_sq: float) -> list:
 def _solve_path(paths) -> list[dict]:
     """Each (system, lambdas) of `paths` solved at each of its lambdas.
 
-    The systems share their rows, and so their Gram (`_rows_gram` of the
-    rows: the tail, of split systems), which is formed once and factored
-    once per distinct lambda: each lambda but the last factors a copy of it
-    that keeps its memory order, and the last the Gram itself, so a path holds
-    the Gram and at most one factor.  Every solution's residual
+    The systems share their rows 1:, and so their Gram's tail (`_rows_gram`),
+    which is formed once and factored once per distinct lambda: each lambda
+    but the last factors a copy of it that keeps its memory order, and the
+    last the Gram itself, so a path holds the Gram and at most one factor.  Every solution's residual
     is then checked at once (`_check_residuals`).  Returns, per path,
     {lambda: solution, or that lambda's `PoisonRidgeError`}.
     """
@@ -463,13 +457,12 @@ def _solution(system: _System, beta):
 def solve_ridge(X_tilde, w_tilde, lam: float, x_bar, w_bar: float) -> RidgeSolution:
     """Exact centered ridge solve: beta = (1/n)((1/n)XX^T + lam I)^-1 X w.
 
-    Uses the p x p primal system when p <= n and the equivalent n x n dual
-    system otherwise; both are SPD Cholesky solves.  C-ordered data are
-    solved split (`_solve`): by the Gram of rows 1: and row 0 brought in,
-    bordered onto a primal tail or as a rank-one term of a dual one.  Data
-    that are not split are solved whole, in the dual form also at p = n,
-    where both are n x n.  The one-system, one-lambda case of
-    `_solve_path`, so a trial's row equals it bit for bit.
+    Data in any memory order, at any p >= 1, are solved split (`_solve`):
+    by one SPD Cholesky factor of the Gram of rows 1:, the primal
+    (p - 1) x (p - 1) one when p <= n and the dual n x n one otherwise, with
+    row 0 brought in, bordered onto a primal tail or as a rank-one term of a
+    dual one.  The one-system, one-lambda case of `_solve_path`, so a
+    trial's row equals it bit for bit.
     Raises the solve's failure; mu_emp is NaN until `score_statistics`.
     """
     X_tilde = np.asarray(X_tilde, dtype=np.float64)
@@ -566,8 +559,8 @@ def subgroup_records(points, shape: SimShape, centering: Centering, trial_index:
     order.  `data(k, params)` returns the (X, v) that the k-th subgroup, at
     the theta and ||v|| of params, poisons and centers in place; every X it
     returns is float64 and holds the same rows 1:.  A population-centered
-    split system (`_splits`) whose trigger lies in row 0 keeps X's rows 1: as
-    they are, so all such subgroups are solved together after the last one:
+    subgroup whose trigger lies in row 0 keeps X's rows 1: as they are, so
+    all such subgroups are solved together after the last one:
     their borders come from one pass over those rows (`_split_systems`), and
     their solves from one factor of the Gram's tail per lambda
     (`_solve_path`), at every c.  Any other subgroup is solved at each of its
@@ -596,7 +589,7 @@ def subgroup_records(points, shape: SimShape, centering: Centering, trial_index:
         triggers.append(v)
         if centered is None:
             continue
-        if centering is Centering.POPULATION and _splits(X) and not v[1:].any():
+        if centering is Centering.POPULATION and not v[1:].any():
             rows = X[1:]  # the draw's, common to every such subgroup
             shared.append((k, (X[0].copy(), *centered[1:]), lams))
         else:

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -77,6 +78,37 @@ def test_factor_refuses_a_gram_not_finite_or_not_positive_definite(bad):
     gram[2, 2 if bad == -1.0 else 4] = bad
     with pytest.raises(SolveFailure):
         simulator._factor(gram, 0.1)
+
+
+@pytest.mark.parametrize("p, n", [(30, 80), (90, 40), (784, 4000)])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("transpose", [False, True], ids=["rows", "rows.T"])
+def test_syrk_reads_a_row_slice_in_place(p, n, order, transpose):
+    # X[1:] of a C- or F-ordered X, and its transpose, have unit stride along
+    # one axis: syrk passes the other stride as the leading dimension, copies
+    # nothing, and gives the bits of syrk of a contiguous copy
+    X = np.array(np.random.default_rng(p).standard_normal((p, n)), order=order)
+    view = X[1:].T if transpose else X[1:]
+    copy = view.copy(order="K")
+    assert copy.flags.c_contiguous or copy.flags.f_contiguous
+    tracemalloc.start()
+    try:
+        gram = blas.syrk(1.0 / n, view)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - gram.nbytes < view.nbytes
+    assert np.array_equal(gram, blas.syrk(1.0 / n, copy))
+
+
+def test_lapack_at_dimension_zero():
+    # the tail of a one-feature system is empty: every call takes dimension 0
+    gram = blas.syrk(1.0, np.zeros((0, 5)))
+    assert gram.shape == (0, 0) and blas.potrf(gram) == 0
+    for rhs in (np.zeros(0), np.zeros((0, 2))):
+        assert blas.potrs(gram, rhs).shape == rhs.shape
+        for trans in (False, True):
+            assert blas.trtrs(gram, rhs, trans=trans).shape == rhs.shape
 
 
 def test_an_illegal_lapack_argument_raises():

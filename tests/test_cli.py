@@ -315,11 +315,12 @@ def test_mnist_trigger_norm_past_the_bound_is_named(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_bordered_solve_overflow_is_an_error_row(tmp_path, capsys):
-    # at ||v|| = 1e154 the primal bordered pivot overflows: error rows, exit 1, no warning
+def test_bordered_solve_at_an_overflowing_square_is_no_error_row(tmp_path, capsys):
+    # at ||v|| = 1e154, ||x~_0||^2 overflows but the bordered pivot, formed on
+    # x~_0 / 2^e, does not: no error rows, exit 0, no warning
     assert run_cli("simulate", "--p", "20", "--c", "0.1", "--vnorm", "1e154", "--trials", "2",
-                   "--m-test", "10", "--out", str(tmp_path / "o")) == 1
-    assert capsys.readouterr().out.endswith(", 2 error rows)\n")
+                   "--m-test", "10", "--out", str(tmp_path / "o")) == 0
+    assert capsys.readouterr().out.endswith(", 0 error rows)\n")
 
 
 def test_report_from_sweep(tmp_path, capsys):

@@ -259,7 +259,6 @@ def test_split_solve_ridge_equals_shared_factor_path(centering):
         v = simulator.default_trigger(shape.p, params.v_norm)
         ds = simulator.apply_poison(X, y, params.theta, v, rng, centering=centering)
         X_tilde, w_tilde, x_bar, w_bar = simulator.center(ds, params.theta)
-        assert simulator._splits(X_tilde)
         sol = simulator.score_statistics(
             simulator.solve_ridge(X_tilde, w_tilde, params.lam, x_bar, w_bar), v)
         row = rows[grid_index]
@@ -384,16 +383,41 @@ def test_shared_tail_gram_equals_fresh_gram():
         assert np.max(np.abs(np.triu(fresh) - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
-@pytest.mark.parametrize("X", [
-    # dual form, p > n: a C-ordered draw is split, its F-ordered copy is not
-    np.asfortranarray(simulator.generate_clean(SimShape(p=90, n=40, seed=24))[0]),
-    _f_ordered_subsample(25)[0],
-])
-def test_unsplit_rows_gram_is_one_syrk(X):
-    p, n = X.shape
-    assert not simulator._splits(X)
-    want = simulator._gram(X if p <= n else X.T, 1.0 / n)
-    assert np.array_equal(_rows_gram_of(X), want)
+@pytest.mark.parametrize("centering", list(Centering))
+@pytest.mark.parametrize("c", [1.0, 2.0])
+def test_f_ordered_huge_trigger_norm_is_solved_split(c, centering):
+    # F-ordered data, the layout of an mnist subsample, are split too, so
+    # the huge rank-one term of row 0 stays out of the dual tail's factor;
+    # a Cholesky factor of the whole dual Gram loses its O(1) part under it
+    for seed, v_norm in enumerate((1e6, 1e10, 1e50)):
+        shape = simulator.shape_for(60, c, seed)
+        rng = simulator._rng_from(shape.seed)
+        X, y = simulator.generate_clean(shape, rng)
+        v = simulator.default_trigger(shape.p, v_norm)
+        ds = simulator.apply_poison(np.asfortranarray(X), y, 0.1, v, rng, centering=centering)
+        X_tilde, w_tilde, x_bar, w_bar = simulator.center(ds, 0.1)
+        assert X_tilde.flags.f_contiguous and not X_tilde.flags.c_contiguous
+        beta = simulator.solve_ridge(X_tilde, w_tilde, 0.1, x_bar, w_bar).beta
+        want = _dense_primal_beta(X_tilde, w_tilde, 0.1)
+        assert np.max(np.abs(beta - want)) <= 1e-10 * np.max(np.abs(want)), v_norm
+
+
+@pytest.mark.parametrize("n", [1, 7])
+def test_one_feature_is_a_bordered_pivot_on_an_empty_tail(n):
+    # p = 1: rows 1: are empty, so beta is row 0's bordered pivot alone
+    x, w = np.random.default_rng(n).standard_normal((2, n))
+    for X in (x[None, :], np.asfortranarray(x[None, :])):
+        beta = simulator.solve_ridge(X, w, 0.1, np.zeros(1), 0.0).beta
+        assert beta.shape == (1,)
+        assert np.isclose(beta[0], (x @ w / n) / (x @ x / n + 0.1), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0])
+def test_one_feature_trials_are_no_error_rows(c):
+    points = dict(enumerate(ModelParams(c=c, lam=lam, theta=theta, v_norm=1.0)
+                            for theta in (0.1, 0.5) for lam in (1e-3, 0.1)))
+    records = sweep.run_grid(points, 1, 3, 0, 50)
+    assert len(records) == 12 and not any(r.is_error for r in records)
 
 
 @pytest.mark.parametrize("p, n", [(20, 200), (40, 400), (500, 5000)])
@@ -450,7 +474,7 @@ def test_dual_split_solve_matches_dense_primal(centering, lam):
         v = simulator.default_trigger(shape.p, 1.5)
         ds = simulator.apply_poison(X, y, 0.3, v, rng, centering=centering)
         X_tilde, w_tilde, x_bar, w_bar = simulator.center(ds, 0.3)
-        assert simulator._splits(X_tilde) and shape.p > shape.n
+        assert shape.p > shape.n
         sol = simulator.solve_ridge(X_tilde, w_tilde, lam, x_bar, w_bar)
         want = _dense_primal_beta(X_tilde, w_tilde, lam)
         assert np.allclose(sol.beta, want, rtol=1e-12, atol=1e-14)
@@ -478,12 +502,32 @@ def test_guard_at_an_overflowing_trigger_norm_refuses_or_keeps_an_accurate_beta(
         assert np.max(np.abs(beta - want)) <= 1e-10 * np.max(np.abs(want)), t
 
 
+def test_bordered_pivot_at_an_overflowing_trigger_norm_is_accurate():
+    # at ||v|| = 1e154 and c = 0.1, ||x~_0||^2 overflows but ||x~_0||^2 / n
+    # does not: the border's row 0 is formed on x~_0 / 2^e, so every trial
+    # solves, nothing warns, and beta matches a 50-digit solve
+    params = ModelParams(c=0.1, lam=0.1, theta=0.1, v_norm=1e154)
+    for t in range(3):
+        shape = simulator.shape_for(20, params.c, simulator.trial_seed(0, 0, t))
+        rng = simulator._rng_from(shape.seed)
+        X, y = simulator.generate_clean(shape, rng)
+        v = simulator.default_trigger(shape.p, params.v_norm)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ds = simulator.apply_poison(X, y, params.theta, v, rng)
+            X_tilde, w_tilde, x_bar, w_bar = simulator.center(ds, params.theta)
+            beta = simulator.solve_ridge(X_tilde, w_tilde, params.lam, x_bar, w_bar).beta
+        with np.errstate(over="ignore"):
+            assert X_tilde[0] @ X_tilde[0] == math.inf
+        want = _dense_primal_beta(X_tilde, w_tilde, params.lam)
+        assert np.max(np.abs(beta - want)) <= 1e-10 * np.max(np.abs(want)), t
+
+
 @pytest.mark.parametrize("lam", [1e-14, 1e-10])
 def test_square_tail_is_solved_dual(lam):
     # at p = n + 1 rows 1: are square; the split solve takes the dual form,
-    # whose beta is as close to the oracle at tiny lambda as the whole dual
-    # solve of the same data in F order; a bordered primal row 0 there lost
-    # 1e-3 of mu_emp at lambda = 1e-14
+    # in C and in F order, whose beta stays close to the oracle at tiny
+    # lambda; a bordered primal row 0 there lost 1e-3 of mu_emp at lambda = 1e-14
     for seed in range(3):
         X, y = simulator.generate_clean(SimShape(p=21, n=20, seed=seed))
         want = _dense_primal_beta(X, y, lam)
