@@ -6,20 +6,20 @@ and `dtrtrs` are called through ctypes, looked up through numpy's own linalg
 extension module, so a process runs this one BLAS library; a numpy linked to
 another (MKL, Accelerate, a system BLAS) raises `NoBundledOpenBLAS`.  A
 threaded BLAS changes last bits with the thread count, so commands run BLAS
-on one thread; `--workers` processes and `resolvent.convergence_table`'s
-helper thread, which runs no BLAS, use more cores.
-
-OpenBLAS shuts its thread pool down at `fork`, and the next call that sets
-its thread count, even to the count it already has, rebuilds the pool, whose
-threads spin for about 2^28 cycles before they sleep.  `one_thread` therefore
-sets only a count that is not already 1: a forked worker inherits its
-parent's 1 and starts no BLAS thread.
+on one thread.  More cores are used by threads of the one process
+(`map_ahead`), as many as it has `usable_cpus`: `sweep.run_grid`'s workers,
+which call BLAS side by side (ctypes releases the GIL for each call), and
+`resolvent.convergence_table`'s helper, which runs none.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Iterator
 
 import numpy.linalg._umath_linalg
 
@@ -43,7 +43,7 @@ def _symbol(name: str) -> str:
 
 @functools.cache
 def _openblas() -> ctypes.CDLL:
-    """numpy's bundled OpenBLAS, its functions declared; loaded once, inherited at fork."""
+    """numpy's bundled OpenBLAS, its functions declared; loaded once."""
     lib = ctypes.CDLL(numpy.linalg._umath_linalg.__file__)
     try:
         for name, kinds in _SIGNATURES.items():
@@ -142,6 +142,39 @@ def thread_count() -> int:
 def one_thread() -> None:
     """Run numpy's bundled OpenBLAS on one thread from now on, in this process.
 
-    Idempotent; the old count is not restored."""
+    The count is process-wide, so this is called on the calling thread before
+    any other thread calls BLAS.  Idempotent, and sets nothing where the
+    count already reads 1; the old count is not restored."""
     if thread_count() != 1:
         getattr(_openblas(), _symbol("openblas_set_num_threads"))(1)
+
+
+def usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def map_ahead(fn: Callable, jobs: list, threads: int, ahead: int) -> Iterator:
+    """fn(job) of each of `jobs`, in job order, computed on `threads` threads.
+
+    The threads work on the jobs up to `ahead` past the one yielded last, so
+    at most 1 + `ahead` results are held at once if the caller drops each
+    before asking for the next.  A job's exception is raised at that job's
+    turn.  Closing the generator cancels the jobs not started and waits for
+    those running.  With no threads, each job is computed here when asked for.
+    """
+    if threads < 1:
+        yield from map(fn, jobs)
+        return
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
+        pending = deque()
+        for k in range(len(jobs)):
+            for job in jobs[k + len(pending):k + 1 + ahead]:
+                pending.append(pool.submit(fn, job))
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)

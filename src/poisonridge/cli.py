@@ -6,8 +6,10 @@ with the full configuration, master seed and package version.  A refused run
 therefore writes nothing, and neither does one that cannot allocate its
 arrays.  `rerun <manifest>` reproduces the primary CSVs byte for byte on any
 core count, for the OpenBLAS numpy's wheel bundles (else the computing
-commands exit 2): every run computes with one BLAS thread per process.
-`simulate`, `sweep` and `mnist` run their trials through `sweep.run_grid`.
+commands exit 2): every run computes with one BLAS thread, on each of its
+threads.  `simulate`, `sweep` and `mnist` run their trials through
+`sweep.run_grid`, on as many worker threads as the process has usable CPUs
+(`sweep --workers` sets the count).
 The rows of a draw group (the grid points that share c; for `mnist`, the
 subsample size) are common random numbers, and the `seed` column of any row
 redoes that row alone, bit for bit, on any core or worker count; the
@@ -24,6 +26,7 @@ import os
 import sys
 
 from . import __version__, mnist as mnist_mod, mp, report, resolvent, simulator, sweep as sweep_mod
+from .blas import usable_cpus
 from .errors import InvalidManifest, NonFiniteTransform, PoisonRidgeError
 from .records import write_csv
 from .theory import ModelParams, predict, predict_ridgeless
@@ -233,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--trials", type=int, default=100)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--mode", choices=("full", "one-at-a-time"), default="one-at-a-time")
-    s.add_argument("--workers", type=int, default=1, help="worker processes")
+    s.add_argument("--workers", type=int, default=usable_cpus(),
+                   help="worker threads (default: the usable CPUs)")
     _add_common_output(s, "sweep_out")
     s.set_defaults(func=cmd_sweep)
 

@@ -64,7 +64,7 @@ class InvalidTrialCount(PoisonRidgeError, ValueError):
 
 
 class InvalidWorkerCount(PoisonRidgeError, ValueError):
-    """A run needs at least one worker process (workers >= 1)."""
+    """A run needs at least one worker thread (workers >= 1)."""
 
 
 class InvalidSeed(PoisonRidgeError, ValueError):

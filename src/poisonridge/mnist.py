@@ -5,7 +5,8 @@ The IDX container is big-endian: a 4-byte magic (0x00000803 for images,
 bytes.  Runs on real data use empirical centering because the defender
 cannot know theta or the trigger.  A trial subsamples and draws its poison
 flip uniforms once for all the grid points that share subsample_n, and its
-seed is that of the first of them.
+seed is that of the first of them.  A task keeps its images as bytes, and a
+trial scales only the ones it subsamples.
 """
 
 from __future__ import annotations
@@ -46,8 +47,26 @@ class IdxImages:
 
 @dataclass(frozen=True)
 class BinaryTask:
-    X: np.ndarray  # p x n, p = rows*cols
+    """The selected images, as bytes, and their -1/+1 labels.
+
+    A feature is float64(pixel) / `divisor`: 255 at scale "unit", 1 at
+    scale "raw".
+    """
+    pixels: np.ndarray  # n x p uint8, one image per row, p = rows*cols
     y: np.ndarray  # -1/+1 labels
+    divisor: float
+
+    @functools.cached_property
+    def X(self) -> np.ndarray:
+        """Every image as features, p x n and F-ordered: one image per column."""
+        return _features(self, slice(None))
+
+
+def _features(task: BinaryTask, idx) -> np.ndarray:
+    """The images idx of task as features, gathered and scaled in one pass
+    from their bytes: a new p x len(idx) F-ordered float64 array, one image
+    per column, so each image is one run of memory."""
+    return np.divide(task.pixels[idx], task.divisor, dtype=np.float64).T
 
 
 @dataclass(frozen=True)
@@ -120,12 +139,9 @@ def build_binary_task(
     if not np.any(labels == digit_pos):
         raise NoSamplesForDigit(f"no samples for digit {digit_pos}")
     selected = images.pixels[mask]
-    # one pass from uint8: the same float64(pixel) / 255 as a cast, then a division
-    selected = (np.divide(selected, 255.0, dtype=np.float64) if scale == "unit"
-                else selected.astype(np.float64))
-    X = selected.reshape(selected.shape[0], -1).T  # p x n, F-ordered: one image per column
     y = np.where(labels[mask] == digit_pos, 1.0, -1.0)
-    return BinaryTask(X=X, y=y)
+    return BinaryTask(pixels=selected.reshape(selected.shape[0], -1), y=y,
+                      divisor=255.0 if scale == "unit" else 1.0)
 
 
 def make_patch_trigger(
@@ -162,13 +178,22 @@ def _grid_params(task: BinaryTask, trigger: PatchTrigger, theta: float, lam: flo
     """The parameters of one grid point, at c = p/subsample_n."""
     if subsample_n < 1:
         raise InvalidShape(f"subsample_n must be >= 1, got {subsample_n}")
-    n_avail = task.X.shape[1]
+    n_avail, p = task.pixels.shape
     if subsample_n > n_avail:
         raise SubsampleTooLarge(f"requested {subsample_n} of {n_avail} samples")
     return ModelParams(
-        c=task.X.shape[0] / subsample_n, lam=lam, theta=theta,
+        c=p / subsample_n, lam=lam, theta=theta,
         v_norm=float(np.linalg.norm(trigger.v)),
     )
+
+
+def _fits(task, trigger, points, shape, centering) -> simulator._TrialFits:
+    """The worker phase of `_trial`, for `sweep.run_grid`: it calls no public
+    function of the package."""
+    rng = simulator._rng_from(shape.seed)
+    idx = rng.choice(task.pixels.shape[0], size=shape.n, replace=False)
+    return simulator._fit_subgroups(points, centering, rng, task.y[idx],
+                                    lambda k, params: (_features(task, idx), trigger.v))
 
 
 def _trial(task, trigger, points, shape, *, centering, trial_index, m_test) -> list[SweepRecord]:
@@ -177,15 +202,12 @@ def _trial(task, trigger, points, shape, *, centering, trial_index, m_test) -> l
     Subsamples shape.n images once, from shape.seed's stream, which then
     draws the flip uniforms once; each theta poisons and centers the
     subsample and solves at each of its lambdas (`simulator.subgroup_records`).
-    Each theta gathers its own fresh p x n copy of the subsample, which the
-    fit poisons and centers in place and drops before the next theta gathers
-    again.  The copy is gathered as rows of X^T, so each image is one run of
-    memory, and keeps the F order of `build_binary_task`'s X.
+    Each theta gathers and scales its own fresh p x n copy of the subsample
+    (`_features`), which the fit poisons and centers in place and drops
+    before the next theta gathers again.
     """
-    rng = simulator._rng_from(shape.seed)
-    idx = rng.choice(task.X.shape[1], size=shape.n, replace=False)
-    return simulator.subgroup_records(points, shape, centering, trial_index, m_test, rng,
-                                      task.y[idx], lambda k, params: (task.X.T[idx].T, trigger.v))
+    return simulator._trial_records(_fits(task, trigger, points, shape, centering), shape,
+                                    centering, trial_index, m_test)
 
 
 def run_mnist_grid(task: BinaryTask, trigger: PatchTrigger, points: dict, trials: int, seed: int,
@@ -202,8 +224,8 @@ def run_mnist_grid(task: BinaryTask, trigger: PatchTrigger, points: dict, trials
     its poisoned subsample and Gram.
     """
     grid = {gi: _grid_params(task, trigger, *point) for gi, point in points.items()}
-    trial = functools.partial(_trial, task, trigger)
-    return sweep.run_grid(grid, task.X.shape[0], trials, seed, m_test, trial=trial,
+    return sweep.run_grid(grid, task.pixels.shape[1], trials, seed, m_test,
+                          fit=functools.partial(_fits, task, trigger),
                           centering=simulator.Centering.EMPIRICAL)
 
 

@@ -28,16 +28,13 @@ inline and no thread starts.
 from __future__ import annotations
 
 import math
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from typing import Callable, Iterator
 
 import numpy as np
 
 from . import mp, simulator, theory
-from .blas import one_thread
+from .blas import map_ahead, one_thread, usable_cpus
 from .errors import (
     InnerSingular, InvalidSeed, InvalidShape, NonFiniteParameter, NonNegativeZ, SolveFailure,
 )
@@ -251,38 +248,15 @@ def spiked_draw_checks(
     return rows
 
 
-def _usable_cpus() -> int:
-    """How many CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _draws(jobs) -> Iterator[np.ndarray]:
     """`_normal_draw` of each (p, n, seed) job, in job order.
 
     Where two or more CPUs are usable, one helper thread fills the draws of
     the next `_DRAWS_AHEAD` jobs while the caller works on the one yielded
-    last, so at most 1 + `_DRAWS_AHEAD` draws are held at once if the caller
-    drops each before asking for the next.  A job's exception is raised at
-    that job's turn.  Closing the generator cancels the jobs not started
-    and joins the thread.  With one usable CPU, each draw is made inline
+    last (`blas.map_ahead`).  With one usable CPU, each draw is made inline
     when asked for.
     """
-    if _usable_cpus() < 2:
-        for job in jobs:
-            yield _normal_draw(*job)
-        return
-    pool = ThreadPoolExecutor(max_workers=1)
-    try:
-        pending = deque()
-        for k in range(len(jobs)):
-            for job in jobs[k + len(pending):k + 1 + _DRAWS_AHEAD]:
-                pending.append(pool.submit(_normal_draw, *job))
-            yield pending.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+    return map_ahead(lambda job: _normal_draw(*job), jobs, int(usable_cpus() > 1), _DRAWS_AHEAD)
 
 
 def convergence_table(

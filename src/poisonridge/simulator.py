@@ -23,7 +23,10 @@ therefore bit-reproducible regardless of execution order or worker count,
 and the seed stored in a row reproduces that row byte for byte, through
 `run_trial` or the copying public stages, on any core count, for the
 OpenBLAS that numpy's wheel bundles, whose LAPACK `blas` calls:
-`sweep.run_grid` runs every trial with one BLAS thread.
+`sweep.run_grid` runs every trial with one BLAS thread.  A trial runs in two
+phases: its fits (`_fit_subgroups`), which call no public function and so
+may run on a worker thread, then its rows (`_trial_records`), which join
+the fits with the closed form and draw the efficacy counts.
 """
 
 from __future__ import annotations
@@ -113,6 +116,11 @@ def shape_for(p: int, c: float, seed: int) -> SimShape:
 
 def default_trigger(p: int, v_norm: float) -> np.ndarray:
     """Trigger along the first coordinate; the model is rotation-invariant."""
+    return _trigger(p, v_norm)
+
+
+def _trigger(p: int, v_norm: float) -> np.ndarray:
+    """`default_trigger`, for a trial's worker phase."""
     v = np.zeros(p)
     if p > 0:
         v[0] = v_norm
@@ -125,7 +133,11 @@ def generate_clean(shape: SimShape, rng: np.random.Generator | None = None):
     Draws from `rng` when given, so a trial's stream continues into its
     poison flips; otherwise from a fresh stream seeded by shape.seed.
     """
-    rng = _rng_from(shape.seed if rng is None else rng)
+    return _draw(shape, _rng_from(shape.seed if rng is None else rng))
+
+
+def _draw(shape: SimShape, rng: np.random.Generator):
+    """`generate_clean` from rng, for a trial's worker phase."""
     X = rng.standard_normal((shape.p, shape.n))
     y = rng.integers(0, 2, size=shape.n) * 2 - 1
     return X, y.astype(np.float64)
@@ -187,7 +199,7 @@ def _center(X, y, v, theta: float, centering: Centering):
     trigger, is nonzero.
     """
     if centering is Centering.POPULATION:
-        moments = theory.population_moments(theta)
+        moments = theory._population_moments(theta)
         x_bar = moments.x_bar_coeff * v
         rows = np.flatnonzero(x_bar)
         X[rows] -= x_bar[rows, None]
@@ -550,25 +562,23 @@ def make_record(
     )
 
 
-def subgroup_records(points, shape: SimShape, centering: Centering, trial_index: int,
-                     m_test: int, rng: np.random.Generator, y, data) -> list[SweepRecord]:
-    """The rows of one trial at each (grid_index, params) of `points`, which share one draw.
+@dataclass(frozen=True)
+class _TrialFits:
+    """The worker phase's result for one trial: its points, split into
+    (theta, ||v||) subgroups in grid order, each subgroup's trigger and
+    {lambda: `RidgeSolution` or the fit's `PoisonRidgeError`}, and the
+    trial's stream as the flips left it."""
+    subgroups: list
+    triggers: list
+    fits: list
+    rng: np.random.Generator
 
-    Draws the flip uniforms of the labels `y` once, from `rng` as the draw
-    left it.  The points are split by (theta, ||v||) into subgroups in grid
-    order.  `data(k, params)` returns the (X, v) that the k-th subgroup, at
-    the theta and ||v|| of params, poisons and centers in place; every X it
-    returns is float64 and holds the same rows 1:.  A population-centered
-    subgroup whose trigger lies in row 0 keeps X's rows 1: as they are, so
-    all such subgroups are solved together after the last one:
-    their borders come from one pass over those rows (`_split_systems`), and
-    their solves from one factor of the Gram's tail per lambda
-    (`_solve_path`), at every c.  Any other subgroup is solved at each of its
-    lambdas before the next one asks for its X.
-    Each row with a solution draws its efficacy count from a copy of `rng`
-    as the flips left it.  A row has NaN empirical columns when its lambda's
-    fit or efficacy or its closed-form prediction failed, and NaN theory
-    columns when the prediction failed.
+
+def _fit_subgroups(points, centering: Centering, rng: np.random.Generator, y, data) -> _TrialFits:
+    """The worker phase of `subgroup_records`: every fit, and no row.
+
+    Calls no public function of the package, so it may run on a worker
+    thread of `sweep.run_grid`.
     """
     subgroups = {}
     for grid_index, params in points:
@@ -600,21 +610,77 @@ def subgroup_records(points, shape: SimShape, centering: Centering, trial_index:
         paths = [(system, lams) for system, (_, _, lams) in zip(systems, shared)]
         for (k, _, _), fit in zip(shared, _solve_path(paths)):
             fits[k] = fit
+    return _TrialFits(list(subgroups.values()), triggers, fits, rng)
+
+
+def _trial_records(fitted: _TrialFits, shape: SimShape, centering: Centering, trial_index: int,
+                   m_test: int) -> list[SweepRecord]:
+    """The calling thread's phase of a trial: its rows, from its fits, in
+    subgroup order.
+
+    Each row with a solution draws its efficacy count from a copy of the
+    stream as the flips left it.  A row has NaN empirical columns when its
+    lambda's fit or efficacy or its closed-form prediction failed, and NaN
+    theory columns when the prediction failed.
+    """
     records = []
-    for k, subgroup in enumerate(subgroups.values()):
+    for subgroup, v, fits in zip(fitted.subgroups, fitted.triggers, fitted.fits):
         for grid_index, params in subgroup:
-            fit = fits[k].get(params.lam)
+            fit = fits.get(params.lam)
             pred, solved = None, ()  # a failure leaves NaN columns
             try:
                 pred = theory.predict(params)
                 if isinstance(fit, RidgeSolution):
-                    fit = score_statistics(fit, triggers[k])
-                    solved = fit, empirical_efficacy(fit, triggers[k], m_test, copy.deepcopy(rng))
+                    fit = score_statistics(fit, v)
+                    solved = fit, empirical_efficacy(fit, v, m_test, copy.deepcopy(fitted.rng))
             except PoisonRidgeError:
                 pass
             records.append(make_record(params, shape, pred, centering, grid_index, trial_index,
                                        *solved))
     return records
+
+
+def subgroup_records(points, shape: SimShape, centering: Centering, trial_index: int,
+                     m_test: int, rng: np.random.Generator, y, data) -> list[SweepRecord]:
+    """The rows of one trial at each (grid_index, params) of `points`, which share one draw.
+
+    Draws the flip uniforms of the labels `y` once, from `rng` as the draw
+    left it.  The points are split by (theta, ||v||) into subgroups in grid
+    order.  `data(k, params)` returns the (X, v) that the k-th subgroup, at
+    the theta and ||v|| of params, poisons and centers in place; every X it
+    returns is float64 and holds the same rows 1:.  A population-centered
+    subgroup whose trigger lies in row 0 keeps X's rows 1: as they are, so
+    all such subgroups are solved together after the last one:
+    their borders come from one pass over those rows (`_split_systems`), and
+    their solves from one factor of the Gram's tail per lambda
+    (`_solve_path`), at every c.  Any other subgroup is solved at each of its
+    lambdas before the next one asks for its X.  The fits are the worker
+    phase (`_fit_subgroups`), the rows the calling thread's
+    (`_trial_records`).
+    """
+    return _trial_records(_fit_subgroups(points, centering, rng, y, data), shape, centering,
+                          trial_index, m_test)
+
+
+def _path_fits(points, shape: SimShape, centering: Centering) -> _TrialFits:
+    """The worker phase of `run_trial_path`, for `sweep.run_grid`."""
+    # one Philox stream per trial: generation, poison flips and the efficacy
+    # hit counts all continue the same counter
+    rng = _rng_from(shape.seed)
+    X, y = _draw(shape, rng)
+    triggers = {params.v_norm: _trigger(shape.p, params.v_norm) for _, params in points}
+    if len({(params.theta, params.v_norm) for _, params in points}) > 1:
+        # poisoning and population centering write row 0 alone, where
+        # `default_trigger` puts every trigger; empirical centering writes every row
+        rows = [0] if centering is Centering.POPULATION else np.arange(shape.p)
+        clean = X[rows]
+
+    def data(k, params):
+        if k:
+            X[rows] = clean
+        return X, triggers[params.v_norm]
+
+    return _fit_subgroups(points, centering, rng, y, data)
 
 
 def run_trial_path(points, shape: SimShape, *, centering: Centering = Centering.POPULATION,
@@ -629,23 +695,8 @@ def run_trial_path(points, shape: SimShape, *, centering: Centering = Centering.
     factor of their Gram; row 0 of each is brought in alone.  Each row
     equals bit for bit what `run_trial` gives at its point from shape.seed.
     """
-    # one Philox stream per trial: generation, poison flips and the efficacy
-    # hit counts all continue the same counter
-    rng = _rng_from(shape.seed)
-    X, y = generate_clean(shape, rng)
-    triggers = {params.v_norm: default_trigger(shape.p, params.v_norm) for _, params in points}
-    if len({(params.theta, params.v_norm) for _, params in points}) > 1:
-        # poisoning and population centering write row 0 alone, where
-        # `default_trigger` puts every trigger; empirical centering writes every row
-        rows = [0] if centering is Centering.POPULATION else np.arange(shape.p)
-        clean = X[rows]
-
-    def data(k, params):
-        if k:
-            X[rows] = clean
-        return X, triggers[params.v_norm]
-
-    return subgroup_records(points, shape, centering, trial_index, m_test, rng, y, data)
+    return _trial_records(_path_fits(points, shape, centering), shape, centering, trial_index,
+                          m_test)
 
 
 def run_trial(

@@ -11,8 +11,9 @@ group draws once, with the seed of the group's first grid point, and runs
 every point of the group from that draw, so its rows are common random
 numbers (the `simulator` module docstring sets out how).  Records are
 reproducible from (master_seed, first grid_index of the group, trial_index)
-alone, and every process runs its BLAS on one thread, so neither the worker
-count, the core count nor the execution order changes the bytes on disk.
+alone.  The trials run on worker threads of the one process, whose BLAS runs
+on one thread, so neither the worker count, the core count nor the
+execution order changes the bytes on disk.
 """
 
 from __future__ import annotations
@@ -23,13 +24,13 @@ import functools
 import itertools
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import simulator
-from .blas import one_thread
+from .blas import map_ahead, one_thread, usable_cpus
 from .errors import (
     EmptyGrid, EmptyGroup, InvalidLambda, InvalidSeed, InvalidTrialCount,
     InvalidWorkerCount, SchemaMismatch,
@@ -87,40 +88,38 @@ def draw_groups(points: dict[int, ModelParams]) -> list[tuple]:
     return [tuple(group) for group in groups.values()]
 
 
-def _run_one(job, trial=None, centering: Centering = Centering.POPULATION) -> list[SweepRecord]:
-    """One timed job of `run_grid`: one trial of one group, a record per point.
-
-    `trial` None means `simulator.run_trial_path`, looked up here so that a
-    pooled job pickles by name.  Each record's wall time is its share of the
-    job's.
-    """
-    group, p, master_seed, trial_index, m_test = job
-    first_index, params = group[0]
-    shape = simulator.shape_for(p, params.c, trial_seed(master_seed, first_index, trial_index))
+def _fit_job(job, fit, centering: Centering):
+    """The worker phase of one job of `run_grid`, and its wall time in ms."""
+    group, shape, _ = job
     t0 = time.perf_counter()
-    records = (trial or simulator.run_trial_path)(group, shape, centering=centering,
-                                                  m_test=m_test, trial_index=trial_index)
-    share_ms = (time.perf_counter() - t0) * 1e3 / len(records)
-    return [dataclasses.replace(r, wall_time_ms=share_ms) for r in records]
+    fitted = fit(group, shape, centering)
+    return fitted, (time.perf_counter() - t0) * 1e3
 
 
 def run_grid(points: dict[int, ModelParams], p: int, trials: int, master_seed: int, m_test: int,
-             *, trial=None, centering: Centering = Centering.POPULATION,
-             workers: int = 1) -> list[SweepRecord]:
+             *, fit=None, centering: Centering = Centering.POPULATION,
+             workers: int | None = None) -> list[SweepRecord]:
     """Every (grid point, trial) record of a Monte Carlo run, in (grid, trial) order.
 
     `points` maps a grid index to its parameters, run at n = round(p/c).
     The points that share c form a group (`draw_groups`), and trial t of a
-    group whose first grid index is g is one job:
-    `trial(group, shape, centering=, m_test=, trial_index=t)`, default
-    `simulator.run_trial_path`, with shape.seed = trial_seed(master_seed, g,
-    t), which returns a record for each point of the group.  It turns each
-    failure of a fit or a prediction into an error row (NaN empirical
-    columns) instead of ending the run; near-singular solves at tiny lambda
-    and c near 1 are expected.  This process and every pool worker run their
-    BLAS on one thread (`one_thread`), so the records do not depend on the
-    core count.  A pool has at most one worker per job.
+    group whose first grid index is g is one job, with shape.seed =
+    trial_seed(master_seed, g, t).  A job runs in two phases.  On a worker
+    thread, `fit(group, shape, centering)`, default `simulator._path_fits`,
+    draws, poisons, centers and solves; it calls no public function of the
+    package, so that a tracer that wraps them keeps one stack.  Then on this
+    thread, in job order, `simulator._trial_records` joins each fit with its
+    closed-form prediction and its efficacy draw into a record per point.  A
+    failed fit or prediction is an error row (NaN empirical columns), not
+    the end of the run; near-singular solves at tiny lambda and c near 1 are
+    expected.  `workers` threads, by default the usable CPUs and at most one
+    per job, run the fits; with one, this thread runs them and no thread
+    starts.  BLAS runs on one thread (`one_thread`), so the records do not
+    depend on the core count or the worker count.  Each record's wall time is
+    its share of its job's two phases.
     """
+    if workers is None:
+        workers = usable_cpus()
     if workers < 1:
         raise InvalidWorkerCount(f"workers must be >= 1, got {workers}")
     if not points:
@@ -134,27 +133,25 @@ def run_grid(points: dict[int, ModelParams], p: int, trials: int, master_seed: i
     for params in points.values():
         if not params.lam > 0.0:
             raise InvalidLambda(f"the ridge solve requires lambda > 0, got {params.lam}")
-    jobs = [(group, p, master_seed, ti, m_test)
+    jobs = [(group, simulator.shape_for(p, group[0][1].c,
+                                        trial_seed(master_seed, group[0][0], ti)), ti)
             for group in draw_groups(points) for ti in range(trials)]
-    run = functools.partial(_run_one, trial=trial, centering=centering)
-    one_thread()
-    # a fork-started pool starts all of its workers at the first submit
-    workers = min(workers, len(jobs))
-    if workers > 1:
-        # forked workers inherit this process's pin, and `one_thread` is then a
-        # no-op; under the spawn and forkserver start methods they pin themselves
-        with ProcessPoolExecutor(max_workers=workers, initializer=one_thread) as pool:
-            # one job at a time: the groups differ in cost, and a chunk could hand
-            # one worker the trials of the costliest group
-            done = list(pool.map(run, jobs, chunksize=1))
-    else:
-        done = [run(job) for job in jobs]
-    return sorted(itertools.chain.from_iterable(done),
-                  key=lambda r: (r.grid_index, r.trial_index))
+    fit_job = functools.partial(_fit_job, fit=fit or simulator._path_fits, centering=centering)
+    threads = min(workers, len(jobs))
+    one_thread()  # before any worker calls BLAS: the count is process-wide
+    records = []
+    # the window keeps every thread busy while the groups differ in cost
+    with closing(map_ahead(fit_job, jobs, threads if threads > 1 else 0, 2 * threads)) as fits:
+        for (_, shape, ti), (fitted, fit_ms) in zip(jobs, fits):
+            t0 = time.perf_counter()
+            rows = simulator._trial_records(fitted, shape, centering, ti, m_test)
+            share_ms = (fit_ms + (time.perf_counter() - t0) * 1e3) / len(rows)
+            records += [dataclasses.replace(r, wall_time_ms=share_ms) for r in rows]
+    return sorted(records, key=lambda r: (r.grid_index, r.trial_index))
 
 
 def run_sweep(grid: SweepGrid, axis_mode: AxisMode = AxisMode.ONE_AT_A_TIME,
-              m_test: int = 10000, workers: int = 1) -> list[SweepRecord]:
+              m_test: int = 10000, workers: int | None = None) -> list[SweepRecord]:
     """All (grid point, trial) records of the grid, through `run_grid`."""
     points = dict(enumerate(grid.points(axis_mode)))
     return run_grid(points, grid.p, grid.trials, grid.master_seed, m_test, workers=workers)

@@ -94,6 +94,12 @@ def normal_cdf(x: float) -> float:
 
 
 def population_moments(theta: float) -> PopulationMoments:
+    """The `PopulationMoments` at poison fraction theta."""
+    return _population_moments(theta)
+
+
+def _population_moments(theta: float) -> PopulationMoments:
+    """`population_moments`, for population centering on a worker thread."""
     if not (0.0 <= theta <= 1.0):
         raise ThetaOutOfRange(f"theta must be in [0, 1], got {theta}")
     s = (theta / 2.0) * (1.0 - theta / 2.0)

@@ -3,11 +3,12 @@
 import json
 import math
 import struct
+import threading
 
 import numpy as np
 import pytest
 
-from poisonridge import cli, mnist, simulator, sweep, theory
+from poisonridge import blas, cli, mnist, simulator, sweep, theory
 from poisonridge.errors import SolveFailure
 from poisonridge.records import FIELD_NAMES
 
@@ -346,15 +347,24 @@ def test_failed_trial_is_an_error_row(tmp_path, capsys, monkeypatch, command):
         argv = ["mnist", "--images", str(img), "--labels", str(lbl), "--subsample-n", "30"]
     else:
         argv = ["simulate", "--p", "20", "--c", "0.5"]
-    solve, calls = simulator._solve, []
+    # trials run side by side, so the failure is keyed to trial 1's seed, not
+    # to the order of the solves: a trial's fit opens its stream from its seed
+    # and then solves on the same thread
+    seed, rng_from, solve = simulator.trial_seed(0, 0, 1), simulator._rng_from, simulator._solve
+    trial = threading.local()
 
-    def fail_second_solve(*args, **kwargs):
-        calls.append(args)
-        if len(calls) == 2:
+    def note_seed(seed_or_rng):
+        if not isinstance(seed_or_rng, np.random.Generator):
+            trial.seed = seed_or_rng
+        return rng_from(seed_or_rng)
+
+    def fail_trial_1(*args, **kwargs):
+        if getattr(trial, "seed", None) == seed:
             raise SolveFailure("injected")
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(simulator, "_solve", fail_second_solve)
+    monkeypatch.setattr(simulator, "_rng_from", note_seed)
+    monkeypatch.setattr(simulator, "_solve", fail_trial_1)
     assert run_cli(*argv, "--trials", "3", "--m-test", "50", "--out", str(out)) == 1
     assert "3 records, 1 error rows" in capsys.readouterr().out
     rows = sweep.read_records(out / f"{command}.csv")
@@ -463,18 +473,20 @@ def test_tiny_trigger_norm_exits_0(tmp_path, argv):
 
 
 def test_rerun_of_manifest_without_worker_count(tmp_path, capsys):
-    # manifests from before --workers defaulted to 1 store "workers": null
+    # manifests from before --workers defaulted to 1 store "workers": null,
+    # and those from before it defaulted to the usable CPUs store 1
     out = tmp_path / "s"
     assert run_cli("sweep", "--p", "10", "--trials", "1", "--m-test", "50",
                    "--out", str(out)) == 0
     first = (out / "sweep.csv").read_bytes()
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["args"]["workers"] == 1
-    manifest["args"]["workers"] = None
-    (out / "manifest.json").write_text(json.dumps(manifest))
-    assert run_cli("rerun", str(out / "manifest.json")) == 0
-    capsys.readouterr()
-    assert (out / "sweep.csv").read_bytes() == first
+    assert manifest["args"]["workers"] == blas.usable_cpus()
+    for workers in (None, 1):
+        manifest["args"]["workers"] = workers
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert run_cli("rerun", str(out / "manifest.json")) == 0
+        capsys.readouterr()
+        assert (out / "sweep.csv").read_bytes() == first
 
 
 def test_report_unknown_axis_exit_2(tmp_path, capsys):

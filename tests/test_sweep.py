@@ -1,12 +1,17 @@
 """Sweep harness tests: grid enumeration, aggregation, CSV round-trip, determinism."""
 
 import dataclasses
+import inspect
+import itertools
 import math
+import os
+import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-from poisonridge import simulator, sweep, theory
+from poisonridge import blas, mnist, mp, report, resolvent, simulator, sweep, theory
 from poisonridge.errors import EmptyGroup, SchemaMismatch, SolveFailure
 from poisonridge.records import FIELD_NAMES, SweepRecord
 from poisonridge.sweep import AxisMode, SweepGrid
@@ -120,26 +125,25 @@ def test_run_sweep_records_and_theory_columns():
 
 
 class _InlinePool:
-    """A stand-in for ProcessPoolExecutor that records its size and runs jobs here."""
+    """A stand-in for ThreadPoolExecutor that records its size and runs each
+    job here, as it is submitted."""
     sizes = []
 
-    def __init__(self, max_workers, initializer=None):
+    def __init__(self, max_workers):
         self.sizes.append(max_workers)
 
-    def __enter__(self):
-        return self
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs, chunksize=1):
-        return map(fn, jobs)
+    def shutdown(self, cancel_futures=False):
+        pass
 
 
 def test_pool_holds_at_most_one_worker_per_job(monkeypatch):
-    # a fork-started pool starts every worker at once, so 5000 workers for
-    # two jobs would be 5000 processes
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", _InlinePool)
+    # the stand-in starts no thread: 5000 workers must never be 5000 threads
+    monkeypatch.setattr(blas, "ThreadPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     points = dict(enumerate(TINY.points(AxisMode.FULL)))  # two aspect ratios: two groups
 
@@ -149,9 +153,24 @@ def test_pool_holds_at_most_one_worker_per_job(monkeypatch):
 
     for trials, workers in ((1, 5000), (2, 3), (2, 2)):
         assert rows(points, trials, workers) == rows(points, trials, 1)
-    # one job runs in this process, without a pool
+    # one job runs on this thread, without a pool
     assert rows({0: points[0]}, 1, 5000) == rows({0: points[0]}, 1, 1)
     assert _InlinePool.sizes == [2, 3, 2]
+
+
+def test_one_usable_cpu_builds_no_pool(monkeypatch):
+    points = dict(enumerate(TINY.points(AxisMode.FULL)))
+    pooled = [r.to_row() for r in sweep.run_grid(points, TINY.p, 2, 0, 50, workers=2)]
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was built with one usable CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(blas, "ThreadPoolExecutor", no_pool)
+    assert blas.usable_cpus() == 1
+    before = threading.active_count()
+    assert [r.to_row() for r in sweep.run_grid(points, TINY.p, 2, 0, 50)] == pooled
+    assert threading.active_count() == before
 
 
 def test_run_sweep_worker_count_invariance(tmp_path):
@@ -377,7 +396,8 @@ def test_failed_trial_becomes_error_row():
 
     # lambda = 0 fails both the ridge solve and the closed-form prediction
     params = ModelParams(c=0.5, lam=0.0, theta=0.1, v_norm=1.0)
-    (rec,) = sweep._run_one((((4, params),), 10, 0, 2, 50))
+    shape = simulator.shape_for(10, params.c, simulator.trial_seed(0, 4, 2))
+    (rec,) = simulator.run_trial_path(((4, params),), shape, trial_index=2, m_test=50)
     assert rec.is_error
     assert math.isnan(rec.mu_theory) and math.isnan(rec.eta_emp_mc)
     assert (rec.grid_index, rec.trial_index, rec.n) == (4, 2, 20)
@@ -390,3 +410,59 @@ def test_numpy_percentile_convention_reference():
     assert float(np.percentile(vals, 50)) == 2.5
     assert float(np.percentile(vals, 25)) == 1.75
     assert float(np.percentile(vals, 75)) == 3.25
+
+
+def _record_threads(monkeypatch):
+    """Wrap every public function of the modules perfbench traces, as its
+    tracer does, and the worker phase's entry, to record the thread of each
+    call: name -> thread idents."""
+    calls = {}
+
+    def wrap(module, attr, fn):
+        def recorded(*args, **kwargs):
+            calls.setdefault(f"{module.__name__}.{attr}", []).append(threading.get_ident())
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, attr, recorded)
+
+    for module in (mp, theory, simulator, sweep, resolvent, mnist, report):
+        for attr, obj in list(vars(module).items()):
+            if (not attr.startswith("_") and inspect.isfunction(obj)
+                    and obj.__module__ == module.__name__):
+                wrap(module, attr, obj)
+    wrap(simulator, "_fit_subgroups", simulator._fit_subgroups)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["simulate", "mnist"])
+def test_pooled_run_calls_public_functions_on_the_calling_thread_only(monkeypatch, command):
+    # perfbench's tracer keeps one span stack, so the worker threads may call
+    # no public function of the traced modules; they run the fits alone
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    main = threading.get_ident()
+    if command == "mnist":
+        rng = np.random.default_rng(3)
+        images = mnist.IdxImages(count=300, rows=6, cols=5,
+                                 pixels=rng.integers(0, 256, size=(300, 6, 5), dtype=np.uint8))
+        task = mnist.build_binary_task(images, np.arange(300) % 2)
+        trigger = mnist.make_patch_trigger(offset=(1, 1), size=2, v_norm_target=1.0,
+                                           rows=6, cols=5)
+        points = dict(enumerate(itertools.product((0.1, 0.2), (0.1, 1.0), (20, 60))))
+
+        def run():
+            return mnist.run_mnist_grid(task, trigger, points, trials=3, seed=2, m_test=50)
+    else:
+        points = dict(enumerate(DRAW_GRID.points(AxisMode.FULL)))  # two draw groups
+
+        def run():
+            return sweep.run_grid(points, DRAW_GRID.p, 3, 4, 50, workers=2)
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = [_persisted(r) for r in run()]
+    with monkeypatch.context() as patch:
+        calls = _record_threads(patch)
+        records = run()
+    fits = calls.pop("poisonridge.simulator._fit_subgroups")
+    assert len(fits) == 6 and main not in fits
+    assert calls["poisonridge.theory.predict"] == [main] * len(records)
+    assert {ident for idents in calls.values() for ident in idents} == {main}
+    assert [_persisted(r) for r in records] == serial
