@@ -26,6 +26,7 @@ from .errors import (
     InvalidTriggerNorm,
     NoSamplesForDigit,
     PatchOutOfBounds,
+    PoisonRidgeError,
     SameDigits,
     SubsampleTooLarge,
     TruncatedFile,
@@ -192,19 +193,37 @@ def _fits(task, trigger, points, shape, centering) -> simulator._TrialFits:
     function of the package."""
     rng = simulator._rng_from(shape.seed)
     idx = rng.choice(task.pixels.shape[0], size=shape.n, replace=False)
-    return simulator._fit_subgroups(points, centering, rng, task.y[idx],
-                                    lambda k, params: (_features(task, idx), trigger.v))
+    y = task.y[idx]
+    uniforms = simulator._flip_uniforms(y, rng)
+    subgroups = simulator._subgroups(points)
+    fits = [_theta_fits(task, idx, y, uniforms, trigger.v, centering, subgroup)
+            for subgroup in subgroups]
+    return simulator._TrialFits(subgroups, [trigger.v] * len(subgroups), fits, rng)
+
+
+def _theta_fits(task, idx, y, uniforms, v, centering, subgroup) -> dict:
+    """One theta's {lambda: fit}, on its own copy of the subsample, which it
+    poisons and centers in place and drops on return."""
+    theta = subgroup[0][1].theta
+    X, y = _features(task, idx), y.copy()
+    try:
+        simulator._poison(X, y, theta, v, uniforms)
+        system = simulator._system(*simulator._center(X, y, v, theta, centering))
+    except PoisonRidgeError:
+        return {}
+    (fits,) = simulator._solve_path([(system, [params.lam for _, params in subgroup])])
+    return fits
 
 
 def _trial(task, trigger, points, shape, *, centering, trial_index, m_test) -> list[SweepRecord]:
     """One trial at each (grid_index, params) of `points`, which share subsample_n.
 
     Subsamples shape.n images once, from shape.seed's stream, which then
-    draws the flip uniforms once; each theta poisons and centers the
-    subsample and solves at each of its lambdas (`simulator.subgroup_records`).
-    Each theta gathers and scales its own fresh p x n copy of the subsample
-    (`_features`), which the fit poisons and centers in place and drops
-    before the next theta gathers again.
+    draws the flip uniforms once.  The patch trigger spans many rows, so
+    each theta gathers and scales its own fresh p x n copy of the subsample
+    (`_features`), poisons and centers it in place, solves it at each of its
+    lambdas and drops it before the next theta gathers again.  The rows are
+    `simulator._trial_records`'s, as in a synthetic trial.
     """
     return simulator._trial_records(_fits(task, trigger, points, shape, centering), shape,
                                     centering, trial_index, m_test)
@@ -221,7 +240,8 @@ def run_mnist_grid(task: BinaryTask, trigger: PatchTrigger, points: dict, trials
     poison the positive class instead, build the task with the two digits
     exchanged.  The points that share subsample_n share each trial's
     subsample, flip uniforms and seed, and those that also share theta share
-    its poisoned subsample and Gram.
+    one poisoned copy of the subsample, its Gram and each lambda's factor
+    (`_trial`).
     """
     grid = {gi: _grid_params(task, trigger, *point) for gi, point in points.items()}
     return sweep.run_grid(grid, task.pixels.shape[1], trials, seed, m_test,

@@ -5,28 +5,27 @@ seed, which is derived statelessly from (master_seed, grid_index,
 trial_index), where grid_index is the first grid point of the trial's
 group: the points that share c.  One trial of a group draws its data once
 and then its poison flip uniforms once, one per -1 label; each (theta,
-||v||) subgroup of it poisons the -1 samples whose uniform is below theta,
-centers the data and forms its Gram once, then solves at each lambda, and
-each row draws its efficacy count from a copy of the stream as the flips
-left it (`run_trial_path`, `subgroup_records`), so the rows of a group are
-common random numbers.  Every system is solved split, in any memory order
-and in both its primal (p <= n) and its dual (p > n) form: each lambda
-factors the Gram of rows 1:, the tail, and row 0 is brought in onto that
-factor, as a bordered last pivot (primal) or a rank-one term (dual;
-`_solve`), so a huge trigger in row 0 stays out of the factor.
-Under population centering the subgroups' centered data differ only in the
-trigger's row 0, so at every c they share one pass over rows 1: for their
-borders (`_split_systems`) and one tail factor per lambda; a lone system,
-as in `solve_ridge`, is solved the same way, so sharing changes no bit.
-Sweeps are
-therefore bit-reproducible regardless of execution order or worker count,
-and the seed stored in a row reproduces that row byte for byte, through
+||v||) subgroup of it poisons the -1 samples whose uniform is below theta
+and solves at each lambda, and each row draws its efficacy count from a
+copy of the stream as the flips left it (`run_trial_path`), so the rows of
+a group are common random numbers.  Every system is solved split, in any
+memory order and in both its primal (p <= n) and its dual (p > n) form:
+each lambda factors the Gram of rows 1:, the tail, and row 0 is brought in
+onto that factor, as a bordered last pivot (primal) or a rank-one term
+(dual; `_solve`), so a huge trigger in row 0 stays out of the factor.
+The synthetic trigger lies in row 0, so a trial centers the tail of its
+draw once, under either centering, and its subgroups, which differ only in
+row 0, share one pass over the tail for their borders (`_split_systems`)
+and one tail factor per lambda; a lone system, as in `solve_ridge`, is
+solved the same way, so sharing changes no bit.  Sweeps are therefore
+bit-reproducible regardless of execution order or worker count, and the
+seed stored in a row reproduces that row byte for byte, through
 `run_trial` or the copying public stages, on any core count, for the
 OpenBLAS that numpy's wheel bundles, whose LAPACK `blas` calls:
 `sweep.run_grid` runs every trial with one BLAS thread.  A trial runs in two
-phases: its fits (`_fit_subgroups`), which call no public function and so
-may run on a worker thread, then its rows (`_trial_records`), which join
-the fits with the closed form and draw the efficacy counts.
+phases: its fits (`_path_fits`), which call no public function and so may
+run on a worker thread, then its rows (`_trial_records`), which join the
+fits with the closed form and draw the efficacy counts.
 """
 
 from __future__ import annotations
@@ -565,52 +564,13 @@ def make_record(
 @dataclass(frozen=True)
 class _TrialFits:
     """The worker phase's result for one trial: its points, split into
-    (theta, ||v||) subgroups in grid order, each subgroup's trigger and
+    subgroups (`_subgroups`), each subgroup's trigger and
     {lambda: `RidgeSolution` or the fit's `PoisonRidgeError`}, and the
     trial's stream as the flips left it."""
     subgroups: list
     triggers: list
     fits: list
     rng: np.random.Generator
-
-
-def _fit_subgroups(points, centering: Centering, rng: np.random.Generator, y, data) -> _TrialFits:
-    """The worker phase of `subgroup_records`: every fit, and no row.
-
-    Calls no public function of the package, so it may run on a worker
-    thread of `sweep.run_grid`.
-    """
-    subgroups = {}
-    for grid_index, params in points:
-        subgroups.setdefault((params.theta, params.v_norm), []).append((grid_index, params))
-    uniforms = _flip_uniforms(y, rng)
-    fits, triggers, shared = [], [], []
-    for k, subgroup in enumerate(subgroups.values()):
-        first = subgroup[0][1]
-        lams = [params.lam for _, params in subgroup]
-        X, v = data(k, first)
-        fits.append({})
-        try:
-            y_k = y.copy()
-            _, v = _poison(X, y_k, first.theta, v, uniforms)
-            centered = _center(X, y_k, v, first.theta, centering)
-        except PoisonRidgeError:
-            centered = None
-        triggers.append(v)
-        if centered is None:
-            continue
-        if centering is Centering.POPULATION and not v[1:].any():
-            rows = X[1:]  # the draw's, common to every such subgroup
-            shared.append((k, (X[0].copy(), *centered[1:]), lams))
-        else:
-            (fits[k],) = _solve_path([(_system(*centered), lams)])
-        del X, centered  # dropped before the next subgroup asks for its X
-    if shared:
-        systems = _split_systems(rows, [part for _, part, _ in shared])
-        paths = [(system, lams) for system, (_, _, lams) in zip(systems, shared)]
-        for (k, _, _), fit in zip(shared, _solve_path(paths)):
-            fits[k] = fit
-    return _TrialFits(list(subgroups.values()), triggers, fits, rng)
 
 
 def _trial_records(fitted: _TrialFits, shape: SimShape, centering: Centering, trial_index: int,
@@ -640,60 +600,65 @@ def _trial_records(fitted: _TrialFits, shape: SimShape, centering: Centering, tr
     return records
 
 
-def subgroup_records(points, shape: SimShape, centering: Centering, trial_index: int,
-                     m_test: int, rng: np.random.Generator, y, data) -> list[SweepRecord]:
-    """The rows of one trial at each (grid_index, params) of `points`, which share one draw.
-
-    Draws the flip uniforms of the labels `y` once, from `rng` as the draw
-    left it.  The points are split by (theta, ||v||) into subgroups in grid
-    order.  `data(k, params)` returns the (X, v) that the k-th subgroup, at
-    the theta and ||v|| of params, poisons and centers in place; every X it
-    returns is float64 and holds the same rows 1:.  A population-centered
-    subgroup whose trigger lies in row 0 keeps X's rows 1: as they are, so
-    all such subgroups are solved together after the last one:
-    their borders come from one pass over those rows (`_split_systems`), and
-    their solves from one factor of the Gram's tail per lambda
-    (`_solve_path`), at every c.  Any other subgroup is solved at each of its
-    lambdas before the next one asks for its X.  The fits are the worker
-    phase (`_fit_subgroups`), the rows the calling thread's
-    (`_trial_records`).
-    """
-    return _trial_records(_fit_subgroups(points, centering, rng, y, data), shape, centering,
-                          trial_index, m_test)
+def _subgroups(points) -> list:
+    """The (grid_index, params) of `points` split by (theta, ||v||) into
+    subgroups, in grid order."""
+    subgroups = {}
+    for grid_index, params in points:
+        subgroups.setdefault((params.theta, params.v_norm), []).append((grid_index, params))
+    return list(subgroups.values())
 
 
 def _path_fits(points, shape: SimShape, centering: Centering) -> _TrialFits:
-    """The worker phase of `run_trial_path`, for `sweep.run_grid`."""
+    """The worker phase of `run_trial_path`: every fit, and no row.
+
+    Calls no public function of the package, so it may run on a worker
+    thread of `sweep.run_grid`.
+    """
     # one Philox stream per trial: generation, poison flips and the efficacy
     # hit counts all continue the same counter
     rng = _rng_from(shape.seed)
     X, y = _draw(shape, rng)
-    triggers = {params.v_norm: _trigger(shape.p, params.v_norm) for _, params in points}
-    if len({(params.theta, params.v_norm) for _, params in points}) > 1:
-        # poisoning and population centering write row 0 alone, where
-        # `default_trigger` puts every trigger; empirical centering writes every row
-        rows = [0] if centering is Centering.POPULATION else np.arange(shape.p)
-        clean = X[rows]
-
-    def data(k, params):
-        if k:
-            X[rows] = clean
-        return X, triggers[params.v_norm]
-
-    return _fit_subgroups(points, centering, rng, y, data)
+    uniforms = _flip_uniforms(y, rng)
+    subgroups = _subgroups(points)
+    # every trigger lies in row 0 (`default_trigger`), so no subgroup writes the
+    # tail X[1:]: it is centered once, by its population mean 0 or its row means
+    tail = X[1:]
+    tail_bar = np.zeros(shape.p - 1)
+    if centering is Centering.EMPIRICAL:
+        tail_bar = tail.mean(axis=1)
+        tail -= tail_bar[:, None]
+    triggers, parts = [], {}
+    for k, subgroup in enumerate(subgroups):
+        first = subgroup[0][1]
+        v = _trigger(shape.p, first.v_norm)
+        triggers.append(v)
+        head, y_k = X[:1].copy(), y.copy()
+        try:
+            _poison(head, y_k, first.theta, v[:1], uniforms)
+            head, w_tilde, head_bar, w_bar = _center(head, y_k, v[:1], first.theta, centering)
+        except PoisonRidgeError:
+            continue
+        parts[k] = (head[0], w_tilde, np.concatenate((head_bar, tail_bar)), w_bar)
+    fits = [{} for _ in subgroups]
+    if parts:
+        paths = [(system, [params.lam for _, params in subgroups[k]])
+                 for k, system in zip(parts, _split_systems(tail, list(parts.values())))]
+        for k, fit in zip(parts, _solve_path(paths)):
+            fits[k] = fit
+    return _TrialFits(subgroups, triggers, fits, rng)
 
 
 def run_trial_path(points, shape: SimShape, *, centering: Centering = Centering.POPULATION,
                    trial_index: int = 0, m_test: int = 10000) -> list[SweepRecord]:
     """One synthetic trial at each (grid_index, params) of `points`, one row each.
 
-    The points share c.  The data are drawn once; each (theta, ||v||)
-    subgroup poisons and centers them in place (`subgroup_records`), and the
-    rows it wrote are restored before the next subgroup.  Under population
-    centering that is the trigger's row 0 alone, so at every c the
-    subgroups share rows 1:, their borders' pass over them and each lambda's
-    factor of their Gram; row 0 of each is brought in alone.  Each row
-    equals bit for bit what `run_trial` gives at its point from shape.seed.
+    The points share c.  The data are drawn once and their tail, rows 1:,
+    centered once; each (theta, ||v||) subgroup poisons and centers its own
+    copy of row 0, where its trigger lies, so under either centering the
+    subgroups share the tail, their borders' pass over it and each lambda's
+    factor of its Gram (`_path_fits`).  Each row equals bit for bit what
+    `run_trial` gives at its point from shape.seed.
     """
     return _trial_records(_path_fits(points, shape, centering), shape, centering, trial_index,
                           m_test)

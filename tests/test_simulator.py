@@ -112,34 +112,52 @@ def test_apply_poison_converts_to_float64():
         assert np.array_equal(X, kept) and X.dtype == kept.dtype
 
 
-def _c_ordered_draw(seed):
-    return simulator.generate_clean(SimShape(p=30, n=80, seed=seed))
+def _chain_params(p, n):
+    return ModelParams(c=p / n, lam=0.2, theta=0.3, v_norm=1.5)
 
 
-def _f_ordered_subsample(seed):
-    rng = np.random.default_rng(seed)
+def _c_ordered_draw(centering):
+    """A synthetic trial's row, with its draw and its stream as the draw left it."""
+    shape = SimShape(p=30, n=80, seed=17)
+    row = simulator.run_trial(_chain_params(shape.p, shape.n), shape, centering=centering,
+                              m_test=500)
+    rng = simulator._rng_from(shape.seed)
+    X, y = simulator.generate_clean(shape, rng)
+    return X, y, rng, row
+
+
+def _f_ordered_subsample(centering):
+    """An mnist trial's row, with its subsample and its stream as the
+    subsample left it; its trigger lies in row 0."""
+    rng = np.random.default_rng(17)
     pixels = rng.integers(0, 256, size=(200, 6, 5)).astype(np.uint8)
     labels = np.arange(200, dtype=np.uint8) % 2
     task = mnist.build_binary_task(
         mnist.IdxImages(count=200, rows=6, cols=5, pixels=pixels), labels)
-    idx = rng.choice(200, size=120, replace=False)
+    shape = SimShape(p=30, n=120, seed=18)
+    params = _chain_params(shape.p, shape.n)
+    trigger = mnist.PatchTrigger(v=simulator.default_trigger(shape.p, params.v_norm))
+    (row,) = mnist._trial(task, trigger, [(0, params)], shape, centering=centering,
+                          trial_index=0, m_test=500)
+    rng = simulator._rng_from(shape.seed)
+    idx = rng.choice(200, size=shape.n, replace=False)  # as the trial subsamples
     X = task.X[:, idx]
     assert X.flags.f_contiguous  # the layout of an mnist trial's subsample
-    return X, task.y[idx]
+    return X, task.y[idx], rng, row
 
 
-@pytest.mark.parametrize("draw", [_c_ordered_draw, _f_ordered_subsample])
+@pytest.mark.parametrize("trial", [_c_ordered_draw, _f_ordered_subsample])
 @pytest.mark.parametrize("centering", list(Centering))
-def test_subgroup_row_matches_literal_chain(draw, centering):
-    # a trial poisons and centers its X in place; the copying public stages
-    # must give the same bits, and keep their inputs and the memory order
-    X, y = draw(17)
+def test_subgroup_row_matches_literal_chain(trial, centering):
+    # a trial poisons and centers its data in place; the copying public
+    # stages, from the same stream, must give the same bits, and keep their
+    # inputs and the memory order
+    X, y, rng, row = trial(centering)
     p, n = X.shape
-    params = ModelParams(c=p / n, lam=0.2, theta=0.3, v_norm=1.5)
+    params = _chain_params(p, n)
     v = simulator.default_trigger(p, params.v_norm)
     X_in, y_in = X.copy(order="K"), y.copy()
 
-    rng = simulator._rng_from(18)
     ds = simulator.apply_poison(X, y, params.theta, v, rng, centering=centering)
     ds_X = ds.X.copy(order="K")
     X_tilde, w_tilde, x_bar, w_bar = simulator.center(ds, params.theta)
@@ -153,20 +171,13 @@ def test_subgroup_row_matches_literal_chain(draw, centering):
         assert (out.flags.c_contiguous, out.flags.f_contiguous) == (
             X.flags.c_contiguous, X.flags.f_contiguous)
 
-    (row,) = simulator.subgroup_records([(0, params)], SimShape(p=p, n=n, seed=18), centering,
-                                        0, 500, simulator._rng_from(18), y, lambda k, _: (X, v))
     assert row.mu_emp == sol.mu_emp
     assert row.sigma2_emp == sol.sigma_sq_emp
     assert row.eta_emp_mc == eta
-    assert np.array_equal(y, y_in)
-    assert np.array_equal(X, X_tilde)  # X was consumed: it now holds the centered features
 
 
-def _trial_peak(shape, lams, centering):
-    """The traced peak bytes of one trial at theta 0.2, ||v|| 1 and each lambda,
-    above its p x n draw."""
-    points = [(k, ModelParams(c=shape.c_effective, lam=lam, theta=0.2, v_norm=1.0))
-              for k, lam in enumerate(lams)]
+def _trial_peak(shape, points, centering):
+    """The traced peak bytes of one trial at `points`, above its p x n draw."""
     tracemalloc.start()
     try:
         simulator.run_trial_path(points, shape, centering=centering, m_test=1000)
@@ -175,38 +186,54 @@ def _trial_peak(shape, lams, centering):
         tracemalloc.stop()
 
 
+def _lambda_points(shape, lams):
+    """A point at theta 0.2, ||v|| 1 and each lambda."""
+    return [(k, ModelParams(c=shape.c_effective, lam=lam, theta=0.2, v_norm=1.0))
+            for k, lam in enumerate(lams)]
+
+
 def test_trial_allocates_no_copy_of_x():
     shape = SimShape(p=200, n=2000, seed=19)
     for centering in Centering:
-        assert _trial_peak(shape, (0.1,), centering) < 0.25 * 8 * shape.p * shape.n
+        assert _trial_peak(shape, _lambda_points(shape, (0.1,)), centering) < (
+            0.25 * 8 * shape.p * shape.n)
+    # the 12 subgroups of the sweep's c = 0.1 group center the draw's tail once
+    # and each copy only its row 0
+    shape = simulator.shape_for(400, 0.1, seed=19)
+    for centering in Centering:
+        assert _trial_peak(shape, _sweep_c01_group(p=400), centering) < (
+            0.5 * 8 * shape.p * shape.n)
 
 
 def test_lambda_path_holds_at_most_one_gram_fork():
     # each solve consumes its fork of the Gram before the next is copied, so
     # a 4-lambda path holds the Gram and one fork, not four Grams
     shape = SimShape(p=200, n=2000, seed=21)
-    many = _trial_peak(shape, (0.01, 0.1, 1.0, 10.0), Centering.POPULATION)
-    assert many - _trial_peak(shape, (0.1,), Centering.POPULATION) < 1.5 * shape.p * shape.p * 8
+    many = _trial_peak(shape, _lambda_points(shape, (0.01, 0.1, 1.0, 10.0)), Centering.POPULATION)
+    one = _trial_peak(shape, _lambda_points(shape, (0.1,)), Centering.POPULATION)
+    assert many - one < 1.5 * shape.p * shape.p * 8
 
 
-def _sweep_c01_group():
-    """The sweep's c = 0.1 draw group, at p = 40: 12 (theta, ||v||) subgroups."""
-    grid = sweep.SweepGrid.builtin(p=40, trials=1)
+def _sweep_c01_group(p=40):
+    """The sweep's c = 0.1 draw group, at p: 12 (theta, ||v||) subgroups."""
+    grid = sweep.SweepGrid.builtin(p=p, trials=1)
     (group,) = [g for g in sweep.draw_groups(dict(enumerate(grid.points(
         sweep.AxisMode.ONE_AT_A_TIME)))) if g[0][1].c == 0.1]
     assert len({(params.theta, params.v_norm) for _, params in group}) == 12
     return group
 
 
-def test_sweep_c01_draw_group_forms_one_syrk_per_trial(monkeypatch):
+@pytest.mark.parametrize("centering", list(Centering))
+def test_sweep_c01_draw_group_forms_one_syrk_per_trial(monkeypatch, centering):
     # the 12 (theta, ||v||) subgroups of the sweep's c = 0.1 group differ only
-    # in the trigger's row 0 under population centering, so one syrk of rows
-    # 1: serves them all; each subgroup's row 0 is a matvec
+    # in the trigger's row 0 under either centering, so one syrk of rows 1:
+    # serves them all; each subgroup's row 0 is a matvec
     group = _sweep_c01_group()
     calls = []
     gram = simulator._gram
     monkeypatch.setattr(simulator, "_gram", lambda A, scale: calls.append(A.shape) or gram(A, scale))
-    records = simulator.run_trial_path(group, simulator.shape_for(40, 0.1, seed=5), m_test=50)
+    records = simulator.run_trial_path(group, simulator.shape_for(40, 0.1, seed=5),
+                                       centering=centering, m_test=50)
     assert calls == [(39, 400)]
     assert len(records) == len(group) and not any(r.is_error for r in records)
 
@@ -230,8 +257,9 @@ def test_sweep_c01_draw_group_draws_its_flips_once(monkeypatch):
     assert len(records) == len(group) and not any(r.is_error for r in records)
 
 
-def test_sweep_c01_draw_group_factors_one_tail_per_lambda(monkeypatch):
-    # the population-centered subgroups of a draw share rows 1:, so each
+@pytest.mark.parametrize("centering", list(Centering))
+def test_sweep_c01_draw_group_factors_one_tail_per_lambda(monkeypatch, centering):
+    # the subgroups of a draw share rows 1: under either centering, so each
     # lambda's factor of the Gram's tail serves every subgroup at it: 6
     # factorizations for the group's 17 solves, each of the 39 x 39 tail
     group = _sweep_c01_group()
@@ -239,7 +267,8 @@ def test_sweep_c01_draw_group_factors_one_tail_per_lambda(monkeypatch):
     factor = simulator._factor
     monkeypatch.setattr(simulator, "_factor",
                         lambda G, shift: shapes.append(G.shape) or factor(G, shift))
-    records = simulator.run_trial_path(group, simulator.shape_for(40, 0.1, seed=5), m_test=50)
+    records = simulator.run_trial_path(group, simulator.shape_for(40, 0.1, seed=5),
+                                       centering=centering, m_test=50)
     assert len({params.lam for _, params in group}) == 6
     assert shapes == [(39, 39)] * 6
     assert len(records) == len(group) and not any(r.is_error for r in records)

@@ -414,7 +414,7 @@ def test_numpy_percentile_convention_reference():
 
 def _record_threads(monkeypatch):
     """Wrap every public function of the modules perfbench traces, as its
-    tracer does, and the worker phase's entry, to record the thread of each
+    tracer does, and the worker phases' entries, to record the thread of each
     call: name -> thread idents."""
     calls = {}
 
@@ -429,7 +429,8 @@ def _record_threads(monkeypatch):
             if (not attr.startswith("_") and inspect.isfunction(obj)
                     and obj.__module__ == module.__name__):
                 wrap(module, attr, obj)
-    wrap(simulator, "_fit_subgroups", simulator._fit_subgroups)
+    wrap(simulator, "_path_fits", simulator._path_fits)
+    wrap(mnist, "_fits", mnist._fits)
     return calls
 
 
@@ -461,7 +462,8 @@ def test_pooled_run_calls_public_functions_on_the_calling_thread_only(monkeypatc
     with monkeypatch.context() as patch:
         calls = _record_threads(patch)
         records = run()
-    fits = calls.pop("poisonridge.simulator._fit_subgroups")
+    fits = calls.pop("poisonridge.mnist._fits" if command == "mnist"
+                     else "poisonridge.simulator._path_fits")
     assert len(fits) == 6 and main not in fits
     assert calls["poisonridge.theory.predict"] == [main] * len(records)
     assert {ident for idents in calls.values() for ident in idents} == {main}
