@@ -7,9 +7,9 @@ extension module, so a process runs this one BLAS library; a numpy linked to
 another (MKL, Accelerate, a system BLAS) raises `NoBundledOpenBLAS`.  A
 threaded BLAS changes last bits with the thread count, so commands run BLAS
 on one thread.  More cores are used by threads of the one process
-(`map_ahead`), as many as it has `usable_cpus`: `sweep.run_grid`'s workers,
-which call BLAS side by side (ctypes releases the GIL for each call), and
-`resolvent.convergence_table`'s helper, which runs none.
+(`map_ahead`), as many as it has `usable_cpus`: the workers of
+`sweep.run_grid` and of `resolvent.convergence_table`, which call BLAS side
+by side (ctypes releases the GIL for each call).
 """
 
 from __future__ import annotations
@@ -157,23 +157,26 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def map_ahead(fn: Callable, jobs: list, threads: int, ahead: int) -> Iterator:
-    """fn(job) of each of `jobs`, in job order, computed on `threads` threads.
+def map_ahead(fn: Callable, jobs: list, threads: int) -> Iterator:
+    """fn(job) of each of `jobs`, in job order, computed on up to `threads` threads.
 
-    The threads work on the jobs up to `ahead` past the one yielded last, so
-    at most 1 + `ahead` results are held at once if the caller drops each
-    before asking for the next.  A job's exception is raised at that job's
-    turn.  Closing the generator cancels the jobs not started and waits for
-    those running.  With no threads, each job is computed here when asked for.
+    At most one thread per job starts, and none below two: each job is then
+    computed here when asked for.  The threads run jobs up to 2 * threads
+    past the one yielded last, to stay busy while jobs differ in cost, so
+    at most 1 + 2 * threads results are held if the caller drops each
+    before asking for the next.  A job's exception is raised at its turn.
+    Closing the generator cancels the jobs not started and waits for those
+    running.
     """
-    if threads < 1:
+    threads = min(threads, len(jobs))
+    if threads < 2:
         yield from map(fn, jobs)
         return
     pool = ThreadPoolExecutor(max_workers=threads)
     try:
         pending = deque()
         for k in range(len(jobs)):
-            for job in jobs[k + len(pending):k + 1 + ahead]:
+            for job in jobs[k + len(pending):k + 1 + 2 * threads]:
                 pending.append(pool.submit(fn, job))
             yield pending.popleft().result()
     finally:

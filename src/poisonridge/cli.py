@@ -8,8 +8,9 @@ arrays.  `rerun <manifest>` reproduces the primary CSVs byte for byte on any
 core count, for the OpenBLAS numpy's wheel bundles (else the computing
 commands exit 2): every run computes with one BLAS thread, on each of its
 threads.  `simulate`, `sweep` and `mnist` run their trials through
-`sweep.run_grid`, on as many worker threads as the process has usable CPUs
-(`sweep --workers` sets the count).
+`sweep.run_grid`, and `resolvent-check` its draws through
+`resolvent.convergence_table`, on as many worker threads as the process has
+usable CPUs (`sweep --workers` sets the count).
 The rows of a draw group (the grid points that share c; for `mnist`, the
 subsample size) are common random numbers, and the `seed` column of any row
 redoes that row alone, bit for bit, on any core or worker count; the

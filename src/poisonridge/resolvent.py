@@ -16,20 +16,19 @@ Every solve of a system (G - z I) x = rhs with G = (1/n) A A^T, the
 oracles' included, passes one residual check (`_checked`): ||r|| <= 1e-10
 ((tr G + |z|) ||x|| + ||rhs||), a normwise backward error of at most 1e-10.
 
-`convergence_table` draws ahead: while the main thread factors and solves
-one draw, a helper thread fills the standard normals of the next two
-(`_normal_draw`, which runs no BLAS and calls no public function; numpy
-fills them without holding the GIL).  Everything else, the spike
-included, runs on the main thread in draw order, so the rows do not depend
-on the helper.  Where the process may use only one CPU, the draws are made
-inline and no thread starts.
+`convergence_table` runs each draw as a job in two phases, as
+`sweep.run_grid` runs a trial.  On a worker thread, one per usable CPU,
+`_solves` draws and spikes Z, factors it and returns its two checked
+solves; it calls no public function of the package.  Then on the calling
+thread, in job order, `_rows` turns them into the draw's four rows.  Where
+the process may use only one CPU, no thread starts.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import closing
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -42,31 +41,17 @@ from .errors import (
 # dense O(dim^3) inverses, kept as test oracles; the checks use solves
 MAX_DENSE_DIM = 800
 
-# draws that `convergence_table`'s helper thread fills beyond the one being
-# factored; with one, the helper waits for the GIL before each fill
-_DRAWS_AHEAD = 2
+
+def build_spiked(p: int, n: int, tau: float, seed: int) -> np.ndarray:
+    """Z = X + tau*sqrt(n)*e1 e1^T with i.i.d. standard normal p x n X drawn from `seed`."""
+    return _spiked(p, n, tau, seed)
 
 
-def _normal_draw(p: int, n: int, seed: int) -> np.ndarray:
-    """The i.i.d. standard normal p x n matrix X of `seed`, before the spike.
-
-    Runs no BLAS and calls no public function of the package, so it may run
-    on `convergence_table`'s helper thread.
-    """
-    return simulator._rng_from(seed).standard_normal((p, n))
-
-
-def build_spiked(p: int, n: int, tau: float, seed: int, X: np.ndarray | None = None) -> np.ndarray:
-    """Z = X + tau*sqrt(n)*e1 e1^T with i.i.d. standard normal X.
-
-    X is drawn from `seed` here unless the same draw is given, made ahead
-    (`_normal_draw(p, n, seed)`).  The spike changes entry (0, 0) of X
-    only, in place.
-    """
-    if X is None:
-        X = _normal_draw(p, n, seed)
-    X[0, 0] += tau * np.sqrt(n)
-    return X
+def _spiked(p: int, n: int, tau: float, seed: int) -> np.ndarray:
+    """`build_spiked`, for `convergence_table`'s worker phase."""
+    Z = simulator._rng_from(seed).standard_normal((p, n))
+    Z[0, 0] += tau * np.sqrt(n)
+    return Z
 
 
 def _dense_resolvent(A: np.ndarray, n: int, z: float) -> np.ndarray:
@@ -215,28 +200,33 @@ ALL_CHECKS = tuple(_EQUIVALENTS)
 CHECK_FIELDS = ("check_name", "p", "n", "seed", "observed", "predicted", "abs_error")
 
 
-def spiked_draw_checks(
-    c: float, tau: float, z: float, p: int, seed: int, X: np.ndarray | None = None
-) -> dict[str, dict]:
-    """Every check's row from one Monte Carlo draw of the spiked matrix.
+def _solves(job, tau: float, z: float) -> dict[str, np.ndarray]:
+    """The worker phase of one (p, n, seed) job: w = Q1 e1 ("feature") and
+    w = Qtilde1 e1 ("gram") of its spiked draw, both `_checked`.
 
-    One Cholesky factorization of (1/n) Z Z^T - z I serves both solves:
-    w = Q1 e1 on the feature side and w = Qtilde1 e1 (push-through) on the
-    Gram side; each check reads the solve of its family.  The observed form
-    is e1.w = w[0], or w.w for a squared resolvent, and the predicted one is
-    the limit at the draw's own aspect ratio p/n, which differs from c where
-    n = round(p/c) rounds.  Maps each check name to a row dict keyed by
-    CHECK_FIELDS.  X, if given, is the unspiked draw made ahead
-    (`_normal_draw(p, n, seed)`); the spike is added to it in place.
+    One Cholesky factorization of (1/n) Z Z^T - z I serves both solves; the
+    Gram side goes through it by push-through (`_gram_apply`).  Calls no
+    public function of the package, so it may run on a worker thread of
+    `convergence_table`.
     """
-    if z >= 0.0:
-        raise NonNegativeZ(f"z must be negative, got {z}")
-    n = simulator.shape_for(p, c, seed).n
-    Z = build_spiked(p, n, tau, seed, X)
-    solve = simulator.gram_cholesky(Z, 1.0 / n, -z)
+    p, n, seed = job
+    Z = _spiked(p, n, tau, seed)
+    solve = simulator._gram_cholesky(Z, 1.0 / n, -z)
     e1 = np.eye(1, p)[0]
-    solved = {"feature": _checked(Z, n, z, solve.trace, solve(e1), e1),
-              "gram": _gram_apply(Z, z, solve, np.eye(1, n)[0])}
+    return {"feature": _checked(Z, n, z, solve.trace, solve(e1), e1),
+            "gram": _gram_apply(Z, z, solve, np.eye(1, n)[0])}
+
+
+def _rows(job, tau: float, z: float, solved: dict[str, np.ndarray]) -> dict[str, dict]:
+    """The calling thread's phase of one (p, n, seed) job: each check's row
+    from the job's solves (`_solves`).
+
+    Each check reads the solve of its family: the observed form is
+    e1.w = w[0], or w.w for a squared resolvent, and the predicted one is
+    the limit at the draw's own aspect ratio p/n, which differs from c
+    where n = round(p/c) rounds.
+    """
+    p, n, seed = job
     rows = {}
     for check_name, equivalent in _EQUIVALENTS.items():
         w = solved[check_name.removesuffix("_sq")]
@@ -248,15 +238,16 @@ def spiked_draw_checks(
     return rows
 
 
-def _draws(jobs) -> Iterator[np.ndarray]:
-    """`_normal_draw` of each (p, n, seed) job, in job order.
+def spiked_draw_checks(c: float, tau: float, z: float, p: int, seed: int) -> dict[str, dict]:
+    """Every check's row from one Monte Carlo draw of the spiked matrix, at n = round(p/c).
 
-    Where two or more CPUs are usable, one helper thread fills the draws of
-    the next `_DRAWS_AHEAD` jobs while the caller works on the one yielded
-    last (`blas.map_ahead`).  With one usable CPU, each draw is made inline
-    when asked for.
+    Runs both phases of a `convergence_table` job here, `_solves` then
+    `_rows`.  Maps each check name to a row dict keyed by CHECK_FIELDS.
     """
-    return map_ahead(lambda job: _normal_draw(*job), jobs, int(usable_cpus() > 1), _DRAWS_AHEAD)
+    if z >= 0.0:
+        raise NonNegativeZ(f"z must be negative, got {z}")
+    job = (p, simulator.shape_for(p, c, seed).n, seed)
+    return _rows(job, tau, z, _solves(job, tau, z))
 
 
 def convergence_table(
@@ -266,12 +257,12 @@ def convergence_table(
 
     One spiked draw per (p, seed index) serves all four checks, so rows are
     dependent across checks and independent across seeds.  Rows run check,
-    then p, then seed.  BLAS runs on one thread (`one_thread`), so the rows
-    do not depend on the core count.  Every input is checked, and every
-    seed and n derived, before the first draw.  The standard normals of the
-    next two draws are filled on a helper thread while one is factored
-    (`_draws`), inline where one CPU is usable; the rows are the same
-    either way.
+    then p, then seed.  Every input is checked, and every seed and n
+    derived, before the first draw.  Each draw is one job: its solves
+    (`_solves`) run on worker threads, one per usable CPU and at most one
+    per job (`blas.map_ahead`), and its rows (`_rows`) on this thread, in
+    job order; with one usable CPU no thread starts.  BLAS runs on one
+    thread (`one_thread`), so the rows do not depend on the core count.
     """
     if not (c > 0.0 and math.isfinite(c)):
         raise InvalidShape(f"c must be positive and finite, got {c}")
@@ -291,10 +282,7 @@ def convergence_table(
                  for s in range(n_seeds)]
         n = simulator.shape_for(p, c, seeds[0]).n
         jobs += [(p, n, seed) for seed in seeds]
-    one_thread()
-    draws = []
-    with closing(_draws(jobs)) as ahead:
-        for p, _, seed in jobs:
-            # the draw is not bound to a name here, so it is freed before the next is asked for
-            draws.append(spiked_draw_checks(c, tau, z, p, seed, next(ahead)))
+    one_thread()  # before any worker calls BLAS: the count is process-wide
+    with closing(map_ahead(lambda job: _solves(job, tau, z), jobs, usable_cpus())) as ahead:
+        draws = [_rows(job, tau, z, solved) for job, solved in zip(jobs, ahead)]
     return [draw[check] for check in ALL_CHECKS for draw in draws]

@@ -246,6 +246,11 @@ def gram_cholesky(A, scale: float, shift: float) -> GramSolve:
     `_solve_path`, it reads tr G off the Gram before factoring it, for the
     resolvent's residual check.
     """
+    return _gram_cholesky(A, scale, shift)
+
+
+def _gram_cholesky(A, scale: float, shift: float) -> GramSolve:
+    """`gram_cholesky`, for the resolvent's worker phase."""
     gram = _gram(A, scale)
     trace = float(np.trace(gram))
     return GramSolve(_factor(gram, shift), trace)

@@ -137,11 +137,9 @@ def run_grid(points: dict[int, ModelParams], p: int, trials: int, master_seed: i
                                         trial_seed(master_seed, group[0][0], ti)), ti)
             for group in draw_groups(points) for ti in range(trials)]
     fit_job = functools.partial(_fit_job, fit=fit or simulator._path_fits, centering=centering)
-    threads = min(workers, len(jobs))
     one_thread()  # before any worker calls BLAS: the count is process-wide
     records = []
-    # the window keeps every thread busy while the groups differ in cost
-    with closing(map_ahead(fit_job, jobs, threads if threads > 1 else 0, 2 * threads)) as fits:
+    with closing(map_ahead(fit_job, jobs, workers)) as fits:
         for (_, shape, ti), (fitted, fit_ms) in zip(jobs, fits):
             t0 = time.perf_counter()
             rows = simulator._trial_records(fitted, shape, centering, ti, m_test)

@@ -171,7 +171,7 @@ def test_rows_match_a_decimal_solve(tau, z, rel):
 def _perturb_solves(monkeypatch, delta, seed):
     """Scale each entry of every factored solve by 1 + delta N(0, 1)."""
     rng = np.random.default_rng(seed)
-    gram_cholesky = simulator.gram_cholesky
+    gram_cholesky = simulator._gram_cholesky
 
     def perturbed(A, scale, shift):
         solve = gram_cholesky(A, scale, shift)
@@ -181,7 +181,7 @@ def _perturb_solves(monkeypatch, delta, seed):
             return x * (1.0 + delta * rng.standard_normal(x.shape))
         apply.trace = solve.trace
         return apply
-    monkeypatch.setattr(simulator, "gram_cholesky", perturbed)
+    monkeypatch.setattr(simulator, "_gram_cholesky", perturbed)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -277,22 +277,23 @@ def test_convergence_table_shape_and_determinism():
 
 def test_convergence_table_draws_and_factors_once_per_size_and_seed(monkeypatch):
     # one spiked draw and one Cholesky per (p, seed) serve all four checks
-    calls = {"build_spiked": 0, "gram_cholesky": 0}
+    calls = {"_spiked": [], "_gram_cholesky": []}
 
     def counted(module, name):
         inner = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name].append(args)  # an append is atomic on the worker threads
             return inner(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(resolvent, "build_spiked")
-    counted(simulator, "gram_cholesky")
+    counted(resolvent, "_spiked")
+    counted(simulator, "_gram_cholesky")
     rows = resolvent.convergence_table(c=0.5, tau=1.0, z=-0.5, sizes=(100, 200, 400),
                                        n_seeds=20, master_seed=2)
     assert len(rows) == 240
-    assert calls == {"build_spiked": 60, "gram_cholesky": 60}
+    assert {name: len(args) for name, args in calls.items()} == {"_spiked": 60,
+                                                                 "_gram_cholesky": 60}
 
 
 def test_convergence_table_rows_are_draw_lookups():
@@ -345,7 +346,8 @@ def test_checks_predict_at_the_draws_aspect_ratio():
         assert row["predicted"] != equivalent(0.3, 1.0, -0.5)
 
 
-# 1, 2 and 15 draws: fewer than, as many as and more than the draws kept ahead
+# 1, 2 and 15 draws: fewer jobs than, as many as and more than the worker threads
+# and the jobs they run ahead
 _DRAW_COUNTS = [((30,), 1), ((30,), 2), ((20, 30, 45), 5)]
 
 
@@ -356,7 +358,7 @@ def _set_usable_cpus(monkeypatch, cpus):
 @pytest.mark.parametrize("cpus", [(0,), (0, 1)])
 @pytest.mark.parametrize("sizes,n_seeds", _DRAW_COUNTS)
 def test_convergence_table_equals_draws_one_at_a_time(monkeypatch, cpus, sizes, n_seeds):
-    # drawn ahead on the helper thread or inline, the rows are those of each draw alone
+    # on worker threads or inline, the rows are those of each draw alone
     _set_usable_cpus(monkeypatch, cpus)
     c, tau, z = 0.5, 1.0, -0.5
     rows = resolvent.convergence_table(c, tau, z, sizes, n_seeds, master_seed=3)
@@ -367,8 +369,9 @@ def test_convergence_table_equals_draws_one_at_a_time(monkeypatch, cpus, sizes, 
 
 
 def _record_threads(monkeypatch):
-    """Wrap every public function of the lab's modules, and the private draw,
-    to record the thread of each call: name -> thread idents."""
+    """Wrap every public function of the lab's modules, as perfbench's tracer
+    does, and the worker phase's entry, to record the thread of each call:
+    name -> thread idents."""
     calls = {}
 
     def wrap(module, attr, fn):
@@ -382,13 +385,13 @@ def _record_threads(monkeypatch):
             if (not attr.startswith("_") and inspect.isfunction(obj)
                     and obj.__module__ == module.__name__):
                 wrap(module, attr, obj)
-    wrap(resolvent, "_normal_draw", resolvent._normal_draw)
+    wrap(resolvent, "_solves", resolvent._solves)
     return calls
 
 
-def test_convergence_table_runs_only_the_draw_off_the_main_thread(monkeypatch):
-    # perfbench's tracer keeps one span stack, so every public call must
-    # stay on the main thread; the helper runs only the private fill
+def test_convergence_table_calls_public_functions_on_the_calling_thread_only(monkeypatch):
+    # perfbench's tracer keeps one span stack, so the worker threads may call
+    # no public function of the traced modules; they run the solves alone
     main = threading.get_ident()
     tables = {}
     for cpus in ((0, 1), (0,)):
@@ -396,35 +399,42 @@ def test_convergence_table_runs_only_the_draw_off_the_main_thread(monkeypatch):
         with monkeypatch.context() as patch:
             calls = _record_threads(patch)
             tables[cpus] = resolvent.convergence_table(0.5, 1.0, -0.5, (20, 40), 4, master_seed=1)
-        draws = calls.pop("poisonridge.resolvent._normal_draw")
-        assert len(draws) == 8
-        assert calls["poisonridge.resolvent.build_spiked"] == [main] * 8
-        assert calls["poisonridge.simulator.gram_cholesky"] == [main] * 8
+        solves = calls.pop("poisonridge.resolvent._solves")
+        assert len(solves) == 8
+        # the rows: the squared feature and Gram predictions of each of the 8 draws
+        assert calls["poisonridge.theory.spike_squared"] == [main] * 16
         assert {ident for idents in calls.values() for ident in idents} == {main}
         if len(cpus) > 1:
-            assert main not in draws
+            assert main not in solves
         else:
-            assert set(draws) == {main}
+            assert set(solves) == {main}
     assert tables[(0, 1)] == tables[(0,)]
 
 
 @pytest.mark.parametrize("case", ["returns", "refused", "draw_fails"])
 def test_convergence_table_leaves_no_thread(monkeypatch, case):
     _set_usable_cpus(monkeypatch, (0, 1))
-    drawn = []
+    drawn, turns = [], []
     failure = MemoryError("third draw")
-    normal_draw = resolvent._normal_draw
+    # the third job, p = 20 at seed index 2 of master seed 0, fails on its worker
+    third = int(np.random.SeedSequence(0, spawn_key=(0, 20, 2)).generate_state(1)[0])
+    solves, rows_of = resolvent._solves, resolvent._rows
 
-    def draw(p, n, seed):
-        drawn.append(seed)
-        if case == "draw_fails" and len(drawn) == 3:
+    def solve(job, tau, z):
+        drawn.append(job)
+        if case == "draw_fails" and job == (20, 40, third):
             raise failure
-        return normal_draw(p, n, seed)
-    monkeypatch.setattr(resolvent, "_normal_draw", draw)
+        return solves(job, tau, z)
+
+    def rows(job, *args):
+        turns.append(job)
+        return rows_of(job, *args)
+    monkeypatch.setattr(resolvent, "_solves", solve)
+    monkeypatch.setattr(resolvent, "_rows", rows)
     before = threading.active_count()
     if case == "returns":
-        rows = resolvent.convergence_table(0.5, 1.0, -0.5, (20, 30), 3)
-        assert len(rows) == 24 and len(drawn) == 6
+        table = resolvent.convergence_table(0.5, 1.0, -0.5, (20, 30), 3)
+        assert len(table) == 24 and len(drawn) == 6
     elif case == "refused":
         # z >= 0 is refused before any draw, and no thread starts
         with pytest.raises(NonNegativeZ):
@@ -433,5 +443,6 @@ def test_convergence_table_leaves_no_thread(monkeypatch, case):
     else:
         with pytest.raises(MemoryError) as excinfo:
             resolvent.convergence_table(0.5, 1.0, -0.5, (20, 30), 3)
-        assert excinfo.value is failure
+        # raised at its turn: the rows of the two jobs before it were made, no later ones
+        assert excinfo.value is failure and len(turns) == 2
     assert threading.active_count() == before
