@@ -10,15 +10,15 @@ unspiked one for any unit a and b.  The four predictions (`det_equiv_*`)
 take their spike scalars from `theory.spike_gain` and
 `theory.spike_squared`: at (tau^2, m, m') on the feature side and at
 (tau^2/c, mtilde, mtilde') on the Gram side.  The checks read all four
-quadratic forms of one spiked draw from one Cholesky factorization of the
-p x p feature system; the dense resolvents remain as reference oracles.
-Every solve of a system (G - z I) x = rhs with G = (1/n) A A^T, the
-oracles' included, passes one residual check (`_checked`): ||r|| <= 1e-10
-((tr G + |z|) ||x|| + ||rhs||), a normwise backward error of at most 1e-10.
+quadratic forms of one spiked draw from one Cholesky factor of its unspiked
+tail (`_solves`); the dense resolvents remain as reference oracles.  Every
+solve of a system (G - z I) x = rhs with G = (1/n) A A^T, the oracles'
+included, passes one residual check (`_checked`): ||r|| <= 1e-10 ((tr G +
+|z|) ||x|| + ||rhs||), a normwise backward error of at most 1e-10.
 
 `convergence_table` runs each draw as a job in two phases, as
 `sweep.run_grid` runs a trial.  On a worker thread, one per usable CPU,
-`_solves` draws and spikes Z, factors it and returns its two checked
+`_solves` draws and spikes Z, factors its tail and returns its two checked
 solves; it calls no public function of the package.  Then on the calling
 thread, in job order, `_rows` turns them into the draw's four rows.  Where
 the process may use only one CPU, no thread starts.
@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import mp, simulator, theory
+from . import blas, mp, simulator, theory
 from .blas import map_ahead, one_thread, usable_cpus
 from .errors import (
     InnerSingular, InvalidSeed, InvalidShape, NonFiniteParameter, NonNegativeZ, SolveFailure,
@@ -44,13 +44,8 @@ MAX_DENSE_DIM = 800
 
 def build_spiked(p: int, n: int, tau: float, seed: int) -> np.ndarray:
     """Z = X + tau*sqrt(n)*e1 e1^T with i.i.d. standard normal p x n X drawn from `seed`."""
-    return _spiked(p, n, tau, seed)
-
-
-def _spiked(p: int, n: int, tau: float, seed: int) -> np.ndarray:
-    """`build_spiked`, for `convergence_table`'s worker phase."""
     Z = simulator._rng_from(seed).standard_normal((p, n))
-    Z[0, 0] += tau * np.sqrt(n)
+    Z[0, 0] += tau * math.sqrt(n)
     return Z
 
 
@@ -176,18 +171,6 @@ def _checked(A: np.ndarray, n: int, z: float, trace: float, x: np.ndarray, rhs) 
     return x
 
 
-def _gram_apply(Z: np.ndarray, z: float, solve, b: np.ndarray) -> np.ndarray:
-    """Qtilde1(z) b through the p x p system, never forming an n x n matrix.
-
-    Push-through: Z Qtilde1 = Q1 Z, so Qtilde1 b = -(1/z)(b - Z^T Q1 (Z b) / n).
-    Both solves are `_checked`; (1/n) Z^T Z has the factored Gram's trace.
-    """
-    n, Zb = Z.shape[1], Z @ b
-    with np.errstate(over="ignore", invalid="ignore"):  # `_checked` refuses what this makes
-        y = -(b - Z.T @ _checked(Z, n, z, solve.trace, solve(Zb), Zb) / n) / z
-    return _checked(Z.T, n, z, solve.trace, y, b)
-
-
 # check name -> deterministic equivalent, in the row order of convergence_table
 _EQUIVALENTS = {
     "feature": det_equiv_feature,
@@ -204,17 +187,37 @@ def _solves(job, tau: float, z: float) -> dict[str, np.ndarray]:
     """The worker phase of one (p, n, seed) job: w = Q1 e1 ("feature") and
     w = Qtilde1 e1 ("gram") of its spiked draw, both `_checked`.
 
-    One Cholesky factorization of (1/n) Z Z^T - z I serves both solves; the
-    Gram side goes through it by push-through (`_gram_apply`).  Calls no
+    B is Z on its smaller side, Z^T if p > n: its spike s = tau sqrt(n) sits
+    in its row 0, b = x + s e1, and its rows 1:, B_1, are unspiked.  One
+    factor R of (1/n) B_1 B_1^T + lam, lam = -z, serves both sides.  On B's
+    side row 0 is bordered on as the last pivot (`simulator._solve`).  On
+    the other, M = (1/n) B_1^T B_1 + lam has M^-1 v = (v - B_1^T R^-1 R^-T
+    B_1 v / n) / lam, and b comes in by Sherman-Morrison with its s^2 terms
+    cancelled: at a = M^-1 e1, q = M^-1 x and u = x.q, w = (a (n + u) -
+    q q_0 + s (q_0 a - a_0 q)) / (n + u + 2 s q_0 + s^2 a_0).  Calls no
     public function of the package, so it may run on a worker thread of
     `convergence_table`.
     """
     p, n, seed = job
-    Z = _spiked(p, n, tau, seed)
-    solve = simulator._gram_cholesky(Z, 1.0 / n, -z)
-    e1 = np.eye(1, p)[0]
-    return {"feature": _checked(Z, n, z, solve.trace, solve(e1), e1),
-            "gram": _gram_apply(Z, z, solve, np.eye(1, n)[0])}
+    Z = simulator._rng_from(seed).standard_normal((p, n))
+    B, s, lam = Z if p <= n else Z.T, tau * math.sqrt(n), -z
+    rows, x, e1 = B[1:], B[0].copy(), np.eye(1, B.shape[1])[0]
+    Z[0, 0] += s  # the spike enters through b = B[0] alone, never the factor
+    gram = simulator._gram(rows, 1.0 / n)
+    with np.errstate(over="ignore", invalid="ignore"):  # `_pivot` and `_checked` refuse these
+        border = np.stack((B @ B[0] / n, np.eye(1, len(B))[0]), axis=1)
+        trace = float(np.trace(gram) + border[0, 0])  # tr (1/n) Z Z^T, before the shift
+        factor = simulator._factor(gram, lam)
+        # a bordered system with no ridge data: `_solve` reads its rows and border alone
+        bordered = simulator._System(rows, B[0], border, border[:, 1], None, None, None)
+        near = simulator._solve(bordered, factor, lam)
+        V = np.stack((e1, x), axis=1)
+        a, q = ((V - rows.T @ blas.potrs(factor, rows @ V) / n) / lam).T
+        u, q0, a0 = x @ q, q[0], a[0]
+        far = (a * (n + u) - q * q0 + s * (q0 * a - a0 * q)) / (n + u + 2 * s * q0 + s * s * a0)
+    feature, gram_side = (near, far) if p <= n else (far, near)
+    return {"feature": _checked(Z, n, z, trace, feature, np.eye(1, p)[0]),
+            "gram": _checked(Z.T, n, z, trace, gram_side, np.eye(1, n)[0])}
 
 
 def _rows(job, tau: float, z: float, solved: dict[str, np.ndarray]) -> dict[str, dict]:

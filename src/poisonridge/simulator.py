@@ -241,16 +241,12 @@ def gram_cholesky(A, scale: float, shift: float) -> GramSolve:
     """x -> (G + shift I)^-1 x, G = scale A A^T, by one Cholesky factorization.
 
     The one place that forms and factors a whole regularized Gram: the
-    resolvent's (1/n) Z Z^T - z I.  The ridge solve factors the same way
-    (`_solve_path`), the Gram of a split system without its row 0.  Like
-    `_solve_path`, it reads tr G off the Gram before factoring it, for the
-    resolvent's residual check.
+    resolvent's dense oracles, (1/n) Z Z^T - z I.  The ridge solve and the
+    resolvent checks factor the same way, the Gram of a split system without
+    its row 0 (`_solve_path`, `resolvent._solves`).  Like `_solve_path`, it
+    reads tr G off the Gram before factoring it, for the resolvent's residual
+    check.
     """
-    return _gram_cholesky(A, scale, shift)
-
-
-def _gram_cholesky(A, scale: float, shift: float) -> GramSolve:
-    """`gram_cholesky`, for the resolvent's worker phase."""
     gram = _gram(A, scale)
     trace = float(np.trace(gram))
     return GramSolve(_factor(gram, shift), trace)

@@ -10,7 +10,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from poisonridge import mp, resolvent, simulator, theory
+from poisonridge import blas, mp, resolvent, simulator, theory
 from poisonridge.errors import InnerSingular, InvalidShape, NonNegativeZ, SolveFailure
 from poisonridge.theory import ModelParams
 
@@ -156,32 +156,38 @@ def _decimal_forms(p, n, tau, seed, z):
     return forms
 
 
-@pytest.mark.parametrize("tau,z,rel", [(1.0, -1e-6, 1e-12), (1.0, -1e-10, 1e-12),
-                                       (1e3, -0.5, 1e-8)])
-def test_rows_match_a_decimal_solve(tau, z, rel):
-    # near the ridgeless end and at a strong spike, the checked solves pass the
-    # residual check and are accurate; at p = 20, c = 0.5 the Gram side is 40 x 40
-    rows = resolvent.convergence_table(0.5, tau, z, [20], n_seeds=3)
+@pytest.mark.parametrize("c,p,tau,z", [
+    (0.5, 20, 1.0, -1e-6), (0.5, 20, 1.0, -1e-10),
+    (0.5, 20, 1e3, -0.5), (0.5, 20, 1e6, -0.5), (0.5, 20, 1e8, -0.5),
+    (2.0, 20, 1e3, -0.5), (2.0, 20, 1e6, -0.5), (2.0, 20, 1e8, -0.5),
+    (2.0, 20, 1.0, -1e-10),
+    (0.5, 1, 1.0, -0.5), (2.0, 2, 1.0, -0.5),
+])
+def test_rows_match_a_decimal_solve(c, p, tau, z):
+    # near the ridgeless end, at a strong spike, at c > 1 where the p x p side
+    # is singular up to |z|, and with an empty tail (p = 1, and n = 1 at
+    # p = 2), the checked solves pass the residual check and are accurate
+    rows = resolvent.convergence_table(c, tau, z, [p], n_seeds=3)
     draws = {(row["n"], row["seed"]) for row in rows}
-    forms = {seed: _decimal_forms(20, n, tau, seed, z) for n, seed in draws}
+    forms = {seed: _decimal_forms(p, n, tau, seed, z) for n, seed in draws}
     for row in rows:
-        assert row["observed"] == pytest.approx(forms[row["seed"]][row["check_name"]], rel=rel)
+        assert row["observed"] == pytest.approx(forms[row["seed"]][row["check_name"]], rel=1e-12)
 
 
 def _perturb_solves(monkeypatch, delta, seed):
-    """Scale each entry of every factored solve by 1 + delta N(0, 1)."""
+    """Scale each entry of every solve by a draw's factor, the bordered one
+    (`simulator._solve`) and the other side's (`blas.potrs`), by 1 + delta N(0, 1)."""
     rng = np.random.default_rng(seed)
-    gram_cholesky = simulator._gram_cholesky
 
-    def perturbed(A, scale, shift):
-        solve = gram_cholesky(A, scale, shift)
+    def perturb(module, name):
+        solve = getattr(module, name)
 
-        def apply(rhs):
-            x = solve(rhs)
+        def perturbed(*args):
+            x = solve(*args)
             return x * (1.0 + delta * rng.standard_normal(x.shape))
-        apply.trace = solve.trace
-        return apply
-    monkeypatch.setattr(simulator, "_gram_cholesky", perturbed)
+        monkeypatch.setattr(module, name, perturbed)
+    perturb(simulator, "_solve")
+    perturb(blas, "potrs")
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -194,11 +200,13 @@ def test_residual_check_refuses_a_perturbed_solve(monkeypatch, seed):
         resolvent.spiked_draw_checks(0.5, 1.0, -0.5, 100, seed)
 
 
-@pytest.mark.parametrize("c,tau,z", [(0.5, 1e8, -0.5), (2.0, 1.0, -1e-10), (0.5, 1.0, -1e-320)])
+@pytest.mark.parametrize("c,tau,z", [(1.0, 1.0, -1e-10), (0.5, 1e160, -0.5), (2.0, 1e160, -0.5),
+                                     (0.5, 1.0, -1e-320)])
 def test_residual_check_refuses_inaccurate_solves(c, tau, z):
-    # a spike of 1e8 and a singular feature Gram (c = 2) at z = -1e-10 lose
-    # too much to the solve; at z = -1e-320 the Gram-side vector overflows, and
-    # the check refuses it without a RuntimeWarning
+    # at c = 1, z = -1e-10 the other side's Gram is singular up to |z| and the
+    # push-through loses too much; at a spike of 1e160 the pivot's g_0
+    # overflows; at z = -1e-320 the other side's vector overflows; each is
+    # refused without a RuntimeWarning
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(SolveFailure):
@@ -276,8 +284,8 @@ def test_convergence_table_shape_and_determinism():
 
 
 def test_convergence_table_draws_and_factors_once_per_size_and_seed(monkeypatch):
-    # one spiked draw and one Cholesky per (p, seed) serve all four checks
-    calls = {"_spiked": [], "_gram_cholesky": []}
+    # one draw and one Cholesky per (p, seed) serve all four checks
+    calls = {"_rng_from": [], "_factor": []}
 
     def counted(module, name):
         inner = getattr(module, name)
@@ -287,13 +295,13 @@ def test_convergence_table_draws_and_factors_once_per_size_and_seed(monkeypatch)
             return inner(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(resolvent, "_spiked")
-    counted(simulator, "_gram_cholesky")
+    counted(simulator, "_rng_from")
+    counted(simulator, "_factor")
     rows = resolvent.convergence_table(c=0.5, tau=1.0, z=-0.5, sizes=(100, 200, 400),
                                        n_seeds=20, master_seed=2)
     assert len(rows) == 240
-    assert {name: len(args) for name, args in calls.items()} == {"_spiked": 60,
-                                                                 "_gram_cholesky": 60}
+    assert {name: len(args) for name, args in calls.items()} == {"_rng_from": 60,
+                                                                 "_factor": 60}
 
 
 def test_convergence_table_rows_are_draw_lookups():
@@ -324,8 +332,10 @@ def test_convergence_table_feature_rows_keep_their_seeds():
             a = _e1(p)
             observed = float(a @ simulator.gram_cholesky(Z, 1.0 / n, -z)(a))
             predicted = resolvent.det_equiv_feature(c, tau, z)
+            # the dense route factors the spiked Gram, so it agrees to rounding
             expected.append(dict(zip(resolvent.CHECK_FIELDS, (
-                "feature", p, n, seed, observed, predicted, abs(observed - predicted)))))
+                "feature", p, n, seed, pytest.approx(observed, rel=1e-12), predicted,
+                pytest.approx(abs(observed - predicted), abs=1e-12)))))
     assert [r for r in rows if r["check_name"] == "feature"] == expected
 
 
