@@ -11,10 +11,14 @@ take their spike scalars from `theory.spike_gain` and
 `theory.spike_squared`: at (tau^2, m, m') on the feature side and at
 (tau^2/c, mtilde, mtilde') on the Gram side.  The checks read all four
 quadratic forms of one spiked draw from one Cholesky factor of its unspiked
-tail (`_solves`); the dense resolvents remain as reference oracles.  Every
-solve of a system (G - z I) x = rhs with G = (1/n) A A^T, the oracles'
-included, passes one residual check (`_checked`): ||r|| <= 1e-10 ((tr G +
-|z|) ||x|| + ||rhs||), a normwise backward error of at most 1e-10.
+tail, two at p = n (`_solves`); the dense resolvents remain as reference
+oracles.  Every Gram is formed by `blas.syrk`, and a draw's spiked row 0 is
+bordered on as the last pivot (`simulator._bordered`) on each side that can
+be: its smaller side, and at p = n, where the other side's tail has full
+rank, both.  Every solve of a system (G - z I) x = rhs with G = (1/n) A
+A^T, the oracles' included, passes one residual check (`_checked`): ||r||
+<= 1e-10 ((tr G + |z|) ||x|| + ||rhs||), a normwise backward error of at
+most 1e-10.
 
 `convergence_table` runs each draw as a job in two phases, as
 `sweep.run_grid` runs a trial.  On a worker thread, one per usable CPU,
@@ -56,9 +60,10 @@ def _dense_resolvent(A: np.ndarray, n: int, z: float) -> np.ndarray:
     dim = A.shape[0]
     if dim > MAX_DENSE_DIM:
         raise ValueError(f"dense resolvent capped at dimension {MAX_DENSE_DIM}, got {dim}")
-    solve = simulator.gram_cholesky(A, 1.0 / n, -z)
-    Q = solve(np.eye(dim))
-    return _checked(A, n, z, solve.trace, 0.5 * (Q + Q.T), np.eye(dim))
+    gram = blas.syrk(1.0 / n, A)
+    trace = float(np.trace(gram))
+    Q = blas.potrs(simulator._factor(gram, -z), np.eye(dim))
+    return _checked(A, n, z, trace, 0.5 * (Q + Q.T), np.eye(dim))
 
 
 def feature_resolvent(Z: np.ndarray, z: float) -> np.ndarray:
@@ -150,7 +155,8 @@ def reconstruct_spiked_resolvent(
     if z >= 0.0:
         raise NonNegativeZ(f"z must be negative, got {z}")
     U, V = spike_blocks(X, tau, a, b)
-    return woodbury_update(simulator.gram_cholesky(X, 1.0 / X.shape[1], -z), U, V)
+    factor = simulator._factor(blas.syrk(1.0 / X.shape[1], X), -z)
+    return woodbury_update(lambda x: blas.potrs(factor, x), U, V)
 
 
 def _checked(A: np.ndarray, n: int, z: float, trace: float, x: np.ndarray, rhs) -> np.ndarray:
@@ -183,38 +189,48 @@ ALL_CHECKS = tuple(_EQUIVALENTS)
 CHECK_FIELDS = ("check_name", "p", "n", "seed", "observed", "predicted", "abs_error")
 
 
+def _bordered_side(A: np.ndarray, n: int, lam: float):
+    """(w, factor, tr G) of one side of a draw, G = (1/n) A A^T: w = (G + lam
+    I)^-1 e1, with A's row 0 bordered on (`simulator._bordered`) onto
+    `factor`, `_factor`'s factor of G[1:, 1:] + lam I."""
+    gram = blas.syrk(1.0 / n, A[1:])
+    border = np.stack((A @ A[0] / n, np.eye(1, len(A))[0]), axis=1)
+    trace = float(np.trace(gram) + border[0, 0])
+    factor = simulator._factor(gram, lam)
+    return simulator._bordered(factor, border, lam), factor, trace
+
+
 def _solves(job, tau: float, z: float) -> dict[str, np.ndarray]:
     """The worker phase of one (p, n, seed) job: w = Q1 e1 ("feature") and
     w = Qtilde1 e1 ("gram") of its spiked draw, both `_checked`.
 
     B is Z on its smaller side, Z^T if p > n: its spike s = tau sqrt(n) sits
-    in its row 0, b = x + s e1, and its rows 1:, B_1, are unspiked.  One
-    factor R of (1/n) B_1 B_1^T + lam, lam = -z, serves both sides.  On B's
-    side row 0 is bordered on as the last pivot (`simulator._solve`).  On
-    the other, M = (1/n) B_1^T B_1 + lam has M^-1 v = (v - B_1^T R^-1 R^-T
-    B_1 v / n) / lam, and b comes in by Sherman-Morrison with its s^2 terms
-    cancelled: at a = M^-1 e1, q = M^-1 x and u = x.q, w = (a (n + u) -
-    q q_0 + s (q_0 a - a_0 q)) / (n + u + 2 s q_0 + s^2 a_0).  Calls no
-    public function of the package, so it may run on a worker thread of
-    `convergence_table`.
+    in its row 0, b = x + s e1, and its rows 1:, B_1, are unspiked.  On B's
+    side row 0 is bordered on as the last pivot onto the factor R of (1/n)
+    B_1 B_1^T + lam, lam = -z (`_bordered_side`).  At p = n the other side,
+    Z^T, is bordered on too, onto its own tail's factor, which then has full
+    rank.  Otherwise R serves the other side too: M = (1/n) B_1^T B_1 + lam has
+    M^-1 v = (v - B_1^T R^-1 R^-T B_1 v / n) / lam, and b comes in by
+    Sherman-Morrison with its s^2 terms cancelled: at a = M^-1 e1, q = M^-1
+    x and u = x.q, w = (a (n + u) - q q_0 + s (q_0 a - a_0 q)) / (n + u + 2 s
+    q_0 + s^2 a_0).  Calls no public function of the package, so it may run
+    on a worker thread of `convergence_table`.
     """
     p, n, seed = job
     Z = simulator._rng_from(seed).standard_normal((p, n))
     B, s, lam = Z if p <= n else Z.T, tau * math.sqrt(n), -z
     rows, x, e1 = B[1:], B[0].copy(), np.eye(1, B.shape[1])[0]
-    Z[0, 0] += s  # the spike enters through b = B[0] alone, never the factor
-    gram = simulator._gram(rows, 1.0 / n)
+    Z[0, 0] += s  # the spike enters through row 0 alone, never a factor
     with np.errstate(over="ignore", invalid="ignore"):  # `_pivot` and `_checked` refuse these
-        border = np.stack((B @ B[0] / n, np.eye(1, len(B))[0]), axis=1)
-        trace = float(np.trace(gram) + border[0, 0])  # tr (1/n) Z Z^T, before the shift
-        factor = simulator._factor(gram, lam)
-        # a bordered system with no ridge data: `_solve` reads its rows and border alone
-        bordered = simulator._System(rows, B[0], border, border[:, 1], None, None, None)
-        near = simulator._solve(bordered, factor, lam)
-        V = np.stack((e1, x), axis=1)
-        a, q = ((V - rows.T @ blas.potrs(factor, rows @ V) / n) / lam).T
-        u, q0, a0 = x @ q, q[0], a[0]
-        far = (a * (n + u) - q * q0 + s * (q0 * a - a0 * q)) / (n + u + 2 * s * q0 + s * s * a0)
+        near, factor, trace = _bordered_side(B, n, lam)
+        if p == n:
+            far = _bordered_side(Z.T, n, lam)[0]
+        else:
+            V = np.stack((e1, x), axis=1)
+            a, q = ((V - rows.T @ blas.potrs(factor, rows @ V) / n) / lam).T
+            u, q0, a0 = x @ q, q[0], a[0]
+            far = ((a * (n + u) - q * q0 + s * (q0 * a - a0 * q))
+                   / (n + u + 2 * s * q0 + s * s * a0))
     feature, gram_side = (near, far) if p <= n else (far, near)
     return {"feature": _checked(Z, n, z, trace, feature, np.eye(1, p)[0]),
             "gram": _checked(Z.T, n, z, trace, gram_side, np.eye(1, n)[0])}

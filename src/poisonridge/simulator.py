@@ -11,8 +11,11 @@ copy of the stream as the flips left it (`run_trial_path`), so the rows of
 a group are common random numbers.  Every system is solved split, in any
 memory order and in both its primal (p <= n) and its dual (p > n) form:
 each lambda factors the Gram of rows 1:, the tail, and row 0 is brought in
-onto that factor, as a bordered last pivot (primal) or a rank-one term
-(dual; `_solve`), so a huge trigger in row 0 stays out of the factor.
+onto that factor, as a bordered last pivot (primal; `_bordered`) or a
+rank-one term (dual; `_solve`), so a huge trigger in row 0 stays out of
+the factor.  Every Gram of the package is formed by `blas.syrk` and
+factored by `_factor`; the resolvent lab calls `_bordered` on each side of
+its draw it can border, which at p = n is both sides.
 The synthetic trigger lies in row 0, so a trial centers the tail of its
 draw once, under either centering, and its subgroups, which differ only in
 row 0, share one pass over the tail for their borders (`_split_systems`)
@@ -209,11 +212,6 @@ def _center(X, y, v, theta: float, centering: Centering):
     return X, y - w_bar, x_bar, w_bar
 
 
-def _gram(A, scale: float) -> np.ndarray:
-    """The upper triangle of scale A A^T, F-ordered, by syrk."""
-    return blas.syrk(scale, A)
-
-
 def _factor(G, shift: float) -> np.ndarray:
     """The upper Cholesky factor of G + shift I, from the upper triangle G.
 
@@ -227,31 +225,6 @@ def _factor(G, shift: float) -> np.ndarray:
     return G
 
 
-@dataclass(frozen=True)
-class GramSolve:
-    """x -> (G + shift I)^-1 x by its upper Cholesky `factor`; `trace` is tr G."""
-    factor: np.ndarray
-    trace: float
-
-    def __call__(self, rhs):
-        return blas.potrs(self.factor, rhs)
-
-
-def gram_cholesky(A, scale: float, shift: float) -> GramSolve:
-    """x -> (G + shift I)^-1 x, G = scale A A^T, by one Cholesky factorization.
-
-    The one place that forms and factors a whole regularized Gram: the
-    resolvent's dense oracles, (1/n) Z Z^T - z I.  The ridge solve and the
-    resolvent checks factor the same way, the Gram of a split system without
-    its row 0 (`_solve_path`, `resolvent._solves`).  Like `_solve_path`, it
-    reads tr G off the Gram before factoring it, for the resolvent's residual
-    check.
-    """
-    gram = _gram(A, scale)
-    trace = float(np.trace(gram))
-    return GramSolve(_factor(gram, shift), trace)
-
-
 def _rows_gram(rows) -> np.ndarray:
     """(1/n) rows rows^T when rows has fewer than n rows, else the dual (1/n) rows^T rows.
 
@@ -260,7 +233,7 @@ def _rows_gram(rows) -> np.ndarray:
     dual at p > n, also at p = n + 1; at p = 1 it is empty.
     """
     m, n = rows.shape
-    return _gram(rows if m < n else rows.T, 1.0 / n)
+    return blas.syrk(1.0 / n, rows if m < n else rows.T)
 
 
 # a border pass multiplies about this many bytes of rows while they are in cache
@@ -283,12 +256,11 @@ class _System:
     X~, in any memory order, is kept split: as its row 0, `head`, and its
     rows 1:, `rows`, from which the Gram's tail comes (`_rows_gram`);
     `border` is (1/n) X~ [x~_0, w~], the primal Gram's row 0 and the
-    right-hand side side by side, and `rhs` is its second column, (1/n) X~ w~.
+    right-hand side side by side.
     """
     rows: np.ndarray
     head: np.ndarray
     border: np.ndarray
-    rhs: np.ndarray
     w_tilde: np.ndarray
     x_bar: np.ndarray
     w_bar: float
@@ -323,8 +295,8 @@ def _split_systems(rows, parts) -> list[_System]:
         border /= n
         with np.errstate(over="ignore"):  # `_pivot` refuses a g_0 that overflows
             border[0] = np.ldexp(border[0], e)
-        systems.append(_System(rows=rows, head=head, border=border, rhs=border[:, 1],
-                               w_tilde=w_tilde, x_bar=x_bar, w_bar=w_bar))
+        systems.append(_System(rows=rows, head=head, border=border, w_tilde=w_tilde,
+                               x_bar=x_bar, w_bar=w_bar))
     return systems
 
 
@@ -339,21 +311,16 @@ def _solve(system: _System, factor, lam: float) -> np.ndarray:
 
     The factor is that of the Gram of the system's rows 1:, its tail
     (`_rows_gram`): the primal one when they number fewer than n, else the
-    dual one.  Row 0 comes in onto it in two ways.  On a primal tail R it is
-    bordered on as the last pivot: R^T [r, z] = [g_1, rhs_1], delta^2 = g_0
-    + lam - r.r, beta_0 = (rhs_0 - r.z) / delta^2 and R beta_1 = z - r beta_0,
-    where [g, rhs] is its border.  On a dual tail K = T + lam I it is the
-    rank-one term h h^T / n of X~^T X~ / n = T + h h^T / n, h = x~_0
-    (Sherman-Morrison): [b, a] = K^-1 [h, w~], delta = 1 + h.b / n,
+    dual one.  Row 0 comes in onto it in two ways.  On a primal tail it is
+    bordered on as the last pivot (`_bordered`).  On a dual tail K = T + lam
+    I it is the rank-one term h h^T / n of X~^T X~ / n = T + h h^T / n, h =
+    x~_0 (Sherman-Morrison): [b, a] = K^-1 [h, w~], delta = 1 + h.b / n,
     beta_0 = (h.a / n) / delta and beta_1 = rows (a - b beta_0) / n.  A pivot
     delta that is not finite and positive is a `SolveFailure`.
     """
     m, n = system.rows.shape
     if m < n:
-        r, z = blas.trtrs(factor, system.border[1:], trans=True).T
-        g0, rhs0 = system.border[0]
-        beta0 = (rhs0 - r @ z) / _pivot(g0 + lam - r @ r, "bordered", lam)
-        return np.concatenate(([beta0], blas.trtrs(factor, z - r * beta0)))
+        return _bordered(factor, system.border, lam)
     head = system.head
     b, a = blas.potrs(factor, np.stack((head, system.w_tilde), axis=1)).T
     with np.errstate(over="ignore", invalid="ignore"):  # `_pivot` refuses what these make
@@ -362,10 +329,24 @@ def _solve(system: _System, factor, lam: float) -> np.ndarray:
     return np.concatenate(([beta0], system.rows @ (a - b * beta0) / n))
 
 
+def _bordered(factor, border, lam: float) -> np.ndarray:
+    """x of (G + lam I) x = rhs from `border`, [g, rhs] with g = G[:, 0], and R =
+    `factor`, `_factor`'s factor of G[1:, 1:] + lam I: row 0 is bordered on as
+    the last pivot, R^T [r, z] = [g_1, rhs_1], delta^2 = g_0 + lam - r.r, x_0 =
+    (rhs_0 - r.z) / delta^2 and R x_1 = z - r x_0.  A pivot delta^2 that is not
+    finite and positive is a `SolveFailure`."""
+    r, z = blas.trtrs(factor, border[1:], trans=True).T
+    g0, rhs0 = border[0]
+    x0 = (rhs0 - r @ z) / _pivot(g0 + lam - r @ r, "bordered", lam)
+    return np.concatenate(([x0], blas.trtrs(factor, z - r * x0)))
+
+
 def _pivot(value: float, kind: str, lam: float) -> float:
-    """value, a pivot of `_solve`; one that is not finite and positive is a `SolveFailure`."""
+    """value, a pivot of `_solve` or `_bordered`; one that is not finite and
+    positive is a `SolveFailure`."""
     if not 0.0 < value < math.inf:
-        raise SolveFailure(f"{kind} pivot {value!r} at lambda={lam} is not finite and positive")
+        raise SolveFailure(
+            f"{kind} pivot {float(value)} at lambda={lam} is not finite and positive")
     return value
 
 
@@ -415,12 +396,13 @@ def _check_residuals(solved, rows_sq: float) -> list:
     XU[1:] = rows @ U
     out = []
     for (system, lam, beta), u, xu in zip(solved, U.T, XU.T):
+        rhs = system.border[:, 1]
         head_max = float(np.max(np.abs(system.head)))
         x_norm = math.hypot(math.sqrt(rows_sq), head_max and head_max * float(
             np.linalg.norm(system.head / head_max)))
-        norm = float(np.linalg.norm(xu / n + lam * beta - system.rhs))
+        norm = float(np.linalg.norm(xu / n + lam * beta - rhs))
         bound = _RESIDUAL_TOL * float(x_norm * np.linalg.norm(u) / n + lam * np.linalg.norm(beta)
-                                      + np.linalg.norm(system.rhs))
+                                      + np.linalg.norm(rhs))
         out.append(beta if norm <= bound < math.inf else SolveFailure(
             f"normal-equations residual {norm:.3e} exceeds {bound:.3e}"))
     return out

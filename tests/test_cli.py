@@ -148,6 +148,17 @@ def test_resolvent_check_beyond_dense_cap(tmp_path, capsys):
     assert all(r[1] == "800" and r[2] == "1600" for r in rows)
 
 
+def test_resolvent_check_names_an_overflowing_pivot_as_a_float(tmp_path, capsys):
+    # at a spike of 1e160 the bordered pivot's g_0 overflows: exit 2, nothing
+    # written, and the pivot printed as a Python float
+    out = tmp_path / "r"
+    assert run_cli("resolvent-check", "--tau", "1e160", "--p", "20", "--seeds", "1",
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "error: SolveFailure: bordered pivot nan at lambda=0.5 is not finite and positive\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("resolvent-check", "--c", "0", "--p", "10", "--seeds", "1"),
     ("resolvent-check", "--p", "0", "--seeds", "1"),

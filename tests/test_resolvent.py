@@ -161,22 +161,25 @@ def _decimal_forms(p, n, tau, seed, z):
     (0.5, 20, 1e3, -0.5), (0.5, 20, 1e6, -0.5), (0.5, 20, 1e8, -0.5),
     (2.0, 20, 1e3, -0.5), (2.0, 20, 1e6, -0.5), (2.0, 20, 1e8, -0.5),
     (2.0, 20, 1.0, -1e-10),
+    (1.0, 20, 1.0, -1e-10), (1.0, 20, 1e3, -1e-10), (1.0, 20, 1e8, -1e-10),
     (0.5, 1, 1.0, -0.5), (2.0, 2, 1.0, -0.5),
 ])
 def test_rows_match_a_decimal_solve(c, p, tau, z):
     # near the ridgeless end, at a strong spike, at c > 1 where the p x p side
-    # is singular up to |z|, and with an empty tail (p = 1, and n = 1 at
-    # p = 2), the checked solves pass the residual check and are accurate
+    # is singular up to |z|, at c = 1 where both sides are bordered, and with
+    # an empty tail (p = 1, and n = 1 at p = 2), the checked solves pass the
+    # residual check and are accurate
     rows = resolvent.convergence_table(c, tau, z, [p], n_seeds=3)
     draws = {(row["n"], row["seed"]) for row in rows}
     forms = {seed: _decimal_forms(p, n, tau, seed, z) for n, seed in draws}
-    for row in rows:
-        assert row["observed"] == pytest.approx(forms[row["seed"]][row["check_name"]], rel=1e-12)
+    for row in rows:  # abs=0: at a strong spike some forms are far below approx's default 1e-12
+        assert row["observed"] == pytest.approx(forms[row["seed"]][row["check_name"]], rel=1e-12,
+                                                abs=0.0)
 
 
 def _perturb_solves(monkeypatch, delta, seed):
     """Scale each entry of every solve by a draw's factor, the bordered one
-    (`simulator._solve`) and the other side's (`blas.potrs`), by 1 + delta N(0, 1)."""
+    (`simulator._bordered`) and the other side's (`blas.potrs`), by 1 + delta N(0, 1)."""
     rng = np.random.default_rng(seed)
 
     def perturb(module, name):
@@ -186,7 +189,7 @@ def _perturb_solves(monkeypatch, delta, seed):
             x = solve(*args)
             return x * (1.0 + delta * rng.standard_normal(x.shape))
         monkeypatch.setattr(module, name, perturbed)
-    perturb(simulator, "_solve")
+    perturb(simulator, "_bordered")
     perturb(blas, "potrs")
 
 
@@ -200,13 +203,10 @@ def test_residual_check_refuses_a_perturbed_solve(monkeypatch, seed):
         resolvent.spiked_draw_checks(0.5, 1.0, -0.5, 100, seed)
 
 
-@pytest.mark.parametrize("c,tau,z", [(1.0, 1.0, -1e-10), (0.5, 1e160, -0.5), (2.0, 1e160, -0.5),
-                                     (0.5, 1.0, -1e-320)])
+@pytest.mark.parametrize("c,tau,z", [(0.5, 1e160, -0.5), (2.0, 1e160, -0.5), (0.5, 1.0, -1e-320)])
 def test_residual_check_refuses_inaccurate_solves(c, tau, z):
-    # at c = 1, z = -1e-10 the other side's Gram is singular up to |z| and the
-    # push-through loses too much; at a spike of 1e160 the pivot's g_0
-    # overflows; at z = -1e-320 the other side's vector overflows; each is
-    # refused without a RuntimeWarning
+    # at a spike of 1e160 the pivot's g_0 overflows; at z = -1e-320 the other
+    # side's vector overflows; each is refused without a RuntimeWarning
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(SolveFailure):
@@ -330,7 +330,7 @@ def test_convergence_table_feature_rows_keep_their_seeds():
             n = round(p / c)
             Z = resolvent.build_spiked(p, n, tau, seed)
             a = _e1(p)
-            observed = float(a @ simulator.gram_cholesky(Z, 1.0 / n, -z)(a))
+            observed = float(a @ blas.potrs(simulator._factor(blas.syrk(1.0 / n, Z), -z), a))
             predicted = resolvent.det_equiv_feature(c, tau, z)
             # the dense route factors the spiked Gram, so it agrees to rounding
             expected.append(dict(zip(resolvent.CHECK_FIELDS, (
