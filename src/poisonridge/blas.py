@@ -4,12 +4,11 @@ numpy's wheel (numpy >= 2.0) bundles scipy-openblas64: `scipy_`-prefixed,
 `64_`-suffixed symbols with 64-bit integers.  Its `dsyrk`, `dpotrf`, `dpotrs`
 and `dtrtrs` are called through ctypes, looked up through numpy's own linalg
 extension module, so a process runs this one BLAS library; a numpy linked to
-another (MKL, Accelerate, a system BLAS) raises `NoBundledOpenBLAS`.  A
-threaded BLAS changes last bits with the thread count, so commands run BLAS
-on one thread.  More cores are used by threads of the one process
-(`map_ahead`), as many as it has `usable_cpus`: the workers of
-`sweep.run_grid` and of `resolvent.convergence_table`, which call BLAS side
-by side (ctypes releases the GIL for each call).
+another (MKL, Accelerate, a system BLAS) raises `NoBundledOpenBLAS`.
+`map_ahead`, the job runner of `sweep.run_grid` and
+`resolvent.convergence_table`, runs BLAS on one thread and uses more cores
+through threads of the one process, which call BLAS side by side (ctypes
+releases the GIL for each call).
 """
 
 from __future__ import annotations
@@ -157,18 +156,23 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def map_ahead(fn: Callable, jobs: list, threads: int) -> Iterator:
-    """fn(job) of each of `jobs`, in job order, computed on up to `threads` threads.
+def map_ahead(fn: Callable, jobs: list, threads: int | None = None) -> Iterator:
+    """fn(job) of each of `jobs`, in job order, computed on up to `threads`
+    threads, by default `usable_cpus()`: the package's one thread policy.
 
-    At most one thread per job starts, and none below two: each job is then
-    computed here when asked for.  The threads run jobs up to 2 * threads
-    past the one yielded last, to stay busy while jobs differ in cost, so
-    at most 1 + 2 * threads results are held if the caller drops each
-    before asking for the next.  A job's exception is raised at its turn.
-    Closing the generator cancels the jobs not started and waits for those
-    running.
+    Before the first job, pooled or not, BLAS is set to one thread
+    (`one_thread`), here on the calling thread, as the count is
+    process-wide: a threaded BLAS changes last bits with its thread count,
+    and so with the core count.  At most one thread per job starts, and
+    none below two: each job is then computed here when asked for.  The
+    threads run jobs up to 2 * threads past the one yielded last, to stay
+    busy while jobs differ in cost, so at most 1 + 2 * threads results are
+    held if the caller drops each before asking for the next.  A job's
+    exception is raised at its turn.  Closing the generator cancels the
+    jobs not started and waits for those running.
     """
-    threads = min(threads, len(jobs))
+    one_thread()
+    threads = min(usable_cpus() if threads is None else threads, len(jobs))
     if threads < 2:
         yield from map(fn, jobs)
         return

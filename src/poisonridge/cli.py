@@ -6,11 +6,12 @@ with the full configuration, master seed and package version.  A refused run
 therefore writes nothing, and neither does one that cannot allocate its
 arrays.  `rerun <manifest>` reproduces the primary CSVs byte for byte on any
 core count, for the OpenBLAS numpy's wheel bundles (else the computing
-commands exit 2): every run computes with one BLAS thread, on each of its
-threads.  `simulate`, `sweep` and `mnist` run their trials through
+commands exit 2).  `simulate`, `sweep` and `mnist` run their trials through
 `sweep.run_grid`, and `resolvent-check` its draws through
-`resolvent.convergence_table`, on as many worker threads as the process has
-usable CPUs (`sweep --workers` sets the count).
+`resolvent.convergence_table`, on the threads of `blas.map_ahead`, which
+sets their BLAS to one thread.  `sweep --workers` sets the thread count; its
+default, the usable CPUs, is resolved when the command line is parsed, so
+that manifest.json records the count that ran.
 The rows of a draw group (the grid points that share c; for `mnist`, the
 subsample size) are common random numbers, and the `seed` column of any row
 redoes that row alone, bit for bit, on any core or worker count; the

@@ -21,11 +21,10 @@ A^T, the oracles' included, passes one residual check (`_checked`): ||r||
 most 1e-10.
 
 `convergence_table` runs each draw as a job in two phases, as
-`sweep.run_grid` runs a trial.  On a worker thread, one per usable CPU,
+`sweep.run_grid` runs a trial.  On a worker thread (`blas.map_ahead`),
 `_solves` draws and spikes Z, factors its tail and returns its two checked
 solves; it calls no public function of the package.  Then on the calling
-thread, in job order, `_rows` turns them into the draw's four rows.  Where
-the process may use only one CPU, no thread starts.
+thread, in job order, `_rows` turns them into the draw's four rows.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from . import blas, mp, simulator, theory
-from .blas import map_ahead, one_thread, usable_cpus
+from .blas import map_ahead
 from .errors import (
     InnerSingular, InvalidSeed, InvalidShape, NonFiniteParameter, NonNegativeZ, SolveFailure,
 )
@@ -278,10 +277,8 @@ def convergence_table(
     dependent across checks and independent across seeds.  Rows run check,
     then p, then seed.  Every input is checked, and every seed and n
     derived, before the first draw.  Each draw is one job: its solves
-    (`_solves`) run on worker threads, one per usable CPU and at most one
-    per job (`blas.map_ahead`), and its rows (`_rows`) on this thread, in
-    job order; with one usable CPU no thread starts.  BLAS runs on one
-    thread (`one_thread`), so the rows do not depend on the core count.
+    (`_solves`) run on worker threads (`blas.map_ahead`), and its rows
+    (`_rows`) on this thread, in job order.
     """
     if not (c > 0.0 and math.isfinite(c)):
         raise InvalidShape(f"c must be positive and finite, got {c}")
@@ -301,7 +298,6 @@ def convergence_table(
                  for s in range(n_seeds)]
         n = simulator.shape_for(p, c, seeds[0]).n
         jobs += [(p, n, seed) for seed in seeds]
-    one_thread()  # before any worker calls BLAS: the count is process-wide
-    with closing(map_ahead(lambda job: _solves(job, tau, z), jobs, usable_cpus())) as ahead:
+    with closing(map_ahead(lambda job: _solves(job, tau, z), jobs)) as ahead:
         draws = [_rows(job, tau, z, solved) for job, solved in zip(jobs, ahead)]
     return [draw[check] for check in ALL_CHECKS for draw in draws]

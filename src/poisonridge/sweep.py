@@ -11,9 +11,9 @@ group draws once, with the seed of the group's first grid point, and runs
 every point of the group from that draw, so its rows are common random
 numbers (the `simulator` module docstring sets out how).  Records are
 reproducible from (master_seed, first grid_index of the group, trial_index)
-alone.  The trials run on worker threads of the one process, whose BLAS runs
-on one thread, so neither the worker count, the core count nor the
-execution order changes the bytes on disk.
+alone, and the trials run on the threads of `blas.map_ahead`, so neither
+the worker count, the core count nor the execution order changes the bytes
+on disk.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simulator
-from .blas import map_ahead, one_thread, usable_cpus
+from .blas import map_ahead
 from .errors import (
     EmptyGrid, EmptyGroup, InvalidLambda, InvalidSeed, InvalidTrialCount,
     InvalidWorkerCount, SchemaMismatch,
@@ -112,15 +112,11 @@ def run_grid(points: dict[int, ModelParams], p: int, trials: int, master_seed: i
     closed-form prediction and its efficacy draw into a record per point.  A
     failed fit or prediction is an error row (NaN empirical columns), not
     the end of the run; near-singular solves at tiny lambda and c near 1 are
-    expected.  `workers` threads, by default the usable CPUs and at most one
-    per job, run the fits; with one, this thread runs them and no thread
-    starts.  BLAS runs on one thread (`one_thread`), so the records do not
-    depend on the core count or the worker count.  Each record's wall time is
-    its share of its job's two phases.
+    expected.  `workers` threads run the fits (`blas.map_ahead`, which also
+    sets the default); with one, this thread runs them and no thread starts.
+    Each record's wall time is its share of its job's two phases.
     """
-    if workers is None:
-        workers = usable_cpus()
-    if workers < 1:
+    if workers is not None and workers < 1:
         raise InvalidWorkerCount(f"workers must be >= 1, got {workers}")
     if not points:
         raise EmptyGrid("a run needs at least one grid point")
@@ -137,7 +133,6 @@ def run_grid(points: dict[int, ModelParams], p: int, trials: int, master_seed: i
                                         trial_seed(master_seed, group[0][0], ti)), ti)
             for group in draw_groups(points) for ti in range(trials)]
     fit_job = functools.partial(_fit_job, fit=fit or simulator._path_fits, centering=centering)
-    one_thread()  # before any worker calls BLAS: the count is process-wide
     records = []
     with closing(map_ahead(fit_job, jobs, workers)) as fits:
         for (_, shape, ti), (fitted, fit_ms) in zip(jobs, fits):

@@ -36,6 +36,22 @@ def test_one_thread_pins_every_bundled_openblas():
     assert blas.thread_count() == 1
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_map_ahead_pins_blas_before_its_first_job(threads):
+    # pooled or inline, every job computes with one BLAS thread
+    if not _bundled():
+        pytest.skip("numpy bundles no OpenBLAS in this installation")
+    set_threads = getattr(blas._openblas(), blas._symbol("openblas_set_num_threads"))
+    try:
+        set_threads(2)
+        if blas.thread_count() != 2:
+            pytest.skip("numpy's OpenBLAS cannot run on two threads in this process")
+        readings = list(blas.map_ahead(lambda _: blas.thread_count(), list(range(4)), threads))
+    finally:
+        blas.one_thread()
+    assert readings == [1] * 4
+
+
 @pytest.fixture(scope="module")
 def scipy_linalg():
     """scipy.linalg, the oracle, with its bundled OpenBLAS on one thread as numpy's is."""

@@ -1,8 +1,6 @@
 """Spiked-resolvent lab tests: dense resolvents, coefficients, Woodbury updates."""
 
-import inspect
 import math
-import os
 import threading
 import warnings
 from decimal import Decimal, localcontext
@@ -10,6 +8,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+from conftest import record_threads, set_usable_cpus
 from poisonridge import blas, mp, resolvent, simulator, theory
 from poisonridge.errors import InnerSingular, InvalidShape, NonNegativeZ, SolveFailure
 from poisonridge.theory import ModelParams
@@ -361,15 +360,11 @@ def test_checks_predict_at_the_draws_aspect_ratio():
 _DRAW_COUNTS = [((30,), 1), ((30,), 2), ((20, 30, 45), 5)]
 
 
-def _set_usable_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
-
-
 @pytest.mark.parametrize("cpus", [(0,), (0, 1)])
 @pytest.mark.parametrize("sizes,n_seeds", _DRAW_COUNTS)
 def test_convergence_table_equals_draws_one_at_a_time(monkeypatch, cpus, sizes, n_seeds):
     # on worker threads or inline, the rows are those of each draw alone
-    _set_usable_cpus(monkeypatch, cpus)
+    set_usable_cpus(monkeypatch, cpus)
     c, tau, z = 0.5, 1.0, -0.5
     rows = resolvent.convergence_table(c, tau, z, sizes, n_seeds, master_seed=3)
     assert len(rows) == len(resolvent.ALL_CHECKS) * len(sizes) * n_seeds
@@ -378,36 +373,15 @@ def test_convergence_table_equals_draws_one_at_a_time(monkeypatch, cpus, sizes, 
             c, tau, z, row["p"], row["seed"])[row["check_name"]]
 
 
-def _record_threads(monkeypatch):
-    """Wrap every public function of the lab's modules, as perfbench's tracer
-    does, and the worker phase's entry, to record the thread of each call:
-    name -> thread idents."""
-    calls = {}
-
-    def wrap(module, attr, fn):
-        def recorded(*args, **kwargs):
-            calls.setdefault(f"{module.__name__}.{attr}", []).append(threading.get_ident())
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(module, attr, recorded)
-
-    for module in (mp, theory, simulator, resolvent):
-        for attr, obj in list(vars(module).items()):
-            if (not attr.startswith("_") and inspect.isfunction(obj)
-                    and obj.__module__ == module.__name__):
-                wrap(module, attr, obj)
-    wrap(resolvent, "_solves", resolvent._solves)
-    return calls
-
-
 def test_convergence_table_calls_public_functions_on_the_calling_thread_only(monkeypatch):
     # perfbench's tracer keeps one span stack, so the worker threads may call
     # no public function of the traced modules; they run the solves alone
     main = threading.get_ident()
     tables = {}
     for cpus in ((0, 1), (0,)):
-        _set_usable_cpus(monkeypatch, cpus)
+        set_usable_cpus(monkeypatch, cpus)
         with monkeypatch.context() as patch:
-            calls = _record_threads(patch)
+            calls = record_threads(patch, (resolvent, "_solves"))
             tables[cpus] = resolvent.convergence_table(0.5, 1.0, -0.5, (20, 40), 4, master_seed=1)
         solves = calls.pop("poisonridge.resolvent._solves")
         assert len(solves) == 8
@@ -423,7 +397,7 @@ def test_convergence_table_calls_public_functions_on_the_calling_thread_only(mon
 
 @pytest.mark.parametrize("case", ["returns", "refused", "draw_fails"])
 def test_convergence_table_leaves_no_thread(monkeypatch, case):
-    _set_usable_cpus(monkeypatch, (0, 1))
+    set_usable_cpus(monkeypatch, (0, 1))
     drawn, turns = [], []
     failure = MemoryError("third draw")
     # the third job, p = 20 at seed index 2 of master seed 0, fails on its worker

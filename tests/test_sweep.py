@@ -1,17 +1,16 @@
 """Sweep harness tests: grid enumeration, aggregation, CSV round-trip, determinism."""
 
 import dataclasses
-import inspect
 import itertools
 import math
-import os
 import threading
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-from poisonridge import blas, mnist, mp, report, resolvent, simulator, sweep, theory
+from conftest import record_threads, set_usable_cpus
+from poisonridge import blas, mnist, simulator, sweep, theory
 from poisonridge.errors import EmptyGroup, SchemaMismatch, SolveFailure
 from poisonridge.records import FIELD_NAMES, SweepRecord
 from poisonridge.sweep import AxisMode, SweepGrid
@@ -165,7 +164,7 @@ def test_one_usable_cpu_builds_no_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was built with one usable CPU")
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    set_usable_cpus(monkeypatch, (0,))
     monkeypatch.setattr(blas, "ThreadPoolExecutor", no_pool)
     assert blas.usable_cpus() == 1
     before = threading.active_count()
@@ -412,33 +411,11 @@ def test_numpy_percentile_convention_reference():
     assert float(np.percentile(vals, 75)) == 3.25
 
 
-def _record_threads(monkeypatch):
-    """Wrap every public function of the modules perfbench traces, as its
-    tracer does, and the worker phases' entries, to record the thread of each
-    call: name -> thread idents."""
-    calls = {}
-
-    def wrap(module, attr, fn):
-        def recorded(*args, **kwargs):
-            calls.setdefault(f"{module.__name__}.{attr}", []).append(threading.get_ident())
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(module, attr, recorded)
-
-    for module in (mp, theory, simulator, sweep, resolvent, mnist, report):
-        for attr, obj in list(vars(module).items()):
-            if (not attr.startswith("_") and inspect.isfunction(obj)
-                    and obj.__module__ == module.__name__):
-                wrap(module, attr, obj)
-    wrap(simulator, "_path_fits", simulator._path_fits)
-    wrap(mnist, "_fits", mnist._fits)
-    return calls
-
-
 @pytest.mark.parametrize("command", ["simulate", "mnist"])
 def test_pooled_run_calls_public_functions_on_the_calling_thread_only(monkeypatch, command):
     # perfbench's tracer keeps one span stack, so the worker threads may call
     # no public function of the traced modules; they run the fits alone
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    set_usable_cpus(monkeypatch, (0, 1))
     main = threading.get_ident()
     if command == "mnist":
         rng = np.random.default_rng(3)
@@ -457,10 +434,10 @@ def test_pooled_run_calls_public_functions_on_the_calling_thread_only(monkeypatc
         def run():
             return sweep.run_grid(points, DRAW_GRID.p, 3, 4, 50, workers=2)
     with monkeypatch.context() as patch:
-        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        set_usable_cpus(patch, (0,))
         serial = [_persisted(r) for r in run()]
     with monkeypatch.context() as patch:
-        calls = _record_threads(patch)
+        calls = record_threads(patch, (simulator, "_path_fits"), (mnist, "_fits"))
         records = run()
     fits = calls.pop("poisonridge.mnist._fits" if command == "mnist"
                      else "poisonridge.simulator._path_fits")
